@@ -19,13 +19,14 @@ the keys the array engine runs natively, each verified bit-identical to
 the Python engine in the same invocation (``bit_identical`` records the
 verdict, ``speedup_vs_python`` the ratio against ``after``).
 
-Separate ``--sweep-only`` / ``--distributed-only`` / ``--server-only`` /
+Separate ``--sweep-only`` / ``--distributed-only`` /
 ``--families-only`` / ``--characterize-only`` modes measure the
 batched-runner sweep, the loopback-TCP worker fleets, the
-``repro.server`` daemon, the Bi-Mode/perceptron families, and the
-characterization pipeline respectively, each updating only its own
-section of the trajectory file (``batched_sweep`` / ``distributed_sweep``
-/ ``server_sweep`` / ``new_families`` / ``characterization``).
+Bi-Mode/perceptron families, and the characterization pipeline
+respectively, each updating only its own section of the trajectory file
+(``batched_sweep`` / ``distributed_sweep`` / ``new_families`` /
+``characterization``).  Full mode rewrites the sections it measures and
+carries every other section over unchanged.
 
 Best-of-N is deliberate: on shared/noisy machines the *minimum* runtime is
 the least contaminated estimate of the code's true cost.  The committed
@@ -340,16 +341,9 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
 
     Every distributed run must be **byte-identical** to serial: the
     journal's sha256 ``result_digest`` of every job is compared, not
-    just the MPKI values.
-
-    Besides measured speedups the section records
-    ``projected_speedup_2_workers``: with per-fleet overhead
-    ``t1 - serial`` (the 1-worker run measures everything distribution
-    adds: framing, digests, scheduling) and perfectly split compute,
-    2 workers on 2 cores would take ``serial/2 + overhead``.  On a
-    single-core box (``host_cpus == 1``) the *measured* 2-worker speedup
-    is physically capped at ~1x, so the projection is what the scaling
-    gate in ``scripts/bench.py`` falls back to there.
+    just the MPKI values.  ``host_cpus`` records the recording host's
+    CPU count: the 2-worker number ``scripts/bench.py`` gates on only
+    means scaling when the host had at least two.
     """
     from repro import parallel
     from repro.experiments import fig09, runner
@@ -407,20 +401,7 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
             }
             print(f"  tcp x{count}: {elapsed:.2f}s ({speedup:.2f}x, "
                   f"byte_identical={identical})", flush=True)
-
-        one = out["workers"].get("1")
-        if one:
-            overhead = max(0.0, one["seconds"] - serial_seconds)
-            out["distribution_overhead_seconds"] = round(overhead, 2)
-            out["projected_speedup_2_workers"] = round(
-                serial_seconds / (serial_seconds / 2 + overhead), 2)
         out["host_cpus"] = os.cpu_count()
-        # Which number the scripts/bench.py scaling gate should trust:
-        # the measured 2-worker run when this host can actually run two
-        # workers on separate cores, the overhead projection otherwise.
-        out["gate_basis"] = ("measured"
-                             if (out["host_cpus"] or 1) >= 2
-                             and "2" in out["workers"] else "projected")
         return out
     finally:
         runner.clear_memory_cache()
@@ -428,100 +409,6 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
             del os.environ["REPRO_RESULT_CACHE"]
         else:
             os.environ["REPRO_RESULT_CACHE"] = saved
-
-
-def measure_server_sweep(burst_jobs=200, clients=4,
-                         workloads=FIG09_WORKLOADS,
-                         instructions=FIG09_INSTRUCTIONS):
-    """Daemon-served fig09 grid vs serial, plus a warm serving burst.
-
-    Two measurements against one in-process :class:`ServerThread`:
-
-    * **byte-identity** — the full fig09 job grid is submitted with
-      full payloads and every served result's sha256 digest (recomputed
-      *client-side* from the streamed body, so the check does not trust
-      the server's word) is compared against a fresh serial computation
-      with the result cache disabled.
-    * **warm burst** — a closed-loop ``burst_jobs``-deep burst over the
-      same grid with digest-detail replies, reported as p50/p95/p99
-      submit-to-result latency and throughput.  The ping RTT p50 is
-      recorded alongside as the *null* (framing + scheduling with no
-      simulation in the loop); ``latency_vs_ping_p50`` is the
-      machine-independent ratio the bench smoke gate compares against.
-    """
-    from repro import parallel
-    from repro.experiments import fig09, runner
-    from repro.experiments.journal import result_digest
-    from repro.server import ServerConfig, ServerThread
-    from repro.server.client import ServerClient, result_digests
-    from repro.server.loadgen import build_jobs, measure_ping, run_load
-
-    os.environ["REPRO_WORKLOADS"] = workloads
-    os.environ["REPRO_INSTRUCTIONS"] = str(instructions)
-    from repro.workloads.catalog import generate_workload
-
-    for workload in workloads.split(","):
-        generate_workload(workload, instructions)
-    grid = [(job.workload, job.key, job.instructions)
-            for job in parallel.make_jobs(fig09.jobs())]
-
-    saved = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = "0"
-    try:
-        runner.clear_memory_cache()
-        serial = {f"{w}|{k}|{i}": result_digest(runner.get_result(w, k, i))
-                  for w, k, i in grid}
-    finally:
-        runner.clear_memory_cache()
-        if saved is None:
-            del os.environ["REPRO_RESULT_CACHE"]
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = saved
-
-    with ServerThread(ServerConfig.from_env(port=0)) as running:
-        with ServerClient(running.address, tenant="harness") as client:
-            outcome = client.submit(grid, detail="full")
-        served = result_digests(outcome.results, verify=True)
-        identical = served == serial and not outcome.errors
-        print(f"  identity: {len(grid)} grid jobs served, "
-              f"byte_identical={identical}", flush=True)
-
-        burst = build_jobs(workloads.split(","),
-                           sorted({k for _, k, _ in grid}),
-                           instructions, burst_jobs)
-        summary = run_load(running.address, burst, mode="closed",
-                           clients=clients, detail="digest",
-                           tenant="harness-burst")
-        ping = measure_ping(running.address, count=50)
-
-    latency = summary["latency_seconds"]
-    out = {
-        "workloads": workloads,
-        "keys": ",".join(sorted({k for _, k, _ in grid})),
-        "instructions": instructions,
-        "grid_jobs": len(grid),
-        "byte_identical": identical,
-        "burst_jobs": summary["jobs"],
-        "clients": summary["clients"],
-        "throughput_jobs_per_sec": summary["throughput_jobs_per_sec"],
-        "latency_seconds": {
-            "p50": round(latency["p50"], 6),
-            "p95": round(latency["p95"], 6),
-            "p99": round(latency["p99"], 6),
-        },
-        "ping_seconds": {"p50": round(ping["p50"], 6)},
-        "latency_vs_ping_p50": round(
-            latency["p50"] / max(ping["p50"], 1e-9), 2),
-        "burst_errors": summary["errors"],
-        "host_cpus": os.cpu_count(),
-    }
-    print(f"  burst: {out['burst_jobs']} jobs at "
-          f"{out['throughput_jobs_per_sec']} jobs/s, p50/p95/p99 "
-          f"{latency['p50'] * 1e3:.2f}/{latency['p95'] * 1e3:.2f}/"
-          f"{latency['p99'] * 1e3:.2f} ms "
-          f"(ping p50 {ping['p50'] * 1e3:.2f} ms, ratio "
-          f"{out['latency_vs_ping_p50']}x)", flush=True)
-    return out
 
 
 def measure_fig09_seconds(jobs=1):
@@ -622,9 +509,6 @@ def main(argv=None):
                         help="measure only the distributed (TCP-backend) "
                              "sweep and update its section of the "
                              "trajectory file")
-    parser.add_argument("--server-only", action="store_true",
-                        help="measure only the daemon-served sweep and "
-                             "update its section of the trajectory file")
     parser.add_argument("--families-only", action="store_true",
                         help="measure only the Bi-Mode/perceptron families "
                              "(python vs array) and update the new_families "
@@ -672,23 +556,6 @@ def main(argv=None):
         print(f"wrote {args.output}")
         return 0 if section["winner_hits"] >= 10 else 1
 
-    if args.server_only:
-        print("measuring server sweep (daemon-served fig09 grid vs serial)",
-              flush=True)
-        sweep = measure_server_sweep()
-        existing = (json.loads(args.output.read_text())
-                    if args.output.exists() else {})
-        old = existing.get("server_sweep")
-        if (not args.fresh and old
-                and old.get("byte_identical") and sweep["byte_identical"]
-                and old.get("latency_vs_ping_p50", float("inf"))
-                < sweep["latency_vs_ping_p50"]):
-            sweep = old  # best-of across harness invocations
-        existing["server_sweep"] = sweep
-        args.output.write_text(json.dumps(existing, indent=2) + "\n")
-        print(f"wrote {args.output}")
-        return 0 if sweep["byte_identical"] else 1
-
     if args.distributed_only:
         print("measuring distributed sweep (loopback TCP fleets vs serial)",
               flush=True)
@@ -696,20 +563,12 @@ def main(argv=None):
         existing = (json.loads(args.output.read_text())
                     if args.output.exists() else {})
         old = existing.get("distributed_sweep")
-        if not args.fresh and old and old.get("byte_identical") \
-                and sweep["byte_identical"]:
-            # Best-of across harness invocations, but never let a
-            # projected section outrank a measured one: a recording from
-            # a multi-core host is categorically better scaling evidence
-            # than any single-core projection.
-            old_basis = old.get("gate_basis") or (
-                "measured" if old.get("host_cpus", 0) >= 2 else "projected")
-            if old_basis == "measured" and sweep["gate_basis"] == "projected":
-                sweep = old
-            elif (old_basis == sweep["gate_basis"]
-                    and old.get("workers", {}).get("2", {}).get("speedup", 0)
-                    > sweep["workers"].get("2", {}).get("speedup", 0)):
-                sweep = old
+        if (not args.fresh and old
+                and old.get("workers", {}).get("2", {}).get("speedup", 0)
+                > sweep["workers"].get("2", {}).get("speedup", 0)
+                and old.get("byte_identical")
+                and sweep["byte_identical"]):
+            sweep = old  # best-of across harness invocations
         existing["distributed_sweep"] = sweep
         args.output.write_text(json.dumps(existing, indent=2) + "\n")
         print(f"wrote {args.output}")
@@ -771,7 +630,10 @@ def main(argv=None):
         if after["branches_per_sec"].get(key)
     }
     before = existing.get("before") or after
-    payload = {
+    # Sections this run does not measure (the --*-only modes' and the
+    # notes) carry over unchanged, in their existing order.
+    payload = dict(existing)
+    payload.update({
         "meta": {
             "trace": TRACE_NAME,
             "trace_instructions": TRACE_INSTRUCTIONS,
@@ -785,11 +647,7 @@ def main(argv=None):
         "after": after,
         "speedup": _speedups(before, after),
         "array_engine": array_section,
-    }
-    for section in ("batched_sweep", "distributed_sweep", "server_sweep",
-                    "notes"):
-        if section in existing:
-            payload[section] = existing[section]
+    })
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     return 0

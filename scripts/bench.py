@@ -21,19 +21,9 @@ multi-key speedup; see ``harness.py --sweep-only``).
 Both modes also gate the committed ``distributed_sweep`` section (see
 ``harness.py --distributed-only``): the recorded fig09 sweep over
 loopback TCP workers must be byte-identical to serial and hold the
->=1.6x / 0.8-efficiency scaling floor on 2 workers (measured when the
-recording host had >=2 CPUs, projected from the 1-worker overhead
-otherwise).  This check is deterministic — no worker fleets are spawned
-by the gate itself; the live distributed paths run in the CI
-``test-distributed`` leg.
-
-Both modes also gate the committed ``server_sweep`` section (see
-``harness.py --server-only``): the recorded daemon-served fig09 grid
-must be byte-identical to serial with a >=200-job burst on record, and
-a live in-process daemon must serve a warm burst with a p50 latency
-within 3x headroom of the committed ping-normalized ratio (the ping RTT
-is the null: framing + scheduling with no simulation, so machine speed
-cancels out).
+>=1.6x / 0.8-efficiency scaling floor on 2 workers.  This check is
+deterministic — no worker fleets are spawned by the gate itself; the
+live distributed paths run in the CI ``test-distributed`` leg.
 
 Both modes also gate the design-space exploration harness
 (``repro.explore``): the fixed-seed smoke search must reproduce the
@@ -133,10 +123,7 @@ ARRAY_GATE_KEYS = ("tsl64", "llbp")
 
 #: Acceptance floors for the committed distributed sweep: 2 loopback
 #: workers must deliver >=1.6x over cold serial (>=0.8 scaling
-#: efficiency).  On a single-core recording host the measured 2-worker
-#: speedup is physically capped at ~1x, so the gate falls back to the
-#: overhead-derived ``projected_speedup_2_workers`` (see
-#: ``harness.measure_distributed_sweep``).
+#: efficiency).
 DISTRIBUTED_SPEEDUP_FLOOR = 1.6
 DISTRIBUTED_EFFICIENCY_FLOOR = 0.8
 
@@ -145,8 +132,7 @@ def _gate_distributed(data: dict) -> int:
     """Gate the committed ``distributed_sweep`` section (deterministic —
     no fleets are spawned here; the CI ``test-distributed`` leg runs the
     live byte-identity checks).  Byte-identity is a hard failure; the
-    scaling floor is checked against the measured 2-worker numbers when
-    the recording host had >=2 CPUs, else against the projection.
+    scaling floor is checked against the measured 2-worker numbers.
     """
     sweep = data.get("distributed_sweep")
     if not sweep:
@@ -159,107 +145,17 @@ def _gate_distributed(data: dict) -> int:
         return 1
 
     two = sweep.get("workers", {}).get("2", {})
-    # The recorded section says which number to trust (harness writes
-    # gate_basis at record time); sections from before that field fall
-    # back to the recording host's CPU count — measured whenever the
-    # host could actually run 2 workers on separate cores.
-    recorded_basis = sweep.get("gate_basis") or (
-        "measured" if sweep.get("host_cpus", 0) >= 2 and two
-        else "projected")
-    if recorded_basis == "measured":
-        speedup, basis = two.get("speedup", 0.0), "measured"
-        efficiency = two.get("efficiency", 0.0)
-    else:
-        speedup = sweep.get("projected_speedup_2_workers", 0.0)
-        efficiency, basis = speedup / 2, "projected (1-core host)"
+    speedup = two.get("speedup", 0.0)
+    efficiency = two.get("efficiency", 0.0)
     ok = (speedup >= DISTRIBUTED_SPEEDUP_FLOOR
           and efficiency >= DISTRIBUTED_EFFICIENCY_FLOOR)
-    print(f"  distributed  {speedup:.2f}x on 2 workers ({basis}, "
-          f"efficiency {efficiency:.2f})  byte-identical  "
-          f"{'ok' if ok else 'REGRESSED'}")
+    print(f"  distributed  {speedup:.2f}x on 2 workers "
+          f"({sweep.get('host_cpus')} CPUs, efficiency {efficiency:.2f})  "
+          f"byte-identical  {'ok' if ok else 'REGRESSED'}")
     if not ok:
         print(f"FAIL: distributed sweep below the "
               f"{DISTRIBUTED_SPEEDUP_FLOOR}x / "
               f"{DISTRIBUTED_EFFICIENCY_FLOOR} efficiency floor")
-        return 1
-    return 0
-
-
-#: Server gate configuration: the committed ``server_sweep`` section
-#: must show byte-identity and a burst at least this deep, and a live
-#: warm burst's p50 latency (normalized by the same run's ping-RTT p50
-#: so machine speed cancels out) must stay within the headroom of the
-#: committed ratio.  The headroom is loose because a warm serve is only
-#: a few times more work than a ping — small absolute jitter moves the
-#: ratio a lot on a shared box — and a miss gets one retry.
-SERVER_BURST_FLOOR = 200
-SERVER_LATENCY_HEADROOM = 3.0
-SERVER_SMOKE_JOBS = 60
-SERVER_SMOKE_KEYS = ("gshare", "bimodal")
-
-
-def _measure_server_ratio(instructions: int) -> float:
-    """Warm-cache served-latency p50 over ping p50 on a live daemon."""
-    from repro.server import ServerConfig, ServerThread
-    from repro.server.client import ServerClient
-    from repro.server.loadgen import build_jobs, measure_ping, run_load
-
-    with ServerThread(ServerConfig.from_env(port=0)) as running:
-        with ServerClient(running.address, tenant="bench") as client:
-            client.submit([("Kafka", key, instructions)
-                           for key in SERVER_SMOKE_KEYS])  # warm the cache
-        burst = build_jobs(["Kafka"], list(SERVER_SMOKE_KEYS),
-                           instructions, SERVER_SMOKE_JOBS)
-        summary = run_load(running.address, burst, mode="closed",
-                           clients=3, detail="digest", tenant="bench")
-        ping = measure_ping(running.address, count=30)
-    if summary["errors"] or summary["jobs"] != SERVER_SMOKE_JOBS:
-        raise RuntimeError(f"server burst lost jobs: {summary['jobs']} "
-                           f"served, {summary['errors']} errors")
-    return summary["latency_seconds"]["p50"] / max(ping["p50"], 1e-9)
-
-
-def _gate_server(data: dict, instructions: int) -> int:
-    """Gate the sweep daemon: the committed ``server_sweep`` section
-    must be byte-identical with a >=200-job burst and full percentiles
-    (deterministic checks on the recorded trajectory), and a live
-    in-process daemon must serve a warm burst with a p50/ping-p50 ratio
-    within ``SERVER_LATENCY_HEADROOM`` of the committed one.
-    """
-    sweep = data.get("server_sweep")
-    if not sweep:
-        print("no committed server_sweep section; run "
-              "benchmarks/perf/harness.py --server-only to record one")
-        return 1
-    if not sweep.get("byte_identical"):
-        print("FAIL: committed server sweep was not byte-identical to "
-              "serial")
-        return 1
-    if sweep.get("burst_jobs", 0) < SERVER_BURST_FLOOR:
-        print(f"FAIL: committed server burst of {sweep.get('burst_jobs')} "
-              f"jobs is below the {SERVER_BURST_FLOOR}-job floor")
-        return 1
-    latency = sweep.get("latency_seconds", {})
-    committed_ratio = sweep.get("latency_vs_ping_p50")
-    if not committed_ratio or not all(
-            latency.get(p) for p in ("p50", "p95", "p99")):
-        print("FAIL: committed server sweep is missing latency "
-              "percentiles or the ping-normalized ratio")
-        return 1
-
-    ratio = _measure_server_ratio(instructions)
-    bar = committed_ratio * SERVER_LATENCY_HEADROOM
-    if ratio > bar:
-        print(f"  server       ratio {ratio:.2f}x above bar, retrying")
-        ratio = min(ratio, _measure_server_ratio(instructions))
-    status = "ok" if ratio <= bar else "REGRESSED"
-    print(f"  server       p50 {ratio:.2f}x ping vs committed "
-          f"{committed_ratio:.2f}x (bar {bar:.2f}x)  "
-          f"byte-identical  {status}")
-    if status != "ok":
-        print("FAIL: warm server latency regressed beyond the "
-              f"{SERVER_LATENCY_HEADROOM:.0f}x headroom over the "
-              "committed ping-normalized ratio")
         return 1
     return 0
 
@@ -562,8 +458,6 @@ def _smoke(args, baseline: dict) -> int:
         return 1
     if _gate_distributed(args.data):
         return 1
-    if _gate_server(args.data, SMOKE_INSTRUCTIONS):
-        return 1
     if _gate_explore():
         return 1
     if _gate_characterization(args.data):
@@ -655,8 +549,6 @@ def main(argv=None):
     if _gate_new_families(trace, data):
         return 1
     if _gate_distributed(data):
-        return 1
-    if _gate_server(data, SMOKE_INSTRUCTIONS):
         return 1
     if _gate_explore():
         return 1

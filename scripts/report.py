@@ -19,13 +19,6 @@ task dispatches and completions, trace bytes fetched over the socket,
 per-worker busy time and utilization, rejected (digest-mismatched)
 results, and degradations to the local backend.
 
-A run served through the sweep daemon (``python -m repro.server``)
-additionally gets a ``server`` section from the ``server.*`` events:
-submits and jobs by tenant, admission rejections by reason
-(tenant-cap / queue-full / draining), served results by source with
-submit-to-result latency percentiles and throughput, dispatch batches,
-and drain/resume accounting.
-
 A bumpy run additionally gets a ``robustness`` section: retries by
 error kind (with total backoff time), job timeouts, workers lost, pool
 rebuilds, degradation to serial, injected chaos faults, corrupt cache

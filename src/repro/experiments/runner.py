@@ -1,10 +1,8 @@
-"""The cached simulation runner (and deprecated predictor-key shims).
+"""The cached simulation runner.
 
 Predictor keys are strings so results can be cached on disk and shared
-across figures; the key grammar now lives in
+across figures; the key grammar lives in
 :mod:`repro.predictors.registry` (``parse_key`` / ``make_predictor``).
-The ``resolve_predictor`` / ``_parse_llbp_key`` helpers that used to
-define it here remain as thin shims that emit ``DeprecationWarning``.
 
 Results are cached under the cache directory keyed by (workload,
 instructions, key, RESULTS_VERSION); bump RESULTS_VERSION whenever
@@ -16,38 +14,17 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Dict, Optional
 
 from repro import telemetry
-from repro.llbp.config import LLBPConfig
 from repro.predictors import registry
-from repro.predictors.base import BranchPredictor
 from repro.sim.engine import run_simulation
 from repro.sim.multi import run_simulation_batch
 from repro.sim.results import SimulationResult
 from repro.workloads.catalog import generate_workload
 
 RESULTS_VERSION = 6  # v6: prefetch_delivered joined SimulationResult.extra
-
-
-def _parse_llbp_key(spec: str) -> LLBPConfig:
-    """Deprecated: use :func:`repro.predictors.registry.parse_llbp_spec`."""
-    warnings.warn(
-        "_parse_llbp_key is deprecated; use "
-        "repro.predictors.registry.parse_llbp_spec",
-        DeprecationWarning, stacklevel=2)
-    return registry.parse_llbp_spec(spec)
-
-
-def resolve_predictor(key: str) -> BranchPredictor:
-    """Deprecated: use :func:`repro.predictors.registry.make_predictor`."""
-    warnings.warn(
-        "resolve_predictor is deprecated; use "
-        "repro.predictors.registry.make_predictor",
-        DeprecationWarning, stacklevel=2)
-    return registry.make_predictor(key)
 
 
 def _cache_dir() -> Path:

@@ -59,8 +59,8 @@ ENV_GRACE = "REPRO_BACKEND_GRACE"
 #: shared by content address (fetch-over-socket on miss), results by
 #: value.  REPRO_FAULT_HANG_SECONDS rides along so chaos runs stall
 #: remote workers deterministically.
-ENV_PROPAGATED = ("REPRO_ENGINE", "REPRO_BATCH", "REPRO_TRACE_STORE",
-                  "REPRO_RESULT_CACHE", "REPRO_FAULT_HANG_SECONDS")
+ENV_PROPAGATED = ("REPRO_ENGINE", "REPRO_BATCH", "REPRO_RESULT_CACHE",
+                  "REPRO_FAULT_HANG_SECONDS")
 
 
 class WorkerLost(RuntimeError):

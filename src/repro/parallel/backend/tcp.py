@@ -496,8 +496,8 @@ class TCPBackend(Backend):
         """Packed trace bytes for a worker's store miss.
 
         Prefer the submitter's own packed store file (zero re-encoding);
-        fall back to packing the in-memory trace, which also covers
-        ``REPRO_TRACE_STORE=0`` submitters feeding store-enabled workers.
+        fall back to packing the in-memory trace when that file cannot
+        be read.
         """
         from repro.traces import store as trace_store
         from repro.workloads import catalog

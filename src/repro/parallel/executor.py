@@ -375,8 +375,7 @@ def _run_serial_attempts(task: _Task, state: _TaskState, policy: RetryPolicy,
 
 def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
                    workers: int, policy: RetryPolicy, journal,
-                   backend: Optional[Backend] = None,
-                   on_result=None) -> int:
+                   backend: Optional[Backend] = None) -> int:
     """Drive every owned task to settled tickets; returns pool rebuilds.
 
     The loop dispatches ready tasks to the backend, waits for
@@ -406,8 +405,6 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
         for job, result in zip(task.jobs, results):
             _journal_record(journal, job, result)
             tickets[job].resolve(result)
-            if on_result is not None:
-                on_result(job, result, "computed")
 
     def settle_error(task: _Task, error: BaseException) -> None:
         for job in task.jobs:
@@ -650,8 +647,7 @@ def run_jobs(jobs: Sequence[SimJob],
              max_workers: Optional[int] = None,
              policy: Optional[RetryPolicy] = None,
              journal=None,
-             backend=None,
-             on_result=None) -> Dict[SimJob, SimulationResult]:
+             backend=None) -> Dict[SimJob, SimulationResult]:
     """Run every job, in parallel where possible; returns job -> result.
 
     Results are identical to calling ``runner.get_result`` for each job
@@ -671,17 +667,6 @@ def run_jobs(jobs: Sequence[SimJob],
     consult ``REPRO_BACKEND`` (default local).  An unknown or
     unstartable backend warns and falls back to local rather than
     failing the batch, like every other malformed ``REPRO_*`` knob.
-
-    ``on_result``, when given, is called exactly once per unique job as
-    its outcome settles — ``on_result(job, result, source)`` with
-    ``source`` one of ``"cache"`` (answered from the result cache
-    before dispatch), ``"computed"`` (simulated by this call) or
-    ``"coalesced"`` (settled by a concurrent ``run_jobs`` this call
-    piggybacked on).  The callback may run on a worker-driving thread;
-    it must not block.  This is how the sweep server streams results to
-    clients while the rest of a batch is still running.  A callback
-    exception is contained (warn + continue) — a broken subscriber must
-    not fail the batch.
     """
     from repro.experiments import runner
 
@@ -716,18 +701,6 @@ def run_jobs(jobs: Sequence[SimJob],
     unique: List[SimJob] = list(dict.fromkeys(jobs))
     results: Dict[SimJob, SimulationResult] = {}
 
-    reported: Set[SimJob] = set()
-
-    def notify(job: SimJob, result: SimulationResult, source: str) -> None:
-        if on_result is None or job in reported:
-            return
-        reported.add(job)
-        try:
-            on_result(job, result, source)
-        except Exception as error:
-            warnings.warn(f"on_result callback failed for {job}: {error}",
-                          RuntimeWarning, stacklevel=2)
-
     # Cache peek: anything already in the memory or disk cache skips the
     # pool entirely (and gets promoted into the memory cache) — unless
     # the journal proves the cached bytes wrong, in which case the entry
@@ -747,7 +720,6 @@ def run_jobs(jobs: Sequence[SimJob],
         if cached is not None:
             _journal_record(journal, job, cached)
             results[job] = cached
-            notify(job, cached, "cache")
         else:
             pending.append(job)
 
@@ -769,7 +741,6 @@ def run_jobs(jobs: Sequence[SimJob],
                                            journal)
             for job, result in zip(task.jobs, outcome):
                 results[job] = result
-                notify(job, result, "computed")
         emit_batch(pending=len(pending), dispatched=len(pending), workers=1)
         return {job: results[job] for job in jobs}
 
@@ -806,7 +777,7 @@ def run_jobs(jobs: Sequence[SimJob],
                 backend_obj = owned_backend
             rebuilds = _execute_owned(_make_tasks(list(owned)), tickets,
                                       workers, policy, journal,
-                                      backend=backend_obj, on_result=notify)
+                                      backend=backend_obj)
     finally:
         if owned_backend is not None:
             try:
@@ -830,7 +801,6 @@ def run_jobs(jobs: Sequence[SimJob],
         # cache, but this process should not have to re-read it.
         runner.seed_result(job.workload, job.key, job.instructions, result)
         results[job] = result
-        notify(job, result, "coalesced")
 
     emit_batch(pending=len(pending), dispatched=len(owned), workers=workers,
                rebuilds=rebuilds)

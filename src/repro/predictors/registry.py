@@ -1,9 +1,7 @@
 """The predictor registry: one public factory for every predictor key.
 
 Predictor keys are strings so results can be cached on disk and shared
-across figures.  Historically the parsing lived in
-``repro.experiments.runner`` (``resolve_predictor`` / ``_parse_llbp_key``);
-this module is the single public home for that grammar:
+across figures.  This module is the single public home for that grammar:
 
 * :func:`parse_key` — key string → :class:`PredictorSpec` (family plus a
   fully resolved config), without building tables;
@@ -59,7 +57,7 @@ Cache filenames and the explore harness dedup through it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.llbp.config import ContextSource, LLBPConfig
 from repro.llbp.predictor import LLBPTageScL

@@ -19,14 +19,12 @@ Write side: :func:`emit`, :func:`phase`, :func:`configure`,
 from repro.telemetry.collector import (
     ENV_VAR,
     Collector,
-    add_listener,
     configure,
     disable,
     emit,
     enabled,
     events,
     phase,
-    remove_listener,
     reset,
 )
 from repro.telemetry.report import (
@@ -39,8 +37,6 @@ from repro.telemetry.report import (
 __all__ = [
     "ENV_VAR",
     "Collector",
-    "add_listener",
-    "remove_listener",
     "configure",
     "disable",
     "emit",

@@ -25,7 +25,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 #: Environment variable holding the telemetry directory (opt-in switch).
 ENV_VAR = "REPRO_TELEMETRY"
@@ -54,7 +54,7 @@ class Collector:
             return None
         return self.directory / f"events-{self.pid}.jsonl"
 
-    def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
+    def emit(self, event: str, **fields: Any) -> None:
         record: Dict[str, Any] = {"event": event, "ts": time.time(),
                                   "pid": self.pid}
         record.update(fields)
@@ -69,7 +69,6 @@ class Collector:
             # processes (report.py, CI) even mid-run; event rate is
             # phase-grained, so this is not a hot path.
             self._fh.flush()
-        return record
 
     def close(self) -> None:
         if self._fh is not None:
@@ -100,52 +99,16 @@ def _current() -> Optional[Collector]:
     return _active
 
 
-# In-process event subscribers (the sweep server's client feed).  A
-# listener receives every record emit() produces, even when no file
-# sink is configured — registering one therefore also flips enabled()
-# on, so timing-gated instrumentation points start producing events.
-_listeners: List[Callable[[Dict[str, Any]], None]] = []
-
-
-def add_listener(listener: Callable[[Dict[str, Any]], None]) -> None:
-    """Stream every emitted event to ``listener`` (in-process only)."""
-    _listeners.append(listener)
-
-
-def remove_listener(listener: Callable[[Dict[str, Any]], None]) -> None:
-    try:
-        _listeners.remove(listener)
-    except ValueError:
-        pass
-
-
-def _fanout(record: Dict[str, Any]) -> None:
-    # Iterate a copy: a listener may unsubscribe itself mid-callback.
-    # A listener exception must not break the instrumented code path —
-    # a dead subscriber is the server's problem, not the simulation's.
-    for listener in list(_listeners):
-        try:
-            listener(record)
-        except Exception:
-            pass
-
-
 def enabled() -> bool:
     """True when telemetry collection is active for this process."""
-    return _current() is not None or bool(_listeners)
+    return _current() is not None
 
 
 def emit(event: str, **fields: Any) -> None:
     """Record one structured event (no-op when telemetry is off)."""
     collector = _current()
     if collector is not None:
-        record = collector.emit(event, **fields)
-    elif _listeners:
-        record = {"event": event, "ts": time.time(), "pid": os.getpid()}
-        record.update(fields)
-    else:
-        return
-    _fanout(record)
+        collector.emit(event, **fields)
 
 
 @contextmanager

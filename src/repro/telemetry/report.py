@@ -5,8 +5,7 @@ per-process ``events-*.jsonl`` files a run produced (parent + pool
 workers) into one timestamp-ordered stream, :func:`summarize` reduces
 it to the aggregate numbers a human or CI gate cares about — per-phase
 simulation timings, result/trace cache hit rates, parallel worker
-utilization, sweep-server admission/latency accounting, LLBP structure
-counters, per-figure wall clock — and
+utilization, LLBP structure counters, per-figure wall clock — and
 :func:`format_summary` renders that as text.  ``scripts/report.py`` is
 the command-line wrapper; the machine-readable form is what CI uploads
 as ``telemetry_summary.json``.
@@ -199,68 +198,6 @@ def _summarize_backend(events: List[Event]) -> Dict[str, Any]:
     }
 
 
-def _summarize_server(events: List[Event]) -> Dict[str, Any]:
-    """Sweep-daemon accounting: admission, serving latency, tenants.
-
-    ``server.*`` events exist only when a run went through
-    ``repro.server``; a serverless run reports ``requests: 0`` and the
-    section is omitted from the text rendering.  Latency percentiles
-    are submit-to-result per served job, the same measurement the
-    loadgen reports from the client side.
-    """
-    submits = [e for e in events if e["event"] == "server.submit"]
-    rejects = [e for e in events if e["event"] == "server.reject"]
-    results = [e for e in events if e["event"] == "server.result"]
-    dispatches = [e for e in events if e["event"] == "server.dispatch"]
-    by_reason: Dict[str, int] = {}
-    for e in rejects:
-        reason = str(e.get("reason", "?"))
-        by_reason[reason] = by_reason.get(reason, 0) + 1
-    by_source: Dict[str, int] = {}
-    tenants: Dict[str, int] = {}
-    for e in results:
-        source = str(e.get("source", "?"))
-        by_source[source] = by_source.get(source, 0) + 1
-        tenant = str(e.get("tenant", "?"))
-        tenants[tenant] = tenants.get(tenant, 0) + 1
-    latency: Optional[Dict[str, float]] = None
-    latencies = sorted(float(e.get("seconds", 0.0)) for e in results)
-    if latencies:
-        from repro.common.stats import percentile
-
-        latency = {"p50": round(percentile(latencies, 50.0), 6),
-                   "p95": round(percentile(latencies, 95.0), 6),
-                   "p99": round(percentile(latencies, 99.0), 6)}
-    timestamps = [float(e["ts"]) for e in results if "ts" in e]
-    span = (max(timestamps) - min(timestamps)
-            if len(timestamps) > 1 else 0.0)
-    resumes = [e for e in events if e["event"] == "server.resume"]
-    return {
-        "requests": len(submits),
-        "jobs_submitted": _sum(submits, "jobs"),
-        "rejected": by_reason,
-        "served": by_source,
-        "jobs_served": len(results),
-        "served_by_tenant": tenants,
-        "latency_seconds": latency,
-        "throughput_jobs_per_sec": (round(len(results) / span, 3)
-                                    if span > 0 else None),
-        "dispatches": len(dispatches),
-        "jobs_dispatched": _sum(dispatches, "jobs"),
-        "job_errors": len([e for e in events
-                           if e["event"] == "server.job_error"]),
-        "cache_corrupt": len([e for e in events
-                              if e["event"] == "server.cache_corrupt"]),
-        "clients_joined": len([e for e in events
-                               if e["event"] == "server.client_join"]),
-        "drains": len([e for e in events
-                       if e["event"] == "server.drain"]),
-        "resume": ({"requeued": int(resumes[-1].get("requeued", 0)),
-                    "journalled": int(resumes[-1].get("journalled", 0))}
-                   if resumes else None),
-    }
-
-
 def _summarize_llbp(events: List[Event]) -> Dict[str, Any]:
     counters = [e for e in events if e["event"] == "llbp.counters"]
     if not counters:
@@ -340,7 +277,6 @@ def summarize(events: List[Event]) -> Dict[str, Any]:
         "caches": _summarize_caches(events),
         "parallel": _summarize_parallel(events),
         "backend": _summarize_backend(events),
-        "server": _summarize_server(events),
         "robustness": _summarize_robustness(events),
         "llbp": _summarize_llbp(events),
         "figures": _summarize_figures(events),
@@ -417,39 +353,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
         if back.get("degraded_to_local"):
             lines.append("  remote workers exhausted — degraded to the "
                          "local backend")
-
-    server = summary.get("server", {})
-    if server.get("requests") or server.get("jobs_served"):
-        served = ", ".join(f"{count} {source}" for source, count
-                           in sorted(server["served"].items()))
-        lines.append(f"\nserver — {server['requests']} submit(s) "
-                     f"({server['jobs_submitted']} jobs) from "
-                     f"{server['clients_joined']} connection(s); "
-                     f"{server['jobs_served']} result(s) served"
-                     f"{f' ({served})' if served else ''}")
-        latency = server.get("latency_seconds")
-        if latency:
-            rate = server.get("throughput_jobs_per_sec")
-            lines.append(f"  latency p50/p95/p99 "
-                         f"{latency['p50'] * 1e3:.2f} / "
-                         f"{latency['p95'] * 1e3:.2f} / "
-                         f"{latency['p99'] * 1e3:.2f} ms"
-                         + (f"  ({rate:,.1f} jobs/s)" if rate else ""))
-        if server.get("rejected"):
-            kinds = ", ".join(f"{reason} x{count}" for reason, count
-                              in sorted(server["rejected"].items()))
-            lines.append(f"  rejected: {kinds}")
-        if server.get("job_errors"):
-            lines.append(f"  {server['job_errors']} job error(s)")
-        if server.get("cache_corrupt"):
-            lines.append(f"  {server['cache_corrupt']} corrupt cache "
-                         f"entr{'y' if server['cache_corrupt'] == 1 else 'ies'}"
-                         f" dropped and recomputed")
-        if server.get("resume"):
-            res = server["resume"]
-            lines.append(f"  resumed: {res['requeued']} pending job(s) "
-                         f"requeued, {res['journalled']} already "
-                         f"journalled")
 
     robust = summary.get("robustness", {})
     eventful = any(robust.get(k) for k in

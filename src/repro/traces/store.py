@@ -91,9 +91,8 @@ _AUX_DTYPES = {
 }
 _AUX_CODES = {dtype: code for code, dtype in _AUX_DTYPES.items()}
 
-#: Version of the workload *generator* whose output the store caches;
-#: mirrors the ``-v4`` tag in the legacy ``.npz`` cache file names.  Bump
-#: together with that tag whenever generated traces change.
+#: Version of the workload *generator* whose output the store caches.
+#: Bump whenever generated traces change.
 TRACE_GENERATION = 4
 
 #: (dtype, per-record bytes) for each column, in on-disk order.  64-bit
@@ -109,14 +108,6 @@ _COLUMNS = (
 
 class TraceStoreError(ValueError):
     """A packed trace file is missing, truncated, or corrupt."""
-
-
-def enabled() -> bool:
-    """Is the packed store the active trace-cache backend?
-
-    ``REPRO_TRACE_STORE=0`` falls back to the legacy ``.npz`` cache.
-    """
-    return os.environ.get("REPRO_TRACE_STORE", "1") != "0"
 
 
 def _padding(offset: int) -> int:

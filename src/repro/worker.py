@@ -29,26 +29,22 @@ from typing import Optional
 from repro import telemetry
 from repro.parallel.backend import apply_env
 from repro.parallel.backend.tcp import (KIND_BIN, PROTOCOL_VERSION,
-                                        recv_frame, recv_json, send_frame,
-                                        send_json)
+                                        recv_frame, recv_json, send_json)
 
 
 def _ensure_trace(sock: socket.socket, workload: str,
                   instructions: int) -> int:
     """Make the task's trace resolvable locally; returns bytes fetched.
 
-    With the store enabled, a miss fetches the submitter's packed bytes
-    and publishes them atomically under the content address — the next
-    task for the same trace is a warm hit, and ``generate_workload``
-    checksum-validates the file on load (a corrupt transfer degrades to
-    local regeneration, never to wrong data).  With ``REPRO_TRACE_STORE=0``
-    the worker simply regenerates deterministically from the seed.
+    A store miss fetches the submitter's packed bytes and publishes them
+    atomically under the content address — the next task for the same
+    trace is a warm hit, and ``generate_workload`` checksum-validates the
+    file on load (a corrupt transfer degrades to local regeneration,
+    never to wrong data).
     """
     from repro.traces import store as trace_store
     from repro.workloads import catalog
 
-    if not trace_store.enabled():
-        return 0
     spec = catalog.get_spec(workload)
     store = trace_store.TraceStore(catalog._cache_dir() / "traces")
     path = store.path_for(workload, spec.seed, instructions)

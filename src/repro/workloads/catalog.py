@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.traces import store
-from repro.traces.io import load_trace, save_trace
 from repro.traces.trace import Trace
 from repro.workloads import adversarial
 from repro.workloads.adversarial import AdversarialSpec
@@ -170,32 +169,22 @@ def generate_workload(
 
     The cache backend is the packed-binary store (:mod:`repro.traces.store`)
     — content-addressed, checksum-verified, memory-mapped on load so
-    concurrent workers share pages.  ``REPRO_TRACE_STORE=0`` falls back to
-    the legacy ``.npz`` cache; either way a corrupt cache entry is treated
-    as a miss and regenerated, never trusted.
+    concurrent workers share pages.  A corrupt cache entry is treated as
+    a miss and regenerated, never trusted.
     """
     spec = get_spec(name)
     if isinstance(spec, AdversarialSpec):
         # One canonical spelling per stressor keeps one cache entry.
         name = spec.name
     trace_store = None
-    cache_path = None
     if use_cache:
         directory = cache_dir if cache_dir is not None else _cache_dir()
-        if store.enabled():
-            trace_store = store.TraceStore(directory / "traces")
-            cached = trace_store.load(name, spec.seed, instructions)
-            if cached is not None:
-                telemetry.emit("trace.cache", workload=name,
-                               instructions=instructions, hit=True)
-                return cached
-        else:
-            safe = name.replace(":", "_").replace(",", "+").replace("=", "-")
-            cache_path = directory / f"{safe}-s{spec.seed}-i{instructions}-v4.npz"
-            if cache_path.exists():
-                telemetry.emit("trace.cache", workload=name,
-                               instructions=instructions, hit=True)
-                return load_trace(cache_path)
+        trace_store = store.TraceStore(directory / "traces")
+        cached = trace_store.load(name, spec.seed, instructions)
+        if cached is not None:
+            telemetry.emit("trace.cache", workload=name,
+                           instructions=instructions, hit=True)
+            return cached
     start = time.perf_counter() if telemetry.enabled() else 0.0
     if isinstance(spec, AdversarialSpec):
         trace = adversarial.generate_adversarial(spec, instructions)
@@ -206,6 +195,4 @@ def generate_workload(
                    hit=False, seconds=time.perf_counter() - start)
     if trace_store is not None:
         trace_store.store(trace, name, spec.seed, instructions)
-    elif cache_path is not None:
-        save_trace(trace, cache_path)
     return trace

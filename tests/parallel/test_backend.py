@@ -10,10 +10,9 @@ Three groups of promises:
    traces through the content-addressed store (zero bytes when warm),
    and survives worker churn.
 3. **Configuration travels** — the satellite-1 audit: ``REPRO_ENGINE``,
-   ``REPRO_BATCH``, ``REPRO_TRACE_STORE`` and ``REPRO_RESULT_CACHE``
-   reach pool workers (environment inheritance at fork) *and* TCP
-   workers (explicit task-envelope propagation), parametrized over the
-   knob list.
+   ``REPRO_BATCH`` and ``REPRO_RESULT_CACHE`` reach pool workers
+   (environment inheritance at fork) *and* TCP workers (explicit
+   task-envelope propagation), parametrized over the knob list.
 
 TCP tests spawn real worker subprocesses, so they carry the
 ``distributed`` marker and a dedicated CI leg runs them; they still
@@ -24,12 +23,15 @@ from __future__ import annotations
 
 import os
 import socket
+import struct
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import parallel, telemetry
 from repro.experiments import runner
@@ -37,6 +39,7 @@ from repro.experiments.journal import result_digest
 from repro.parallel import backend as backend_mod
 from repro.parallel import executor, faults
 from repro.parallel.backend import ENV_PROPAGATED, BackendBroken
+from repro.parallel.backend import tcp
 from repro.parallel.backend.local import LocalBackend
 from repro.parallel.backend.tcp import TCPBackend
 from repro.parallel.retry import RetryPolicy
@@ -45,8 +48,7 @@ FAST = dict(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
 
 #: The satellite-1 audit list: every knob a worker needs to compute the
 #: submitter's configuration, not its own.
-KNOBS = ("REPRO_ENGINE", "REPRO_BATCH", "REPRO_TRACE_STORE",
-         "REPRO_RESULT_CACHE")
+KNOBS = ("REPRO_ENGINE", "REPRO_BATCH", "REPRO_RESULT_CACHE")
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +123,70 @@ class TestLocalParity:
         first = parallel.run_jobs(jobs, max_workers=2, backend="local",
                                   policy=RetryPolicy(**FAST))
         assert _digests(first) == _serial_digests(jobs, monkeypatch)
+
+
+#: JSON-safe message bodies: the vocabulary of the work-queue protocol.
+_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(2 ** 53), max_value=2 ** 53),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=40))
+_messages = st.dictionaries(
+    st.text(min_size=1, max_size=16),
+    st.recursive(_scalars, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=10), children, max_size=4)),
+        max_leaves=12),
+    max_size=6)
+
+
+def _header(kind: bytes, length: int) -> bytes:
+    """The documented frame header: kind byte + big-endian u32 length."""
+    return struct.pack("!cI", kind, length)
+
+
+class TestFraming:
+    """The work-queue wire format round-trips, and every malformed frame
+    reads as a ConnectionError (a lost worker), never as a message."""
+
+    @given(_messages)
+    def test_json_round_trip(self, message):
+        left, right = socket.socketpair()
+        try:
+            tcp.send_json(left, message)
+            assert tcp.recv_json(right) == message
+        finally:
+            left.close()
+            right.close()
+
+    @given(st.binary(max_size=64))
+    def test_binary_round_trip(self, payload):
+        left, right = socket.socketpair()
+        try:
+            sent = tcp.send_frame(left, tcp.KIND_BIN, payload)
+            assert sent == len(_header(tcp.KIND_BIN, 0)) + len(payload)
+            assert tcp.recv_frame(right) == (tcp.KIND_BIN, payload)
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("wire, reason", [
+        (_header(tcp.KIND_JSON, 10) + b"{}", "closed mid-frame"),
+        (_header(b"X", 2) + b"{}", "bad frame header"),
+        (_header(tcp.KIND_JSON, tcp.MAX_FRAME + 1) + b"{}",
+         "bad frame header"),
+        (_header(tcp.KIND_JSON, 7) + b"[1,2,3]", "not an object"),
+        (_header(tcp.KIND_BIN, 2) + b"{}", "expected a JSON frame"),
+    ], ids=["truncated", "bad-kind", "oversized", "non-object", "binary"])
+    def test_malformed_frame_is_connection_error(self, wire, reason):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(wire)
+            left.close()
+            with pytest.raises(ConnectionError, match=reason):
+                tcp.recv_json(right)
+        finally:
+            right.close()
 
 
 @pytest.mark.distributed

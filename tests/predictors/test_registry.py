@@ -1,17 +1,15 @@
-"""The predictor registry: grammar, round-trips, deprecation shims.
+"""The predictor registry: grammar and round-trips.
 
 The registry is the single public home of the key grammar every cache
 filename and experiment CLI depends on, so its contract is pinned here:
 ``parse_key``/``make_predictor`` accept exactly the documented grammar
-with the documented error types, ``key_of`` inverts ``make_predictor``
-config-for-config, and the deprecated helpers in
-``repro.experiments.runner`` keep working while warning.
+with the documented error types, and ``key_of`` inverts
+``make_predictor`` config-for-config.
 """
 
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -112,56 +110,13 @@ class TestKeyOf:
 
 
 class TestDeprecatedShims:
-    def test_resolve_predictor_warns_but_works(self):
-        from repro.experiments import runner
-
-        with pytest.warns(DeprecationWarning):
-            predictor = runner.resolve_predictor("gshare")
-        assert registry.key_of(predictor) == "gshare"
-
-    def test_parse_llbp_key_warns_but_works(self):
-        from repro.experiments import runner
-
-        with pytest.warns(DeprecationWarning):
-            config = runner._parse_llbp_key("lat0,w=16")
-        assert config == registry.parse_llbp_spec("lat0,w=16")
+    """Building predictors through the registry never warns."""
 
     def test_registry_itself_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             registry.make_predictor("llbp:lat0")
             registry.parse_key("bimodal")
-
-    @pytest.mark.parametrize("call", [
-        lambda runner: runner.resolve_predictor("gshare"),
-        lambda runner: runner._parse_llbp_key("lat0"),
-    ])
-    def test_shims_warn_exactly_once(self, call):
-        """Under the default filter a shim nags once per call site, not
-        per call — a hot loop through legacy code stays readable."""
-        from repro.experiments import runner
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(5):
-                call(runner)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_shims_have_no_in_repo_callers(self):
-        """The deprecation sweep is done: nothing under src/ calls (or
-        re-exports) the shims any more — they exist only for external
-        users mid-migration."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        offenders = []
-        for path in src.rglob("*.py"):
-            if path.name == "runner.py" and path.parent.name == "experiments":
-                continue  # the shims' own definitions
-            text = path.read_text()
-            if "resolve_predictor(" in text or "_parse_llbp_key(" in text:
-                offenders.append(str(path.relative_to(src)))
-        assert offenders == []
 
 
 class TestTslGrammar:

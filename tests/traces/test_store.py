@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.traces import store
 from repro.traces.io import load_trace, save_trace
 from repro.traces.store import (
     TraceStore,
@@ -173,16 +172,6 @@ class TestTraceStoreCache:
         path.write_bytes(bytes(data))
         regenerated = generate_workload("Kafka", 60_000)
         _assert_traces_equal(regenerated, clean)
-
-    def test_env_disables_store(self, isolated_caches, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_STORE", "0")
-        assert not store.enabled()
-        trace = generate_workload("Kafka", 60_000)
-        cache = isolated_caches / "cache"
-        assert list(cache.glob("*.npz"))  # legacy backend took over
-        assert not list(cache.glob("traces/*.rpt"))
-        monkeypatch.delenv("REPRO_TRACE_STORE")
-        _assert_traces_equal(generate_workload("Kafka", 60_000), trace)
 
     def test_hit_and_miss_telemetry(self, isolated_caches, tmp_path,
                                     monkeypatch):
