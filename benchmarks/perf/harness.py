@@ -132,8 +132,9 @@ def measure_array_engine(keys=ARRAY_KEYS, reps=5, trace=None):
     per-PC collection on (full ``SimulationResult`` equality including
     dict insertion order); throughput is then best-of-``reps`` without
     per-PC collection, matching how ``measure_branches_per_sec`` times
-    the Python engine.  The first rep pays the column precompute; the
-    best-of discards it, mirroring a warm result cache.
+    the Python engine.  The identity run pays the column precompute
+    (memoised on the trace), so every timed rep reads warm columns and
+    the rates exclude it.
     """
     from repro.sim.engine import run_simulation
     from repro.workloads.catalog import generate_workload

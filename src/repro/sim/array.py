@@ -46,8 +46,10 @@ from repro.sim import columns as columns_mod
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 
-#: Records converted to Python lists per chunk in the fused loops.
-_CHUNK = 1 << 14
+#: Records converted to Python lists per chunk in the fused loops.  Small
+#: enough that one chunk's ``tolist()`` stays a sliver of a trace, so the
+#: Python lists never add up to a whole column matrix.
+_CHUNK = 1 << 11
 
 
 # -- support matrix ----------------------------------------------------------
@@ -840,7 +842,8 @@ def _compile_llbp(p: LLBPTageScL):
 
 # -- driver ------------------------------------------------------------------
 
-def _iter_rows(cols: np.ndarray, chunk: int = _CHUNK):
+def _iter_rows(cols: np.ndarray):
+    chunk = _CHUNK
     return chain.from_iterable(
         cols[lo:lo + chunk].tolist() for lo in range(0, len(cols), chunk))
 

@@ -2,12 +2,14 @@
 
 Every index, tag and fold the predictors hash per branch is a pure
 function of (trace stream, predictor geometry) — it depends on the
-history *bits*, never on predictions or table contents.  That makes the
-whole hashing layer precomputable: one recorder pass over the trace with
-a fresh predictor of the right geometry captures, per conditional
-branch, every TAGE table index and tag, every SC component index, and
-every LLBP slot tag.  The fused simulation loops then consume these as
-flat integer rows and never touch the folded-history machinery at all.
+history *bits*, never on predictions or table contents.  A folded
+history register is a fixed XOR of history bits, so each column has a
+closed form over the whole trace: :class:`HistoryFolds` computes every
+TAGE table index and tag, every SC component index and every LLBP slot
+tag for all conditional branches at once with numpy, without building a
+predictor or stepping through the trace.  The fused simulation loops
+then consume these as flat integer rows and never touch the
+folded-history machinery at all.
 
 Columns are memoised on ``Trace.aux`` (keyed by a digest of the
 geometry) and, when the trace came from the packed store
@@ -16,10 +18,11 @@ sections — precompute once, reuse across every run and process.  An old
 store file lacking the columns emits ``trace.store_stale`` and is
 transparently upgraded in place.
 
-The scalar reference implementations these columns must match are the
-predictors' own ``compute_index`` / ``compute_tag`` /
-``compute_slot_tags`` / ``_component_index`` methods; the property
-tests in ``tests/sim/test_columns.py`` pin that equivalence.
+The scalar references these columns must match are the predictors' own
+hashes: TAGE's ``compute_index`` / ``compute_tag``, the corrector's
+``_component_index`` and LLBP's per-slot pattern tags.  The property
+tests in ``tests/sim/test_columns.py`` pin that equivalence against
+live, training predictors.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def percep_key(predictor) -> str:
 
 
 def _column_dtype(max_bits: int):
+    if max_bits > 32:
+        raise ValueError(f"{max_bits}-bit hashes do not fit uint32 columns")
     return np.uint16 if max_bits <= 16 else np.uint32
 
 
@@ -149,70 +154,170 @@ def percep_index_columns(trace: Trace, config) -> np.ndarray:
     return out
 
 
-def _record_columns(trace: Trace, tsl_config,
-                    llbp_config=None) -> Tuple[np.ndarray,
-                                               Optional[np.ndarray]]:
-    """One recorder pass: TAGE indices/tags + SC indices (+ slot tags).
+class HistoryFolds:
+    """Closed-form folded-history registers over one history bit stream.
 
-    A *fresh* predictor of the requested geometry walks the trace doing
-    lookups only — its tables stay empty (every computed tag is >= 0,
-    the tag arrays hold the -1 sentinel, so nothing ever matches) and
-    its RNG is never touched; only the history folds advance.  The
-    recorded hashes are therefore exactly what a simulated predictor of
-    the same geometry computes at each branch, regardless of training.
+    ``bits[k]`` is the bit branch ``k`` pushes into the history (0 before
+    the stream starts); row ``m`` reads the history as it stands just
+    before branch ``ends[m]`` pushes its own bit.  :meth:`fold` returns,
+    for every row at once, what a ``FoldedHistory(length, width)``
+    register holds there — no per-branch stepping.
+
+    The fold of ``L = q*W + r`` bits at width ``W`` ending at position
+    ``k`` is ``XOR_{j<L} bits[k-j] << (j mod W)``.  With ``G[k]`` the
+    ``W``-bit window ending at ``k`` (newest in bit 0) and ``H[k]`` its
+    stride-``W`` prefix XOR (``H[k] = G[k] ^ H[k-W]``), the ``q`` full
+    windows telescope and the ``r`` oldest bits are a masked window::
+
+        fold = H[k] ^ H[k - q*W] ^ (G[k - q*W] & (2**r - 1))
+
+    One ``G``/``H`` pair is built per distinct width and shared by every
+    fold of that width.  The stream is front-padded with ``max_length +
+    1`` zeros so every ``k - q*W`` is a valid position.  Planes are
+    uint16 (uint32 past 16 bits) and positions int32, which keeps peak
+    memory near the size of the columns built from them.
     """
-    from repro.predictors.tage_sc_l import TageScL
 
-    slot_fn = None
-    slot_count = 0
+    def __init__(self, bits: np.ndarray, ends: np.ndarray,
+                 max_length: int) -> None:
+        pad = max_length + 1
+        self._stream = np.concatenate(
+            [np.zeros(pad, dtype=np.uint8), bits.astype(np.uint8)])
+        self._at = (ends + (pad - 1)).astype(np.int32)
+        self._planes: dict = {}
+
+    def _plane(self, width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(G, H, H[at])`` for ``width``, built once per width."""
+        plane = self._planes.get(width)
+        if plane is None:
+            dtype = _column_dtype(width)
+            stream = self._stream.astype(dtype)
+            n = len(stream)
+            rows = -(-n // width)
+            window = np.zeros(rows * width, dtype=dtype)
+            for j in range(min(width, n)):
+                window[j:n] |= stream[:n - j] << dtype(j)
+            prefix = np.bitwise_xor.accumulate(
+                window.reshape(rows, width), axis=0).reshape(-1)
+            plane = self._planes[width] = (window, prefix, prefix[self._at])
+        return plane
+
+    def window(self, width: int) -> np.ndarray:
+        """The ``width`` newest bits per row, newest in bit 0."""
+        return self._plane(width)[0][self._at]
+
+    def fold(self, length: int, width: int) -> np.ndarray:
+        """The ``length``-bit history folded to ``width`` bits, per row."""
+        window, prefix, newest = self._plane(width)
+        q, r = divmod(length, width)
+        back = self._at - q * width
+        out = newest ^ prefix[back]
+        if r:
+            out ^= window[back] & window.dtype.type((1 << r) - 1)
+        return out
+
+
+def _pc_hash(pcx: np.ndarray, shift: int, mix, mask: int,
+             dtype) -> np.ndarray:
+    """``(pcx ^ (pcx >> shift) ^ mix) & mask`` narrowed to ``dtype``."""
+    out = pcx >> np.uint64(shift)
+    out ^= pcx
+    out ^= mix
+    out &= np.uint64(mask)
+    return out.astype(dtype)
+
+
+def _hash_columns(trace: Trace, tsl_config=None,
+                  llbp_config=None) -> Tuple[Optional[np.ndarray],
+                                             Optional[np.ndarray]]:
+    """``(tsl_matrix, slot_tag_matrix)`` in closed form; ``None`` for a
+    part whose config is ``None``.
+
+    Row ``m`` holds, for the ``m``-th conditional branch, what
+    ``Tage.compute_index`` / ``compute_tag``,
+    ``StatisticalCorrector._component_index`` and LLBP's per-slot tag
+    hash return there for a predictor of this geometry.  Every branch
+    pushes one history bit: its outcome if conditional, ``(pc >> 2) & 1``
+    otherwise.  Both parts fold that one stream, so they share one
+    :class:`HistoryFolds`.
+    """
+    is_cond = trace.types == 0
+    ends = np.flatnonzero(is_cond).astype(np.int32)
+    pc_bits = ((trace.pcs >> np.uint64(2)) & np.uint64(1)).astype(np.uint8)
+    lengths = []
+    path = None
+    if tsl_config is not None:
+        lengths.extend(tsl_config.tage.history_lengths)
+        # The path register takes ``(pc >> 2) & 1`` from every branch.
+        path = HistoryFolds(pc_bits, ends, PATH_BITS).window(PATH_BITS)
     if llbp_config is not None:
-        from repro.llbp.predictor import LLBPTageScL
-
-        recorder = LLBPTageScL(llbp_config, baseline=TageScL(tsl_config))
-        tsl = recorder.tsl
-        slot_fn = recorder._slot_tags
-        slot_count = len(llbp_config.slot_lengths)
-    else:
-        tsl = TageScL(tsl_config)
-
-    tage, sc = tsl.tage, tsl.sc
-    num_tables = tage.config.num_tables
-    num_sc = len(sc.history_lengths)
-    n_cond = int((trace.types == 0).sum())
-
-    tsl_dtype = _column_dtype(max(tage.config.index_bits,
-                                  tage.config.tag_bits, sc.index_bits))
-    cols = np.empty((n_cond, 2 * num_tables + num_sc), dtype=tsl_dtype)
-    slot_cols = None
-    if slot_fn is not None:
-        slot_cols = np.empty(
-            (n_cond, slot_count),
-            dtype=_column_dtype(llbp_config.pattern_tag_bits))
-
-    match = tage._match
-    vote = sc._vote
-    history = tage.history
-    path_shift = tage._path_shift
-    push = history.push_branch
-    sc_hist = 0
-    sc_mask = (1 << 64) - 1
-    row_index = 0
-    for pc, btype, taken_i, target, gap in trace.iter_tuples():
-        if btype == 0:
-            pcx = pc >> 2
-            path = history.path
-            indices, tags, _, _ = match(
-                pcx, pcx ^ (path ^ (path >> path_shift)))
-            row = cols[row_index]
-            row[:num_tables] = indices
-            row[num_tables:2 * num_tables] = tags
-            row[2 * num_tables:] = vote(pcx, sc_hist)[0]
-            if slot_fn is not None:
-                slot_cols[row_index] = slot_fn(pcx)
-            sc_hist = ((sc_hist << 1) | taken_i) & sc_mask
-            row_index += 1
-        push(pc, btype == 0, taken_i == 1)
+        lengths.extend(llbp_config.slot_lengths)
+    folds = HistoryFolds(np.where(is_cond, trace.takens, pc_bits), ends,
+                         max(lengths))
+    pcx = trace.pcs[is_cond] >> np.uint64(2)
+    del is_cond, ends, pc_bits
+    cols = slot_cols = None
+    if tsl_config is not None:
+        cols = _tsl_matrix(trace, tsl_config, pcx, path, folds)
+    if llbp_config is not None:
+        slot_cols = _slot_tag_matrix(llbp_config, pcx, folds)
     return cols, slot_cols
+
+
+def _tsl_matrix(trace: Trace, tsl_config, pcx: np.ndarray,
+                path: np.ndarray, folds: HistoryFolds) -> np.ndarray:
+    """TAGE indices and tags plus SC indices, one row per conditional."""
+    tage_cfg = tsl_config.tage
+    lengths = tage_cfg.history_lengths
+    num_tables = len(lengths)
+    index_bits, tag_bits = tage_cfg.index_bits, tage_cfg.tag_bits
+    sc_lengths = tsl_config.sc_history_lengths
+    sc_bits = tsl_config.sc_index_bits
+    dtype = _column_dtype(max(index_bits, tag_bits, sc_bits))
+    cols = np.empty((len(pcx), 2 * num_tables + len(sc_lengths)),
+                    dtype=dtype)
+
+    # The corrector's own 64-bit history shifts in conditional outcomes.
+    _, sc_hist = _cond_history_lanes(trace, min(64, max(sc_lengths)))
+    for c, length in enumerate(sc_lengths):
+        h = sc_hist & np.uint64((1 << min(64, length)) - 1)
+        h ^= h >> np.uint64(sc_bits)
+        cols[:, 2 * num_tables + c] = _pc_hash(
+            pcx, c + 2, h, (1 << sc_bits) - 1, dtype)
+    del sc_hist, h
+
+    path_mix = path.astype(np.uint64)
+    path_mix ^= path_mix >> np.uint64(index_bits)
+    tag_pc = (pcx & np.uint64((1 << tag_bits) - 1)).astype(dtype)
+    for t, length in enumerate(lengths):
+        index = _pc_hash(pcx, t + 1, path_mix, (1 << index_bits) - 1, dtype)
+        index ^= folds.fold(length, index_bits)
+        cols[:, t] = index
+        tag = folds.fold(length, max(1, tag_bits - 1)).astype(dtype)
+        tag <<= 1
+        tag ^= folds.fold(length, tag_bits)
+        tag ^= tag_pc
+        cols[:, num_tables + t] = tag
+    return cols
+
+
+def _slot_tag_matrix(llbp_config, pcx: np.ndarray,
+                     folds: HistoryFolds) -> np.ndarray:
+    """LLBP slot tags, one row per conditional branch."""
+    ptb = llbp_config.pattern_tag_bits
+    dtype = _column_dtype(ptb)
+    mask = (1 << ptb) - 1
+    slot_cols = np.empty((len(pcx), len(llbp_config.slot_lengths)),
+                         dtype=dtype)
+    for h, length in enumerate(llbp_config.slot_lengths):
+        tag = folds.fold(length, max(1, ptb - 1)).astype(dtype)
+        tag <<= 1
+        tag ^= folds.fold(length, ptb)
+        # The slot number salts the PC so starred slots differ.
+        tag ^= _pc_hash(pcx, h + 2, np.uint64(h * 0x9E5), mask, dtype)
+        tag &= dtype(mask)
+        slot_cols[:, h] = tag
+    return slot_cols
 
 
 def _persist(trace: Trace, arrays: dict) -> None:
@@ -260,7 +365,7 @@ def percep_columns(trace: Trace, predictor) -> np.ndarray:
 
 
 def tsl_columns(trace: Trace, predictor) -> np.ndarray:
-    """TAGE index/tag + SC index columns for a :class:`TageScL`.
+    """TAGE index/tag + SC index columns for a TAGE-SC-L predictor.
 
     Row layout per conditional branch (``T`` TAGE tables, ``C`` SC
     components): ``[idx_0..idx_T-1, tag_0..tag_T-1, sc_0..sc_C-1]``.
@@ -269,7 +374,7 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
     cached = trace.aux.get(key)
     if cached is None:
         start = time.perf_counter()
-        cached, _ = _record_columns(trace, predictor.config)
+        cached, _ = _hash_columns(trace, predictor.config)
         trace.aux[key] = cached
         _persist(trace, {key: cached})
         telemetry.emit("sim.columns", workload=trace.name, key=key,
@@ -279,10 +384,10 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
 
 
 def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
-    """``(tsl_columns, slot_tag_columns)`` for an :class:`LLBPTageScL`.
+    """``(tsl_columns, slot_tag_columns)`` for an LLBP predictor.
 
-    Both matrices come out of one recorder pass when either is missing;
-    only the missing ones are (re)stored.
+    Only the missing matrices are computed (in one shared pass over the
+    history stream when both are) and (re)stored.
     """
     t_key = tsl_key(predictor.tsl)
     s_key = llbp_key(predictor)
@@ -290,8 +395,9 @@ def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
     s_cached = trace.aux.get(s_key)
     if t_cached is None or s_cached is None:
         start = time.perf_counter()
-        tsl_cols, slot_cols = _record_columns(
-            trace, predictor.tsl.config, predictor.config)
+        tsl_cols, slot_cols = _hash_columns(
+            trace, predictor.tsl.config if t_cached is None else None,
+            predictor.config if s_cached is None else None)
         fresh = {}
         if t_cached is None:
             trace.aux[t_key] = t_cached = tsl_cols

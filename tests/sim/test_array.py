@@ -20,7 +20,12 @@ from repro import telemetry
 from repro.predictors.bimodal import Bimodal
 from repro.predictors.registry import make_predictor
 from repro.sim import array
-from repro.sim.engine import ENGINE_ENV_VAR, resolve_engine, run_simulation
+from repro.sim.engine import (
+    DEFAULT_WARMUP_FRACTION,
+    ENGINE_ENV_VAR,
+    resolve_engine,
+    run_simulation,
+)
 from repro.sim.multi import run_simulation_batch
 from repro.workloads.catalog import generate_workload, workload_names
 
@@ -68,6 +73,28 @@ def test_bit_identity_full_catalog(workload):
         oracle, subject, ref, res = _run_both(trace, key)
         _assert_identical(ref, res)
         _assert_state_equal(oracle, subject)
+
+
+#: A small odd chunk, so chunk boundaries fall everywhere.
+ODD_CHUNK = 97
+
+
+@pytest.mark.parametrize(
+    "key", ("tsl64", "llbp", "llbp:lat0", "gshare", "bimode", "percep"))
+def test_chunk_boundaries_do_not_change_results(monkeypatch, key):
+    """Chunking the fused loops is invisible, even with the warmup split
+    landing mid-chunk (the catalog runs stay inside one chunk)."""
+    monkeypatch.setattr(array, "_CHUNK", ODD_CHUNK)
+    trace = generate_workload("Kafka", INSTRUCTIONS)
+    warmup = int(trace.num_instructions * DEFAULT_WARMUP_FRACTION)
+    split = int(np.searchsorted(np.cumsum(trace.gaps, dtype=np.int64),
+                                warmup, side="right"))
+    csplit = int((trace.types[:split] == 0).sum())
+    assert split % ODD_CHUNK and csplit % ODD_CHUNK
+    assert int((trace.types == 0).sum()) > 10 * ODD_CHUNK
+    oracle, subject, ref, res = _run_both(trace, key)
+    _assert_identical(ref, res)
+    _assert_state_equal(oracle, subject)
 
 
 def test_supported_families():

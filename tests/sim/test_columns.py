@@ -4,27 +4,35 @@ The array engine's whole premise is that every per-branch hash is a pure
 function of the trace stream and the predictor geometry — independent of
 table contents, predictions and training.  These properties pin that:
 
+* the closed-form fold of :class:`repro.sim.columns.HistoryFolds` equals
+  ``fold_bits`` and the incremental ``FoldedHistory`` register at every
+  point of a random bit stream;
 * the vectorised gshare index column equals a scalar replay through the
   real predictor's ``_index``/``update_history``;
-* the TAGE/SC column matrix recorded by a *fresh, untrained* predictor
-  equals the values a *live, training* simulation computes at every
-  conditional branch (captured by instrumenting the compiled ``_match``
-  and ``_vote`` cores mid-run);
+* the TAGE/SC column matrix computed from the trace alone equals the
+  values a *live, training* simulation computes at every conditional
+  branch (captured by instrumenting the compiled ``_match`` and
+  ``_vote`` cores mid-run), over preset and explore geometries;
 * ditto for the LLBP slot-tag matrix, wherever the live predictor
-  computes slot tags at all.
+  computes slot tags at all;
+* the column call's peak memory stays a small multiple of what it
+  returns.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - hypothesis is a dev extra
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+from repro.common.bitops import FoldedHistory, fold_bits
 from repro.predictors.gshare import GShare
 from repro.predictors.registry import make_predictor
 from repro.sim import columns
@@ -65,48 +73,103 @@ def test_gshare_column_matches_scalar_replay(branches):
     assert column.tolist() == expected
 
 
-@given(branch_lists)
-@settings(max_examples=25)
-def test_tsl_columns_match_live_simulation(branches):
-    """A fresh recorder and a live, training predictor hash identically."""
-    trace = build_trace(branches)
-    live = make_predictor("tsl64")
-    recorded_match, recorded_vote = [], []
+#: The ``tsl64``/``llbp`` baselines plus geometries (a preset and the
+#: explore grammar's) that no array identity test runs.
+TSL_KEYS = ("tsl64", "tsl:x=2,t=11", "tsl:x=16,t=16", "tsl1m")
+LLBP_KEYS = ("llbp", "llbp:unbucketed,ps=8", "llbp:unbucketed,ps=32",
+             "llbp:w=4,d=0")
 
-    real_match, real_vote = live.tage._match, live.sc._vote
+#: One catalog workload and one adversarial stressor.
+WORKLOADS = ("Kafka", "adv:xor")
+
+
+@given(st.lists(st.booleans(), max_size=400),
+       st.one_of(st.integers(1, 48), st.integers(1, 3000)),
+       st.integers(1, 16))
+@example([True, False, True], 5, 8)       # stream and length below width
+@example([True] * 40, 24, 8)              # length a multiple of width
+@example([False, True] * 100, 7, 16)      # length below width
+@example([True, True, False] * 120, 3000, 13)
+@settings(max_examples=80)
+def test_closed_form_fold_matches_incremental_register(bits, length, width):
+    """Before every push the closed form equals the reference fold."""
+    stream = np.array(bits, dtype=np.uint8)
+    ends = np.arange(len(bits) + 1)
+    exact = columns.HistoryFolds(stream, ends, length)
+    shared = columns.HistoryFolds(stream, ends, 3000)
+
+    register = FoldedHistory(length, width)
+    history = 0
+    expected, windows = [], []
+    for bit in bits + [None]:
+        assert register.value == fold_bits(history, length, width)
+        expected.append(register.value)
+        windows.append(history & ((1 << width) - 1))
+        if bit is None:
+            break
+        register.update(bit, (history >> (length - 1)) & 1)
+        history = (history << 1) | bit
+
+    assert exact.fold(length, width).tolist() == expected
+    assert shared.fold(length, width).tolist() == expected
+    assert exact.window(width).tolist() == windows
+
+
+def _spy_tsl(tsl):
+    """Record what ``tsl``'s live ``_match``/``_vote`` cores compute."""
+    recorded = []
+    real_match, real_vote = tsl.tage._match, tsl.sc._vote
 
     def spy_match(pcx, path_mix):
         indices, tags, provider, alt = real_match(pcx, path_mix)
-        recorded_match.append((list(indices), list(tags)))
+        recorded.append(list(indices) + list(tags))
         return indices, tags, provider, alt
 
     def spy_vote(pcx, history):
         indices, vote = real_vote(pcx, history)
-        recorded_vote.append(list(indices))
+        recorded[-1].extend(indices)
         return indices, vote
 
-    live.tage._match = spy_match
-    live.sc._vote = spy_vote
+    tsl.tage._match = spy_match
+    tsl.sc._vote = spy_vote
+    return recorded
+
+
+def _assert_tsl_matches_live(trace, key):
+    live = make_predictor(key)
+    recorded = _spy_tsl(live)
     run_simulation(trace, live, warmup_instructions=0, engine="python")
-
-    cols = columns.tsl_columns(trace, make_predictor("tsl64"))
-    num_tables = live.tage.config.num_tables
-    assert len(cols) == len(recorded_match) == len(recorded_vote)
-    for row, (indices, tags), sc_indices in zip(cols, recorded_match,
-                                                recorded_vote):
-        assert row[:num_tables].tolist() == indices
-        assert row[num_tables:2 * num_tables].tolist() == tags
-        assert row[2 * num_tables:].tolist() == sc_indices
+    cols = columns.tsl_columns(trace, make_predictor(key))
+    assert cols.tolist() == recorded
 
 
-def test_llbp_slot_tags_match_live_simulation():
-    """Wherever the live LLBP hashes slot tags, the matrix agrees.
+@given(branch_lists)
+@settings(max_examples=25)
+@pytest.mark.parametrize("key", TSL_KEYS)
+def test_tsl_columns_match_live_simulation(key, branches):
+    """Columns from the trace alone and a live, training predictor hash
+    identically."""
+    _assert_tsl_matches_live(build_trace(branches), key)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("key", TSL_KEYS)
+def test_tsl_columns_match_live_simulation_on_workloads(key, workload):
+    _assert_tsl_matches_live(generate_workload(workload, 30_000), key)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("key", LLBP_KEYS)
+def test_llbp_slot_tags_match_live_simulation(key, workload):
+    """Wherever the live LLBP hashes slot tags, the matrix agrees, and
+    its baseline's TAGE/SC hashes match the TSL matrix.
 
     Slot tags are only computed on pattern-buffer hits, so this needs a
     real workload (warm contexts), not a synthetic micro-trace.
     """
-    trace = generate_workload("Kafka", 30_000)
-    live = make_predictor("llbp")
+    trace = generate_workload(workload, 30_000)
+    live = make_predictor(key)
+    recorded = _spy_tsl(live.tsl)
     row_of_call = {}
     state = {"row": -1}
 
@@ -126,11 +189,66 @@ def test_llbp_slot_tags_match_live_simulation():
     live.compute_slot_tags = spy_slot_tags
     run_simulation(trace, live, engine="python")
 
-    _, slot_cols = columns.llbp_columns(trace, make_predictor("llbp"))
+    tsl_cols, slot_cols = columns.llbp_columns(trace, make_predictor(key))
+    assert tsl_cols.tolist() == recorded
     assert len(slot_cols) == state["row"] + 1
     assert row_of_call, "no pattern-buffer hit ever computed slot tags"
     for row, tags in row_of_call.items():
         assert slot_cols[row].tolist() == tags
+
+
+def _zero_cond_trace():
+    builder = TraceBuilder("uncond")
+    for slot in range(12):
+        builder.append(0x4000 + 16 * slot, BranchType.JUMP, True, 0x100, 3)
+    return builder.build()
+
+
+@pytest.mark.parametrize("make_trace", (lambda: TraceBuilder("empty").build(),
+                                        _zero_cond_trace),
+                         ids=("empty", "no-conditional"))
+@pytest.mark.parametrize("key", ("tsl64", "llbp"))
+def test_traces_without_conditional_branches(key, make_trace):
+    """No conditional branch: zero rows, the usual width and dtype."""
+    reference = build_trace([(0, BranchType.COND, True)])
+    trace = make_trace()
+    if key == "llbp":
+        got = columns.llbp_columns(trace, make_predictor(key))
+        want = columns.llbp_columns(reference, make_predictor(key))
+    else:
+        got = (columns.tsl_columns(trace, make_predictor(key)),)
+        want = (columns.tsl_columns(reference, make_predictor(key)),)
+    for matrix, ref in zip(got, want):
+        assert matrix.shape == (0, ref.shape[1])
+        assert matrix.dtype == ref.dtype
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    # Generated uncached, so no store path: nothing is persisted.
+    trace = generate_workload("Kafka", 200_000, use_cache=False)
+    assert trace.store_path is None
+    return trace
+
+
+@pytest.mark.parametrize("key", ("tsl64", "llbp"))
+def test_column_call_peak_memory_is_bounded(long_trace, key):
+    """The closed form's temporaries stay narrow: peak traced memory is
+    at most 2.5x the bytes the call returns."""
+    long_trace.aux.clear()
+    predictor = make_predictor(key)
+    tracemalloc.start()
+    try:
+        if key == "llbp":
+            result = columns.llbp_columns(long_trace, predictor)
+        else:
+            result = (columns.tsl_columns(long_trace, predictor),)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        long_trace.aux.clear()
+    returned = sum(matrix.nbytes for matrix in result)
+    assert peak <= 2.5 * returned, (peak, returned)
 
 
 def test_columns_are_memoised_on_trace_aux():
@@ -145,3 +263,6 @@ def test_column_dtype_stays_compact():
     assert columns._column_dtype(12) == np.uint16
     assert columns._column_dtype(16) == np.uint16
     assert columns._column_dtype(17) == np.uint32
+    assert columns._column_dtype(32) == np.uint32
+    with pytest.raises(ValueError, match="33-bit"):
+        columns._column_dtype(33)
