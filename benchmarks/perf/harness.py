@@ -7,12 +7,17 @@ Run from the repo root::
 
 Two measurements feed the perf trajectory file ``BENCH_engine.json``:
 
-* ``branches_per_sec`` — best-of-N wall-clock of ``run_simulation`` over a
-  fixed Kafka trace, per predictor key.  ``engine-null`` drives a no-op
-  predictor, so it isolates the engine loop itself; the other keys add
-  each predictor family's per-branch cost on top.
-* ``fig09_seconds`` — end-to-end ``fig09.run()`` with a cold result cache
-  (traces pre-generated off the clock), i.e. what a user waits for.
+* ``branches_per_sec`` — best-of-N wall-clock of the Python engine's
+  ``run_simulation`` over a fixed Kafka trace, per predictor key.
+  ``engine-null`` drives a no-op predictor, so it isolates the engine
+  loop itself; the other keys add each predictor family's per-branch
+  cost on top.
+* ``fig09_seconds`` — end-to-end ``fig09.run()`` on the Python engine
+  with a cold result cache (traces pre-generated off the clock).
+
+Every section was recorded on the engine it names, so each measurement
+pins its engine (``engine=`` or ``REPRO_ENGINE``) rather than taking the
+default, which is the array engine.
 
 Full mode also measures the ``array_engine`` section: branches/sec for
 the keys the array engine runs natively, each verified bit-identical to
@@ -38,6 +43,7 @@ only ``after``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -77,6 +83,21 @@ SWEEP_KEYS = ("tsl64", "llbp", "tsl512", "llbp:lat0")
 SWEEP_INSTRUCTIONS = 200_000
 
 
+@contextlib.contextmanager
+def _env(**values):
+    """Set environment variables for the ``with`` block, then restore them."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _null_predictor():
     from repro.predictors.base import BranchPredictor
 
@@ -106,7 +127,7 @@ def _predictor(key):
 
 
 def measure_branches_per_sec(keys=FULL_KEYS, reps=5, trace=None):
-    """Best-of-``reps`` branches/sec for each predictor key."""
+    """Best-of-``reps`` Python-engine branches/sec for each predictor key."""
     from repro.sim.engine import run_simulation
     from repro.workloads.catalog import generate_workload
 
@@ -118,7 +139,7 @@ def measure_branches_per_sec(keys=FULL_KEYS, reps=5, trace=None):
         for _ in range(reps):
             predictor = _predictor(key)  # fresh tables every rep
             t0 = time.perf_counter()
-            run_simulation(trace, predictor)
+            run_simulation(trace, predictor, engine="python")
             best = max(best, len(trace) / (time.perf_counter() - t0))
         out[key] = round(best)
         print(f"  {key:<12} {out[key]:>12,} branches/sec", flush=True)
@@ -201,17 +222,10 @@ def measure_characterization(winner_instructions=120_000):
     digest_seconds = round(time.perf_counter() - t0, 2)
     print(f"  digest       {digest[:16]}… ({digest_seconds}s)", flush=True)
 
-    saved = os.environ.get("REPRO_ENGINE")
-    os.environ["REPRO_ENGINE"] = "array"
-    try:
+    with _env(REPRO_ENGINE="array"):
         clear_memory_cache()
         t0 = time.perf_counter()
         artifact = characterize(instructions=winner_instructions)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ENGINE", None)
-        else:
-            os.environ["REPRO_ENGINE"] = saved
     entries = artifact["workloads"]
     hits = sum(entry["predicted_winner"] == entry["measured_winner"]
                for entry in entries.values())
@@ -232,7 +246,7 @@ def measure_characterization(winner_instructions=120_000):
 
 
 def measure_batched_pass(keys, trace, reps=2):
-    """Engine-level serial-vs-batched A/B on one trace (bench.py gate).
+    """Python-engine serial-vs-batched A/B on one trace (bench.py gate).
 
     Returns ``(serial_seconds, batched_seconds, bit_identical)`` with
     each side best-of-``reps``, alternating the two sides within each
@@ -246,12 +260,14 @@ def measure_batched_pass(keys, trace, reps=2):
     for _ in range(reps):
         t0 = time.perf_counter()
         serial = [run_simulation(trace, _predictor(key),
-                                 collect_per_pc=True) for key in keys]
+                                 collect_per_pc=True, engine="python")
+                  for key in keys]
         serial_best = min(serial_best, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         batched = run_simulation_batch(
-            trace, [_predictor(key) for key in keys], collect_per_pc=True)
+            trace, [_predictor(key) for key in keys], collect_per_pc=True,
+            engine="python")
         batched_best = min(batched_best, time.perf_counter() - t0)
         identical = identical and batched == serial
     return serial_best, batched_best, identical
@@ -267,8 +283,9 @@ def measure_batched_sweep(workloads=SWEEP_WORKLOADS, keys=SWEEP_KEYS,
     pays per job (trace-cache load, predictor construction, per-PC
     collection), not just the inner loop.  Traces are pre-published to
     the packed store off the clock; the result cache stays cold
-    (``REPRO_RESULT_CACHE=0``).  Both sides must be *byte*-identical:
-    the serialised cache JSON is compared, not just the result values.
+    (``REPRO_RESULT_CACHE=0``).  Both sides run on the Python engine.
+    Both sides must be *byte*-identical: the serialised cache JSON is
+    compared, not just the result values.
     """
     import json as _json
 
@@ -278,11 +295,9 @@ def measure_batched_sweep(workloads=SWEEP_WORKLOADS, keys=SWEEP_KEYS,
     for workload in workloads:
         generate_workload(workload, instructions)
 
-    saved = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = "0"
     serial_best = batched_best = float("inf")
     identical = True
-    try:
+    with _env(REPRO_RESULT_CACHE="0", REPRO_ENGINE="python"):
         for _ in range(rounds):
             runner.clear_memory_cache()
             t0 = time.perf_counter()
@@ -304,12 +319,7 @@ def measure_batched_sweep(workloads=SWEEP_WORKLOADS, keys=SWEEP_KEYS,
                 == _json.dumps(runner._to_json(serial[pair]),
                                sort_keys=False)
                 for pair in serial)
-    finally:
-        runner.clear_memory_cache()
-        if saved is None:
-            del os.environ["REPRO_RESULT_CACHE"]
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = saved
+    runner.clear_memory_cache()
 
     out = {
         "workloads": ",".join(workloads),
@@ -335,10 +345,11 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
     that many ``python -m repro.worker`` loopback processes (joined
     *before* the clock starts) and runs the full fig09 job grid through
     ``parallel.run_jobs``; the serial side recomputes the same grid
-    in-process with the result cache off.  Traces are pre-published to
-    the shared store off the clock, so workers resolve them by hash and
-    no trace bytes cross the socket — the measurement isolates task
-    dispatch + simulation + result streaming.
+    in-process with the result cache off.  Both sides run on the Python
+    engine.  Traces are pre-published to the shared store off the clock,
+    so workers resolve them by hash and no trace bytes cross the socket
+    — the measurement isolates task dispatch + simulation + result
+    streaming.
 
     Every distributed run must be **byte-identical** to serial: the
     journal's sha256 ``result_digest`` of every job is compared, not
@@ -357,9 +368,7 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
     for workload in workloads.split(","):
         generate_workload(workload, instructions)
 
-    saved = os.environ.get("REPRO_RESULT_CACHE")
-    os.environ["REPRO_RESULT_CACHE"] = "0"
-    try:
+    with _env(REPRO_RESULT_CACHE="0", REPRO_ENGINE="python"):
         runner.clear_memory_cache()
         jobs = parallel.make_jobs(fig09.jobs())
         t0 = time.perf_counter()
@@ -403,22 +412,18 @@ def measure_distributed_sweep(worker_counts=(1, 2, 4),
             print(f"  tcp x{count}: {elapsed:.2f}s ({speedup:.2f}x, "
                   f"byte_identical={identical})", flush=True)
         out["host_cpus"] = os.cpu_count()
-        return out
-    finally:
-        runner.clear_memory_cache()
-        if saved is None:
-            del os.environ["REPRO_RESULT_CACHE"]
-        else:
-            os.environ["REPRO_RESULT_CACHE"] = saved
+    runner.clear_memory_cache()
+    return out
 
 
 def measure_fig09_seconds(jobs=1):
     """Wall-clock of a cold-result-cache fig09 regeneration.
 
-    Traces are generated (or loaded) before the clock starts, so the
-    number isolates simulation + aggregation.  With ``jobs > 1`` the
-    parallel prewarm runs inside the timed region, exactly as
-    ``python -m repro.experiments fig09 -j N`` would.
+    Runs on the Python engine.  Traces are generated (or loaded) before
+    the clock starts, so the number isolates simulation + aggregation.
+    With ``jobs > 1`` the parallel prewarm runs inside the timed region,
+    exactly as ``python -m repro.experiments fig09 -j N --engine python``
+    would.
     """
     os.environ["REPRO_WORKLOADS"] = FIG09_WORKLOADS
     os.environ["REPRO_INSTRUCTIONS"] = str(FIG09_INSTRUCTIONS)
@@ -436,9 +441,8 @@ def measure_fig09_seconds(jobs=1):
         # measurement cold.
         import tempfile
 
-        with tempfile.TemporaryDirectory() as fresh:
-            saved = os.environ.get("REPRO_CACHE_DIR")
-            os.environ["REPRO_CACHE_DIR"] = fresh
+        with tempfile.TemporaryDirectory() as fresh, \
+                _env(REPRO_CACHE_DIR=fresh, REPRO_ENGINE="python"):
             try:
                 for workload in FIG09_WORKLOADS.split(","):
                     generate_workload(workload, FIG09_INSTRUCTIONS)
@@ -449,18 +453,11 @@ def measure_fig09_seconds(jobs=1):
                 elapsed = time.perf_counter() - t0
             finally:
                 parallel.shutdown()
-                if saved is None:
-                    del os.environ["REPRO_CACHE_DIR"]
-                else:
-                    os.environ["REPRO_CACHE_DIR"] = saved
     else:
-        os.environ["REPRO_RESULT_CACHE"] = "0"
-        try:
+        with _env(REPRO_RESULT_CACHE="0", REPRO_ENGINE="python"):
             t0 = time.perf_counter()
             fig09.run()
             elapsed = time.perf_counter() - t0
-        finally:
-            del os.environ["REPRO_RESULT_CACHE"]
     runner.clear_memory_cache()
     print(f"  fig09 (jobs={jobs}) {elapsed:.2f}s", flush=True)
     return round(elapsed, 2)

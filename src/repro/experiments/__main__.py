@@ -13,9 +13,11 @@ processes prewarm the result cache before the (serial) formatting pass;
 it defaults to the CPU count, or REPRO_JOBS when set.  Honours
 REPRO_WORKLOADS / REPRO_INSTRUCTIONS.
 
-``--engine array`` (or ``REPRO_ENGINE=array``) runs every simulation on
-the array engine — bit-identical results, several times faster for the
-TAGE-SC-L/LLBP families; the Python engine stays the default oracle.
+Simulations run on the array engine by default — bit-identical to the
+Python engine and several times faster for the TAGE-SC-L/LLBP families;
+predictors it does not fuse (the infinite/perfect limit studies, bimodal,
+``llbp:frontend``) fall back to the Python engine.  ``--engine python`` (or
+``REPRO_ENGINE=python``) runs everything on the Python engine, the oracle.
 
 ``--backend tcp`` (or ``REPRO_BACKEND=tcp``) shards the prewarm across
 ``python -m repro.worker`` processes — ``--workers`` names either a
@@ -140,7 +142,7 @@ def main(argv) -> int:
     parser.add_argument("--engine", choices=engine_mod.ENGINES,
                         default=None,
                         help="simulation engine for every run (default: "
-                             "REPRO_ENGINE or python); the array engine "
+                             "REPRO_ENGINE or array); the array engine "
                              "is bit-identical where supported and falls "
                              "back to python elsewhere")
     parser.add_argument("--backend", choices=("local", "tcp"),

@@ -12,11 +12,12 @@ Usage::
 / ``full``); ``--space`` picks what to search — a built-in space name
 (see ``repro.explore.space.SPACES``) or a ``;``-separated list of
 registry keys.  The search runs a successive-halving schedule through
-the standard executor, so ``--jobs`` / ``--engine`` / ``--backend`` /
-``--workers`` mean exactly what they do for ``python -m
-repro.experiments``, and ``--resume`` continues an interrupted search
-from its checkpoint journal (kept at ``explore-journal.jsonl`` next to
-the result cache, separate from the experiments journal).
+the standard executor, so ``--jobs`` / ``--engine`` (default
+``array``) / ``--backend`` / ``--workers`` mean exactly what they do
+for ``python -m repro.experiments``, and ``--resume`` continues an
+interrupted search from its checkpoint journal (kept at
+``explore-journal.jsonl`` next to the result cache, separate from the
+experiments journal).
 
 The ``smoke`` budget pins its workloads, trace lengths and search space
 regardless of REPRO_WORKLOADS / REPRO_INSTRUCTIONS: it exists to
@@ -125,7 +126,7 @@ def main(argv) -> int:
                              "CPU count; 1 disables the pool)")
     parser.add_argument("--engine", choices=engine_mod.ENGINES, default=None,
                         help="simulation engine (default: REPRO_ENGINE or "
-                             "python; engines are bit-identical)")
+                             "array; engines are bit-identical)")
     parser.add_argument("--backend", choices=("local", "tcp"), default=None,
                         help="execution backend (default: REPRO_BACKEND or "
                              "local)")

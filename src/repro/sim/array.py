@@ -46,10 +46,11 @@ from repro.sim import columns as columns_mod
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 
-#: Records converted to Python lists per chunk in the fused loops.  Small
-#: enough that one chunk's ``tolist()`` stays a sliver of a trace, so the
-#: Python lists never add up to a whole column matrix.
-_CHUNK = 1 << 11
+#: Records converted to Python lists per chunk in the fused loops.  A wide
+#: TAGE-SC-L or LLBP row becomes dozens of Python ints, so the chunk stays
+#: small: one chunk's ``tolist()`` is well under a MiB however wide the
+#: rows, and the wide-row loops run faster than with larger chunks.
+_CHUNK = 1 << 8
 
 
 # -- support matrix ----------------------------------------------------------
@@ -978,8 +979,8 @@ def run_simulation_array(
         tsl_cols, slot_cols = columns_mod.llbp_columns(trace, predictor)
         # The fused loop wants one row per branch; memoise the combined
         # matrix (in-memory only — the store keeps the two parts).
-        combined_key = (columns_mod.tsl_key(predictor.tsl) + "+" +
-                        columns_mod.llbp_key(predictor))
+        combined_key = ("rows/" + columns_mod.tsl_key(predictor.tsl) + "+"
+                        + columns_mod.llbp_key(predictor))
         cols = trace.aux.get(combined_key)
         if cols is None:
             cols = np.concatenate([tsl_cols, slot_cols], axis=1)

@@ -12,11 +12,14 @@ then consume these as flat integer rows and never touch the
 folded-history machinery at all.
 
 Columns are memoised on ``Trace.aux`` (keyed by a digest of the
-geometry) and, when the trace came from the packed store
-(:mod:`repro.traces.store`), persisted back into the trace file as aux
-sections — precompute once, reuse across every run and process.  An old
-store file lacking the columns emits ``trace.store_stale`` and is
-transparently upgraded in place.
+geometry).  When the trace came from the packed store
+(:mod:`repro.traces.store`), the TAGE/SC and LLBP matrices — the array
+engine's default path, and the costly ones on long traces — are also
+persisted back into the trace file as aux sections: precompute once,
+reuse across every run and process.  The gshare, Bi-Mode and perceptron
+columns are cheap and stay in-process memos.  A store file lacking the
+columns emits ``trace.store_stale`` and is upgraded in place from the
+in-memory trace, without rereading the file.
 
 The scalar references these columns must match are the predictors' own
 hashes: TAGE's ``compute_index`` / ``compute_tag``, the corrector's
@@ -320,17 +323,28 @@ def _slot_tag_matrix(llbp_config, pcx: np.ndarray,
     return slot_cols
 
 
-def _persist(trace: Trace, arrays: dict) -> None:
-    """Publish freshly computed columns back into the trace's store file."""
-    if trace.store_path is None or not arrays:
+#: Aux-key prefixes of the matrices persisted into the store file; every
+#: other ``Trace.aux`` entry is an in-process memo.
+_PERSISTED = ("cols/tsl:", "cols/llbp:")
+
+
+def _persist(trace: Trace, fresh: dict) -> None:
+    """Publish freshly computed columns back into the trace's store file.
+
+    The file keeps every persisted matrix the trace holds: the ones it
+    was loaded with, the ones published since and ``fresh``.
+    """
+    if trace.store_path is None or not fresh:
         return
     from repro.traces import store
 
-    for key in arrays:
+    for key in fresh:
         telemetry.emit("trace.store_stale", workload=trace.name,
                        path=str(trace.store_path),
                        reason="missing-columns", key=key)
-    store.append_aux(trace.store_path, arrays)
+    store.append_aux(trace.store_path, trace, {
+        key: array for key, array in trace.aux.items()
+        if key.startswith(_PERSISTED)})
 
 
 def gshare_columns(trace: Trace, predictor) -> np.ndarray:

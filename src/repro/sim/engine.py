@@ -5,9 +5,11 @@ prefix of the trace, then mispredictions are counted over the measured
 region.  Every branch — conditional or not — updates predictor history;
 only conditional branches are predicted and trained.
 
-The loop is the hottest code in the repository — every MPKI point in the
-evaluation is millions of trips through it — so :func:`run_simulation`
-specialises it instead of paying per-branch dispatch costs:
+:func:`run_simulation` hands every predictor the array engine supports
+to :mod:`repro.sim.array` (the default engine).  The Python loops here
+run under ``engine="python"`` and for the limit-study and front-end
+predictors the array engine does not fuse, so they are still
+specialised instead of paying per-branch dispatch costs:
 
 * the warmup/measured split is computed once from the cumulative gap sum,
   so the measured loops carry no per-branch "are we measuring yet" check;
@@ -41,9 +43,10 @@ from repro.traces.trace import Trace
 #: paper warms 100M of 300M total instructions.
 DEFAULT_WARMUP_FRACTION = 1.0 / 3.0
 
-#: Engine implementations selectable per run.  ``python`` is the serial
-#: reference loop below (the oracle); ``array`` is the fused codegen
-#: engine in :mod:`repro.sim.array`, bit-identical where supported.
+#: Engine implementations selectable per run.  ``array`` (the default) is
+#: the fused codegen engine in :mod:`repro.sim.array`, bit-identical where
+#: supported; ``python`` is the serial loop below, the oracle and the
+#: fallback for the predictors the array engine does not fuse.
 ENGINES = ("python", "array")
 
 #: Environment variable consulted when no explicit ``engine=`` is given.
@@ -51,13 +54,16 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the engine name: argument > ``REPRO_ENGINE`` env > python.
+    """Resolve the engine name: argument > ``REPRO_ENGINE`` env > array.
 
-    Raises ``ValueError`` for unknown names so typos fail loudly rather
-    than silently running the wrong engine.
+    ``array`` runs every predictor it supports and falls back to the
+    Python engine for the rest (see :func:`run_simulation`); ``python``
+    selects the oracle loop outright.  Raises ``ValueError`` for unknown
+    names so typos fail loudly rather than silently running the wrong
+    engine.
     """
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "python"
+        engine = os.environ.get(ENGINE_ENV_VAR) or "array"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown simulation engine {engine!r}; expected one of "

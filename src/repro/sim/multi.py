@@ -217,7 +217,9 @@ def install_lookup_sharing(predictors: Sequence[BranchPredictor],
             tage = predictor.tsl.tage
         else:
             continue
-        if not isinstance(tage, Tage):
+        # Exact type, as the array engine requires: a subclass such as
+        # InfiniteTage has no bounded tag tables to scan.
+        if type(tage) is not Tage:
             continue
         key = (tuple(tage.folded._params), tage._idx_mask, tage._tag_mask)
         entry = tage_groups.get(key)
@@ -359,11 +361,13 @@ def run_simulation_batch(
     to share fold computation (see :func:`install_fold_sharing`), which
     assumes they are discarded afterwards.
 
-    Under ``engine="array"`` (or ``REPRO_ENGINE=array``) each member
-    runs through the array engine instead of the fused Python pass —
-    the per-trace hash columns memoised on ``trace.aux`` play the role
-    the shared fold/lookup cores play here, so cross-member hash work
-    is still paid once per geometry.
+    Under the array engine (the default; see
+    :func:`repro.sim.engine.resolve_engine`) each member runs through
+    :func:`run_simulation` instead of the fused Python pass — the
+    per-trace hash columns memoised on ``trace.aux`` play the role the
+    shared fold/lookup cores play here, so cross-member hash work is
+    still paid once per geometry.  ``engine="python"`` runs the fused
+    pass.
     """
     if not predictors:
         return []

@@ -56,6 +56,7 @@ corrupt ones), alongside the pre-existing ``trace.cache`` accounting.
 from __future__ import annotations
 
 import hashlib
+import io
 import mmap
 import os
 import struct
@@ -114,8 +115,14 @@ def _padding(offset: int) -> int:
     return (-offset) % _ALIGN
 
 
-def _pack_aux_section(key: str, array: np.ndarray, offset: int) -> bytes:
-    """Serialise one aux column section starting at file ``offset``."""
+def _raw(array: np.ndarray, dtype=None) -> np.ndarray:
+    """``array``'s bytes as a flat uint8 view (a copy only if ``array`` is
+    not already C-contiguous ``dtype``)."""
+    return np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(np.uint8)
+
+
+def _aux_section(key: str, array: np.ndarray, offset: int) -> list:
+    """The parts of one aux column section starting at file ``offset``."""
     data = np.ascontiguousarray(array)
     try:
         code = _AUX_CODES[data.dtype]
@@ -133,8 +140,46 @@ def _pack_aux_section(key: str, array: np.ndarray, offset: int) -> bytes:
         raise ValueError(f"aux column {key!r} too large to pack")
     header = _AUX_HEADER.pack(_AUX_MAGIC, len(key_bytes), code, ncols, nrows)
     pad = b"\x00" * _padding(offset + len(header) + len(key_bytes))
-    body = b"".join((header, key_bytes, pad, data.tobytes()))
-    return body + hashlib.sha256(body).digest()
+    return [header, key_bytes, pad, _raw(data)]
+
+
+def _section_size(parts: list) -> int:
+    return sum(map(len, parts)) + _DIGEST_BYTES
+
+
+def _sections(trace: Trace, aux: Dict[str, np.ndarray]) -> list:
+    """The packed file for ``trace`` with ``aux`` as its aux sections.
+
+    One list of parts per section, each to be followed by the sha256 of
+    its parts: the header and branch columns first, then one section per
+    ``aux`` array, sorted by key so packing is deterministic.  Array
+    parts are views of the arrays themselves, so building this copies
+    nothing and every format error is raised before a byte is written.
+    """
+    name = trace.name.encode("utf-8")
+    if len(name) > 0xFFFF:
+        raise ValueError("trace name too long to pack")
+    head = _HEADER.pack(_MAGIC, _FORMAT_VERSION, len(name), len(trace)) + name
+    main = [head, b"\x00" * _padding(len(head))]
+    main.extend(_raw(getattr(trace, column), dtype)
+                for column, dtype in _COLUMNS)
+    sections = [main]
+    offset = _section_size(main)
+    for key in sorted(aux):
+        section = _aux_section(key, aux[key], offset)
+        sections.append(section)
+        offset += _section_size(section)
+    return sections
+
+
+def _write_sections(out, sections: list) -> None:
+    """Stream ``sections`` to ``out``, each followed by its sha256."""
+    for parts in sections:
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(part)
+            out.write(part)
+        out.write(digest.digest())
 
 
 def pack_trace(trace: Trace) -> bytes:
@@ -143,41 +188,36 @@ def pack_trace(trace: Trace) -> bytes:
     Any arrays in ``trace.aux`` are appended as self-checksummed aux
     sections (sorted by key, so packing is deterministic).
     """
-    name = trace.name.encode("utf-8")
-    if len(name) > 0xFFFF:
-        raise ValueError("trace name too long to pack")
-    parts = [_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(name), len(trace)),
-             name]
-    parts.append(b"\x00" * _padding(sum(map(len, parts))))
-    for column, dtype in _COLUMNS:
-        array = getattr(trace, column)
-        parts.append(np.ascontiguousarray(array, dtype=dtype).tobytes())
-    payload = b"".join(parts)
-    sections = [payload + hashlib.sha256(payload).digest()]
-    offset = len(sections[0])
-    for key in sorted(trace.aux):
-        section = _pack_aux_section(key, trace.aux[key], offset)
-        sections.append(section)
-        offset += len(section)
-    return b"".join(sections)
+    buffer = io.BytesIO()
+    _write_sections(buffer, _sections(trace, trace.aux))
+    return buffer.getvalue()
+
+
+def _publish(path: Path, sections: list) -> bool:
+    """Stream ``sections`` to a pid-temp file and rename it over ``path``.
+
+    The store is a cache: failing to publish must not fail the run, so
+    an ``OSError`` removes the temp file and returns ``False``.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_sections(fh, sections)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True
 
 
 def write_packed(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` atomically (pid-temp + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(pack_trace(trace))
-        os.replace(tmp, path)
-    except OSError:
-        # The store is a cache; failing to publish must not fail the
-        # run that generated the trace.
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    _publish(path, _sections(trace, trace.aux))
 
 
 class TraceStoreVersionError(TraceStoreError):
@@ -357,20 +397,21 @@ class TraceStore:
         return path
 
 
-def append_aux(path: Union[str, Path],
+def append_aux(path: Union[str, Path], trace: Trace,
                arrays: Dict[str, np.ndarray]) -> bool:
-    """Merge derived columns into the packed file at ``path``.
+    """Publish derived columns into ``trace``'s packed file at ``path``.
 
-    Read-modify-publish: the file is reread privately (not mmapped),
-    the aux dict updated, and the whole file atomically republished.
-    Concurrent appenders may lose each other's columns — acceptable for
-    a derived-data cache, the loser simply recomputes next run.  Returns
-    ``False`` (without raising) if the file is unreadable.
+    ``arrays`` is every aux column the file should hold: the ones it was
+    loaded with plus the new ones (``trace.aux`` may also carry
+    in-process memos that stay out of the file).  The file is rebuilt
+    from the in-memory, already verified ``trace``, never reread:
+    each section is streamed to a pid-temp file with an incremental
+    sha256, then renamed over ``path``, so the file holds exactly the
+    bytes :func:`pack_trace` gives for ``trace`` with ``arrays`` as its
+    aux and no part of it is copied into one buffer.  Concurrent
+    appenders may lose each other's columns — acceptable for a
+    derived-data cache, the loser simply recomputes next run — but never
+    corrupt the file.  Returns ``False`` (without raising) if the file
+    cannot be written.
     """
-    try:
-        trace = read_packed(path, use_mmap=False)
-    except TraceStoreError:
-        return False
-    trace.aux.update(arrays)
-    write_packed(trace, path)
-    return True
+    return _publish(Path(path), _sections(trace, arrays))

@@ -131,14 +131,14 @@ def test_unsupported_predictor_raises_in_direct_call():
 
 
 class TestEngineSelection:
-    def test_default_is_python(self, monkeypatch):
+    def test_default_is_array(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == "python"
-        assert resolve_engine(None) == "python"
+        assert resolve_engine() == "array"
+        assert resolve_engine(None) == "array"
 
     def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "array")
-        assert resolve_engine() == "array"
+        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
+        assert resolve_engine() == "python"
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "array")
@@ -154,11 +154,28 @@ class TestEngineSelection:
     def test_env_drives_run_simulation(self, monkeypatch):
         trace = generate_workload("Kafka", INSTRUCTIONS)
         ref = run_simulation(trace, make_predictor("gshare"),
-                             collect_per_pc=True, engine="python")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "array")
+                             collect_per_pc=True, engine="array")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("REPRO_ENGINE=python ran the array engine")
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
+        monkeypatch.setattr(array, "run_simulation_array", unreachable)
         res = run_simulation(trace, make_predictor("gshare"),
                              collect_per_pc=True)
         _assert_identical(ref, res)
+
+
+def test_benchmarked_workflows_never_fall_back():
+    """Every key fig09 and the characterize sweep simulate runs on the
+    array engine, so the default path never drops to the Python loop
+    unnoticed."""
+    from repro.analysis.characterize import FAMILIES
+    from repro.experiments import fig09
+
+    keys = {key for _, key in fig09.jobs()} | set(FAMILIES)
+    for key in sorted(keys):
+        assert array.unsupported_reason(make_predictor(key)) is None, key
 
 
 def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):

@@ -259,6 +259,24 @@ def test_columns_are_memoised_on_trace_aux():
     assert columns.tsl_key(predictor) in trace.aux
 
 
+def test_store_keeps_only_tsl_and_llbp_matrices(tmp_path):
+    """A store-backed trace persists its TAGE/SC and LLBP matrices, each
+    publish keeping the ones before it, and none of its in-process memos
+    (gshare indices, LLBP's fused rows)."""
+    trace = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
+    assert trace.store_path is not None
+    for key in ("llbp", "gshare", "tsl512"):
+        run_simulation(trace, make_predictor(key), engine="array")
+    llbp = make_predictor("llbp")
+    persisted = {columns.tsl_key(make_predictor("tsl512")),
+                 columns.tsl_key(llbp.tsl), columns.llbp_key(llbp)}
+    assert len(persisted) == 3 and persisted < set(trace.aux)
+    stored = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
+    assert set(stored.aux) == persisted
+    for key in persisted:
+        assert np.array_equal(stored.aux[key], trace.aux[key])
+
+
 def test_column_dtype_stays_compact():
     assert columns._column_dtype(12) == np.uint16
     assert columns._column_dtype(16) == np.uint16

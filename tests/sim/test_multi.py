@@ -58,6 +58,20 @@ class TestBitIdentical:
         for key, batched in zip(keys, batch):
             assert batched == _serial(tiny_workload_trace, key), key
 
+    def test_infinite_tage_members_on_the_python_engine(
+            self, tiny_workload_trace):
+        """inf-tage and inf-tsl subclass Tage without bounded tag tables;
+        next to plain TAGEs of the same fold geometry the Python batched
+        pass must leave their lookups unshared and match serial runs."""
+        keys = ("tsl64", "inf-tage", "inf-tsl", "tsl512")
+        batch = run_simulation_batch(
+            tiny_workload_trace, [make_predictor(k) for k in keys],
+            collect_per_pc=True, engine="python")
+        for key, batched in zip(keys, batch):
+            serial = run_simulation(tiny_workload_trace, make_predictor(key),
+                                    collect_per_pc=True, engine="python")
+            assert batched == serial, key
+
     def test_perfect_and_bimodal_members(self, pattern_trace):
         keys = ("perfect", "bimodal", "gshare")
         batch = _batch(pattern_trace, keys)
@@ -113,6 +127,11 @@ class TestSharingInstallers:
         # llbp's internal 64K TSL has tsl64's TAGE geometry: one
         # follower match core gets rewired.
         assert install_lookup_sharing(predictors, [0]) == 1
+
+    def test_lookup_sharing_skips_infinite_tage(self):
+        predictors = [make_predictor(k)
+                      for k in ("tsl64", "inf-tage", "inf-tsl")]
+        assert install_lookup_sharing(predictors, [0]) == 0
 
     def test_lookup_sharing_no_group_of_one(self):
         predictors = [make_predictor(k) for k in ("tsl64", "gshare")]

@@ -11,6 +11,7 @@ miss.
 
 from __future__ import annotations
 
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.traces.store import (
     TraceStoreError,
     TraceStoreVersionError,
     append_aux,
+    pack_trace,
     read_packed,
     write_packed,
 )
@@ -47,6 +49,7 @@ class TestAuxRoundTrip:
         mixed_trace.aux.update(_aux_arrays())
         path = tmp_path / "t.rpt"
         write_packed(mixed_trace, path)
+        assert path.read_bytes() == pack_trace(mixed_trace)
         _assert_aux_equal(read_packed(path).aux, _aux_arrays())
 
     def test_no_aux_reads_back_empty(self, mixed_trace, tmp_path):
@@ -154,33 +157,70 @@ class TestAuxDegradation:
 
 class TestAppendAux:
     def test_upgrades_file_in_place(self, mixed_trace, tmp_path):
+        """The publish leaves exactly the bytes ``pack_trace`` gives for
+        the trace with the new columns."""
         path = tmp_path / "t.rpt"
         write_packed(mixed_trace, path)
-        assert append_aux(path, _aux_arrays())
+        assert append_aux(path, read_packed(path), _aux_arrays())
         _assert_aux_equal(read_packed(path).aux, _aux_arrays())
+        mixed_trace.aux.update(_aux_arrays())
+        assert path.read_bytes() == pack_trace(mixed_trace)
 
     def test_merges_with_existing_columns(self, mixed_trace, tmp_path):
+        """The file keeps the sections the caller passes, the loaded ones
+        plus the new ones, and none of the trace's in-process memos."""
         mixed_trace.aux["cols/llbp:cafe"] = np.arange(8, dtype=np.uint16)
         path = tmp_path / "t.rpt"
         write_packed(mixed_trace, path)
-        assert append_aux(path, _aux_arrays())
-        merged = read_packed(path).aux
-        assert sorted(merged) == sorted(
-            list(_aux_arrays()) + ["cols/llbp:cafe"])
+        trace = read_packed(path)
+        trace.aux["cols/gshare:memo"] = np.arange(4, dtype=np.uint32)
+        kept = {"cols/llbp:cafe": trace.aux["cols/llbp:cafe"],
+                **_aux_arrays()}
+        assert append_aux(path, trace, kept)
+        _assert_aux_equal(read_packed(path).aux, kept)
 
-    def test_unreadable_file_returns_false(self, tmp_path):
-        assert not append_aux(tmp_path / "absent.rpt", _aux_arrays())
-        bad = tmp_path / "bad.rpt"
-        bad.write_bytes(b"NOPE" * 20)
-        assert not append_aux(bad, _aux_arrays())
+    def test_unwritable_path_returns_false(self, mixed_trace, tmp_path):
+        """The store is a cache: a failed publish reports False, raises
+        nothing and leaves no temp file behind."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_bytes(b"")
+        assert not append_aux(blocker / "t.rpt", mixed_trace, _aux_arrays())
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_publish_peak_memory_tracks_the_new_matrix(self, mixed_trace,
+                                                       tmp_path):
+        """Publishing onto a file that already holds large matrices costs
+        a small multiple of the *new* matrix, not of the file: existing
+        sections stream from the trace's mapping and nothing is joined."""
+        rng = np.random.default_rng(0)
+        mixed_trace.aux.update({
+            f"cols/tsl:{i}": rng.integers(0, 1 << 16, (40_000, 24),
+                                          dtype=np.uint16)
+            for i in range(3)})
+        path = tmp_path / "t.rpt"
+        write_packed(mixed_trace, path)
+        trace = read_packed(path)
+        new = rng.integers(0, 1 << 16, (40_000, 4), dtype=np.uint16)
+        arrays = {**trace.aux, "cols/llbp:new": new}
+        tracemalloc.start()
+        try:
+            assert append_aux(path, trace, arrays)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 * new.nbytes
+        assert peak <= 2 * new.nbytes, (peak, new.nbytes)
+        _assert_aux_equal(read_packed(path).aux, arrays)
 
 
 def _hammer_aux(path, tag, rounds):
-    """Subprocess body: repeatedly merge a distinctly-named column."""
+    """Subprocess body: repeatedly publish a distinctly-named column."""
     wrote = 0
     for i in range(rounds):
+        trace = read_packed(path)
         column = np.full(16, i, dtype=np.uint32)
-        if append_aux(path, {f"cols/{tag}:{i % 4}": column}):
+        if append_aux(path, trace,
+                      {**trace.aux, f"cols/{tag}:{i % 4}": column}):
             wrote += 1
     return wrote
 
@@ -199,7 +239,7 @@ class TestAppendAuxConcurrency:
                 pool.submit(_hammer_aux, str(path), "a", 25),
                 pool.submit(_hammer_aux, str(path), "b", 25),
             ]]
-        # Both processes made progress and none saw an unreadable file.
+        # Both processes made progress and every publish succeeded.
         assert counts == [25, 25]
         trace = read_packed(path, use_mmap=False)
         assert np.array_equal(trace.pcs, mixed_trace.pcs)
