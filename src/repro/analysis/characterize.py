@@ -42,7 +42,6 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -69,14 +68,6 @@ DIGITS = 6
 
 #: Artifact schema version; bump when fields change meaning.
 SCHEMA = 1
-
-#: Pinned inputs for the perf-trajectory gate (``scripts/bench.py``):
-#: the metrics-only artifact for these workloads at this budget must
-#: hash to the ``digest_sha256`` committed in BENCH_engine.json's
-#: ``characterization`` section.  Metrics never touch an engine or a
-#: backend, so the digest is deterministic on any host.
-BENCH_WORKLOADS = ("Kafka", "adv:xor")
-BENCH_INSTRUCTIONS = 60_000
 
 
 def _entropy(p: float) -> float:
@@ -294,14 +285,6 @@ def artifact_json(artifact: Dict[str, object]) -> str:
 
 def write_artifact(artifact: Dict[str, object], path: Path) -> None:
     Path(path).write_text(artifact_json(artifact))
-
-
-def bench_digest() -> str:
-    """sha256 of the pinned metrics-only artifact — what the bench gate
-    recomputes and compares against the committed trajectory."""
-    artifact = characterize(BENCH_WORKLOADS, instructions=BENCH_INSTRUCTIONS,
-                            with_mpki=False)
-    return hashlib.sha256(artifact_json(artifact).encode("ascii")).hexdigest()
 
 
 def render_table(artifact: Dict[str, object]) -> str:

@@ -191,7 +191,7 @@ def get_result(workload: str, key: str,
 
 
 def run_batch(workload: str, keys, instructions: Optional[int] = None):
-    """Simulate many predictors over ``workload`` in one decode pass.
+    """Simulate many predictors over ``workload`` with one trace load.
 
     The counterpart of calling :func:`get_result` once per key, with the
     trace generated/loaded once and all cache misses simulated by

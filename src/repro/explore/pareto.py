@@ -7,10 +7,11 @@ scores into the deliverables: the Pareto front minimising
 ("which config wins on Kafka, regardless of the aggregate"), a JSON
 artifact, and a fixed-width table for terminals.
 
-The artifact's byte layout is part of the harness contract: the golden
-fixture (``tests/explore/golden_frontier.json``) and the ``bench.py``
-explore gate compare the rendered bytes, not parsed structures, so the
-same search must serialize identically on every platform and backend.
+The artifact's byte layout is part of the search contract: the golden
+fixture (``tests/explore/golden_frontier.json``), its tier-1 test and
+the CI ``--check`` run compare the rendered bytes, not parsed
+structures, so the same search must serialize identically on every
+platform and backend.
 Hence ``json.dumps(..., indent=2, sort_keys=True)`` with a trailing
 newline, MPKI values rounded to a fixed precision, and infinite storage
 encoded as the string ``"inf"`` (JSON has no Infinity literal).

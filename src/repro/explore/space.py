@@ -19,8 +19,8 @@ Built-in spaces (``SPACES``):
 
 ``smoke``
     7 configs (2 TSL scales, 4 LLBP budgets, bimodal anchor) — the
-    fixed-seed mini-search gated against ``tests/explore/
-    golden_frontier.json`` by ``scripts/bench.py`` and CI.
+    fixed-seed mini-search checked against ``tests/explore/
+    golden_frontier.json`` by tier-1 and CI.
 ``tage``
     TAGE geometry: entry scale × table count.
 ``llbp``

@@ -61,9 +61,7 @@ class LLBPMeta:
 
 
 def _compile_slot_tags(slot_folds, tag_mask: int, values: List[int],
-                       second_values: List[int],
-                       memo: Optional[List] = None,
-                       seq: Optional[List[int]] = None):
+                       second_values: List[int]):
     """Compile an unrolled slot-tag hash: one list literal, no loop.
 
     Per-slot shifts, salts and fold indices are baked in as constants;
@@ -72,11 +70,6 @@ def _compile_slot_tags(slot_folds, tag_mask: int, values: List[int],
     slot's second (width ``ptb - 1``) fold — usually the baseline TAGE's
     own tag-fold list, borrowed rather than duplicated.  Semantically
     identical to looping over ``_slot_folds`` and hashing each slot.
-
-    With ``memo``/``seq`` the hash additionally publishes its result as
-    ``memo[:] = seq[0], pcx, tags`` so the batched engine can hand the
-    list to an identical-geometry LLBP stepped later on the same branch
-    (slot tags are a pure function of the shared history stream).
     """
     exprs = [
         f"(pcx ^ (pcx >> {sh}) ^ values[{ja}] ^ (second[{jb}] << 1)"
@@ -84,18 +77,9 @@ def _compile_slot_tags(slot_folds, tag_mask: int, values: List[int],
         for sh, salt, ja, jb in slot_folds
     ]
     body = "[" + ",\n            ".join(exprs) + "]"
-    if memo is None:
-        lines = ["def _slot_tags(pcx, values=values, second=second):",
-                 "    return " + body]
-    else:
-        lines = ["def _slot_tags(pcx, values=values, second=second,"
-                 " memo=memo, seq=seq):",
-                 "    memo[0] = seq[0]",
-                 "    memo[1] = pcx",
-                 "    memo[2] = tags = " + body,
-                 "    return tags"]
-    namespace = {"values": values, "second": second_values,
-                 "memo": memo, "seq": seq}
+    lines = ["def _slot_tags(pcx, values=values, second=second):",
+             "    return " + body]
+    namespace = {"values": values, "second": second_values}
     exec(compile("\n".join(lines), "<slot-tags>", "exec"), namespace)
     return namespace["_slot_tags"]
 
@@ -154,7 +138,6 @@ class LLBPTageScL(BranchPredictor):
             (h + 2, h * 0x9E5, first_stride * unique[length], second[length])
             for h, length in enumerate(config.slot_lengths)
         ]
-        self._slot_second = second_values
         self._slot_tags = _compile_slot_tags(
             self._slot_folds, (1 << ptb) - 1,
             self.folded.values, second_values)

@@ -92,8 +92,8 @@ class SimJob(NamedTuple):
 class _Task(NamedTuple):
     """The dispatch unit: jobs sharing one (workload, instructions) pair.
 
-    All members decode the same trace, so a worker runs them as one
-    batched pass (``runner.run_batch``).  The task is also the retry,
+    All members simulate the same trace, so a worker loads it once and
+    runs them as one batch (``runner.run_batch``).  The task is also the retry,
     fault-injection and timeout unit — its deadline scales with its job
     count — while journal records and result tickets stay per member.
     """
@@ -190,7 +190,7 @@ def _simulate_task(task: _Task, fault: Optional[str] = None,
 
     A single-job task goes through ``runner.get_result`` — byte-for-byte
     the pre-batching worker behaviour — while a multi-job task runs one
-    batched pass via ``runner.run_batch`` (members already in the disk
+    batch via ``runner.run_batch`` (members already in the disk
     cache, e.g. from an interrupted earlier attempt, are answered from
     it rather than re-simulated).  Either way the results are identical.
 

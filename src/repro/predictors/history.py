@@ -165,10 +165,7 @@ class HistorySet:
 
 
 def _compile_push(params: Sequence[Tuple[int, ...]],
-                  values: List[int],
-                  value_indices: Optional[Sequence[Sequence[int]]] = None,
-                  copies: Optional[Sequence[Tuple[int, str, int]]] = None,
-                  sources: Optional[dict] = None) -> "Callable":
+                  values: List[int]) -> "Callable":
     """Compile a specialised fold-update function for one fold set.
 
     The returned function is what :meth:`GlobalHistory.push_branch` calls
@@ -186,27 +183,10 @@ def _compile_push(params: Sequence[Tuple[int, ...]],
     selects a body, so both single-bit terms collapse into constants.
     Semantically identical to chaining ``FoldedHistory.update`` calls (the
     tests cross-check against that reference).
-
-    ``value_indices`` (one row of ``values`` slots per component, parallel
-    to each component's fold triples) decouples slot assignment from
-    sequential order, and ``copies`` appends ``values[dst] = name[src]``
-    assignments executed after the computed folds, with ``sources``
-    binding each name to its backing list.  Together they let the batched
-    engine (:mod:`repro.sim.multi`) compile *partial* fold sets: a fold
-    register is a pure function of (history length, fold width, bit
-    stream), so any register another set already maintains over the same
-    stream can be copied instead of recomputed.
     """
-    if value_indices is None:
-        value_indices = []
+    def emit(out: List[str], indent: str, new_bit: int) -> None:
         j = 0
         for tup in params:
-            nf = (len(tup) - 1) // 3
-            value_indices.append(list(range(j, j + nf)))
-            j += nf
-
-    def emit(out: List[str], indent: str, new_bit: int) -> None:
-        for ci, tup in enumerate(params):
             age, folds = tup[0], tup[1:]
             orr = " | 1" if new_bit else ""
             out.append(f"{indent}if bits[base - {age}]:")
@@ -215,47 +195,25 @@ def _compile_push(params: Sequence[Tuple[int, ...]],
                     out.append(f"{indent}else:")
                 for k in range(0, len(folds), 3):
                     p, w, m = folds[k], folds[k + 1], folds[k + 2]
-                    jj = value_indices[ci][k // 3]
+                    jj = j + k // 3
                     xor = f" ^ {p}" if body_old else ""
                     out.append(f"{indent}    v = (values[{jj}] << 1{orr}){xor}")
                     out.append(f"{indent}    v ^= v >> {w}")
                     out.append(f"{indent}    values[{jj}] = v & {m}")
+            j += len(folds) // 3
 
-    defaults = ", ".join(["values=values"]
-                         + [f"{name}={name}" for name in (sources or {})])
-    lines = [f"def _push(bits, head, new_bit, {defaults}):"]
+    lines = ["def _push(bits, head, new_bit, values=values):"]
     if params:
         lines.append("    base = head - 1")
         lines.append("    if new_bit:")
         emit(lines, "        ", 1)
         lines.append("    else:")
         emit(lines, "        ", 0)
-    elif not copies:
+    else:
         lines.append("    pass")
-    # Coalesce copy rows into slice assignments where destination and
-    # source slots advance in lockstep (the common whole-set-duplicate
-    # case collapses to a single ``values[:] = other``-style copy).
-    pending = list(copies or ())
-    while pending:
-        dst, name, src = pending[0]
-        run = 1
-        while (run < len(pending)
-               and pending[run][1] == name
-               and pending[run][0] == dst + run
-               and pending[run][2] == src + run):
-            run += 1
-        if run > 2:
-            lines.append(
-                f"    values[{dst}:{dst + run}] = {name}[{src}:{src + run}]")
-        else:
-            for d, n, s in pending[:run]:
-                lines.append(f"    values[{d}] = {n}[{s}]")
-        pending = pending[run:]
     namespace = {"values": values}
-    namespace.update(sources or {})
     exec(compile("\n".join(lines), "<fold-push>", "exec"), namespace)
     return namespace["_push"]
-
 
 
 def geometric_lengths(minimum: int, maximum: int, count: int) -> List[int]:

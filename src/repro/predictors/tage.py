@@ -97,9 +97,7 @@ class TageResult:
 
 
 def _compile_match(num_tables: int, idx_mask: int, tag_mask: int,
-                   values: List[int], tags: List[List[int]],
-                   memo: Optional[List] = None,
-                   seq: Optional[List[int]] = None):
+                   values: List[int], tags: List[List[int]]):
     """Compile the unrolled per-instance table-match core of ``lookup``.
 
     Runs once per conditional branch, against every table, so the loop is
@@ -110,19 +108,11 @@ def _compile_match(num_tables: int, idx_mask: int, tag_mask: int,
     and never rebound, so the binding stays valid for the instance's life.
     Semantically identical to looping ``compute_index``/``compute_tag``
     with a sequential longest-match scan.
-
-    With ``memo``/``seq`` the compiled core additionally publishes the
-    per-lookup hashes as ``memo[:] = seq[0], pcx, indices, tags`` — the
-    hook the batched engine (:mod:`repro.sim.multi`) uses to let
-    identical-geometry followers skip hashing (see ``_compile_scan``).
-    The stores are baked into the generated body, so a leader pays four
-    list writes per lookup and no extra call indirection.
     """
     lines = []
     add = lines.append
     defaults = ", ".join(
-        ["values=values"] + [f"T{t}=T{t}" for t in range(num_tables)]
-        + (["memo=memo", "seq=seq"] if memo is not None else []))
+        ["values=values"] + [f"T{t}=T{t}" for t in range(num_tables)])
     add(f"def _match(pcx, path_mix, {defaults}):")
     names = ", ".join(f"f{j}" for j in range(3 * num_tables))
     add(f"    {names} = values")
@@ -137,53 +127,12 @@ def _compile_match(num_tables: int, idx_mask: int, tag_mask: int,
         add(f"        provider = {t}")
     idx_list = f"[{', '.join(f'i{t}' for t in range(num_tables))}]"
     tag_list = f"[{', '.join(f'g{t}' for t in range(num_tables))}]"
-    if memo is None:
-        add(f"    return {idx_list}, {tag_list}, provider, alt")
-    else:
-        add("    memo[0] = seq[0]")
-        add("    memo[1] = pcx")
-        add(f"    memo[2] = indices = {idx_list}")
-        add(f"    memo[3] = tags_out = {tag_list}")
-        add("    return indices, tags_out, provider, alt")
-    namespace = {"values": values, "memo": memo, "seq": seq}
+    add(f"    return {idx_list}, {tag_list}, provider, alt")
+    namespace = {"values": values}
     for t in range(num_tables):
         namespace[f"T{t}"] = tags[t]
     exec(compile("\n".join(lines), "<tage-match>", "exec"), namespace)
     return namespace["_match"]
-
-
-def _compile_scan(num_tables: int, tags: List[List[int]]):
-    """Compile the longest-match scan alone, for precomputed hashes.
-
-    The batched engine gives identical-geometry TAGE instances one shared
-    hash computation per branch (their folded histories and path history
-    follow bit-identical trajectories); what still differs per instance is
-    which of its *own* tagged entries match.  The returned function scans
-    this instance's tag tables against an already-computed
-    ``indices``/``tags`` pair and returns ``(provider, alt)`` exactly as
-    the tail of ``_match`` would.
-    """
-    lines = []
-    add = lines.append
-    defaults = ", ".join(f"T{t}=T{t}" for t in range(num_tables))
-    comma = "," if num_tables == 1 else ""
-    add(f"def _scan(indices, tags, {defaults}):")
-    add("    " + ", ".join(f"i{t}" for t in range(num_tables))
-        + comma + " = indices")
-    add("    " + ", ".join(f"g{t}" for t in range(num_tables))
-        + comma + " = tags")
-    add("    provider = -1")
-    add("    alt = -1")
-    for t in range(num_tables):
-        add(f"    if T{t}[i{t}] == g{t}:")
-        add("        alt = provider")
-        add(f"        provider = {t}")
-    add("    return provider, alt")
-    namespace = {}
-    for t in range(num_tables):
-        namespace[f"T{t}"] = tags[t]
-    exec(compile("\n".join(lines), "<tage-scan>", "exec"), namespace)
-    return namespace["_scan"]
 
 
 class Tage(BranchPredictor):

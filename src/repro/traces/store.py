@@ -302,24 +302,20 @@ def _unpack(buffer, path: Path) -> Trace:
     return trace
 
 
-def read_packed(path: Union[str, Path], use_mmap: bool = True) -> Trace:
+def read_packed(path: Union[str, Path]) -> Trace:
     """Load a packed trace, verifying its structure and digest.
 
-    With ``use_mmap`` (the default) the column arrays are read-only
-    zero-copy views over a shared memory mapping of the file; without it
-    the file is read into process-private memory.  Raises
-    :class:`TraceStoreError` on any structural or checksum problem.
+    The column arrays are read-only zero-copy views over a shared memory
+    mapping of the file; a file that cannot be mapped is read into
+    process-private memory instead.  Raises :class:`TraceStoreError` on
+    any structural or checksum problem.
     """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            if use_mmap:
-                try:
-                    buffer = mmap.mmap(fh.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-                except (ValueError, OSError):  # empty file / no mmap
-                    buffer = fh.read()
-            else:
+            try:
+                buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):  # empty file / no mmap
                 buffer = fh.read()
     except OSError as error:
         raise TraceStoreError(f"{path}: unreadable ({error})") from error

@@ -145,13 +145,16 @@ class TraceBuilder:
         self._takens: List[int] = []
         self._targets: List[int] = []
         self._gaps: List[int] = []
+        # Running sum of ``_gaps``: generators poll ``num_instructions``
+        # once per record, so summing the list would make them quadratic.
+        self._instructions = 0
 
     def __len__(self) -> int:
         return len(self._pcs)
 
     @property
     def num_instructions(self) -> int:
-        return sum(self._gaps)
+        return self._instructions
 
     def append(self, pc: int, branch_type: BranchType, taken: bool,
                target: int, instr_gap: int = 1) -> None:
@@ -162,6 +165,7 @@ class TraceBuilder:
         self._takens.append(1 if taken else 0)
         self._targets.append(target)
         self._gaps.append(instr_gap)
+        self._instructions += instr_gap
 
     def append_record(self, record: BranchRecord) -> None:
         self.append(record.pc, record.branch_type, record.taken,

@@ -9,7 +9,8 @@ Three layers:
   function of the trace;
 * **artifact byte-determinism** — the same workloads + budget render
   the same bytes whichever engine (and, under the ``distributed``
-  marker, whichever backend) computed the MPKI column;
+  marker, whichever backend) computed the MPKI column, and the pinned
+  metrics-only artifact hashes to its committed sha256;
 * **the predicted-winner contract** — the metrics-only rule names the
   measured-best family on at least 10 of the 14 catalog workloads at
   the pinned budget.
@@ -17,6 +18,7 @@ Three layers:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -175,6 +177,14 @@ def isolated_cache(tmp_path, monkeypatch):
 SMALL_WORKLOADS = ("Kafka", "adv:xor")
 SMALL_INSTRUCTIONS = 30_000
 
+#: The pinned characterization digest: the metrics-only artifact for
+#: these workloads at this budget.  Metrics never touch an engine or a
+#: backend, so the sha256 is the same on every host; it moves only when
+#: a metric, the workload generators or the serialisation change.
+DIGEST_WORKLOADS = ("Kafka", "adv:xor")
+DIGEST_INSTRUCTIONS = 60_000
+DIGEST_SHA256 = "2c9d94da33029e1fd98ab554ba8838accf5a0595b96e1053c6425df502c3323d"
+
 
 class TestArtifactDeterminism:
     def test_engines_render_identical_bytes(self, isolated_cache,
@@ -193,6 +203,14 @@ class TestArtifactDeterminism:
         arr = artifact_json(characterize(SMALL_WORKLOADS,
                                          instructions=SMALL_INSTRUCTIONS))
         assert py == arr
+
+    def test_metrics_only_digest_is_pinned(self, isolated_cache):
+        artifact = characterize(DIGEST_WORKLOADS,
+                                instructions=DIGEST_INSTRUCTIONS,
+                                with_mpki=False)
+        digest = hashlib.sha256(
+            artifact_json(artifact).encode("ascii")).hexdigest()
+        assert digest == DIGEST_SHA256
 
     def test_repeat_run_renders_identical_bytes(self, isolated_cache):
         a = characterize(SMALL_WORKLOADS, instructions=SMALL_INSTRUCTIONS)

@@ -211,7 +211,7 @@ class TestBatching:
         assert [t.jobs for t in tasks] == [(job,) for job in jobs]
 
     def test_batched_run_matches_serial(self, isolated_caches, monkeypatch):
-        """The whole point: one decode pass per workload must be
+        """The whole point: one trace load per workload must be
         bit-identical to the per-job path, end to end."""
         jobs = parallel.make_jobs([(workload, key)
                                    for workload in ("Kafka", "NodeApp")

@@ -8,10 +8,15 @@ instance in the same final state (``state_arrays()``).  These tests pin
 that equivalence over the full 14-workload catalog for every supported
 predictor family, and pin the engine-selection contract
 (argument > ``REPRO_ENGINE`` > default, graceful fallback for
-unsupported predictors).
+unsupported predictors), the exact set of keys that fall back, and a
+host-normalised speed floor over the reference loop.
 """
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.sim.engine import (
     ENGINE_ENV_VAR,
     resolve_engine,
     run_simulation,
+    run_simulation_reference,
 )
 from repro.sim.multi import run_simulation_batch
 from repro.workloads.catalog import generate_workload, workload_names
@@ -178,6 +184,33 @@ def test_benchmarked_workflows_never_fall_back():
         assert array.unsupported_reason(make_predictor(key)) is None, key
 
 
+def _fallback_keys(keys):
+    return {key for key in keys
+            if array.unsupported_reason(make_predictor(key)) is not None}
+
+
+def test_fallback_traffic_is_pinned():
+    """The exact keys that still land on the reference loop: the
+    limit-study predictors in the figures, plus the bimodal anchor in
+    the explore spaces.  A key that starts falling back fails here; a
+    family newly fused into the array engine shrinks these sets."""
+    import repro.experiments
+    from repro.explore.space import SPACES
+
+    figure_keys = set()
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        if info.name.startswith("fig"):
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            figure_keys |= {key for _, key in module.jobs()}
+    assert _fallback_keys(figure_keys) == {"inf-tage", "inf-tsl", "perfect"}
+
+    space_keys = set()
+    for space in SPACES.values():
+        space_keys |= set(space.expand())
+    assert _fallback_keys(space_keys) == {
+        "bimodal", "inf-tage", "inf-tsl", "perfect"}
+
+
 def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):
     """``engine="array"`` with an unsupported predictor degrades to the
     Python engine — same answer, plus a ``sim.engine_fallback`` event."""
@@ -206,3 +239,31 @@ def test_batch_matches_serial_python():
         collect_per_pc=True, engine="array")
     for ref, res in zip(refs, results):
         _assert_identical(ref, res)
+
+
+#: The default engine must beat the reference loop by at least this
+#: factor on the hot families.  Both sides run in one process on one
+#: trace, so the host's speed cancels out; a 2-CPU host measured
+#: 5-7x for tsl64 and 4.4-6x for llbp.
+ARRAY_SPEEDUP_FLOOR = 3.0
+
+
+def test_array_engine_outruns_the_reference_loop():
+    """Host-normalised perf check of the default engine: the best of 3
+    alternating array runs against the best of 3 reference runs, after
+    one untimed array run has built the hash columns."""
+    trace = generate_workload("Kafka", 40_000)
+    for key in ("tsl64", "llbp"):
+        run_simulation(trace, make_predictor(key), engine="array")
+        best = {"array": float("inf"), "reference": float("inf")}
+        for _ in range(3):
+            for side in best:
+                predictor = make_predictor(key)
+                start = time.perf_counter()
+                if side == "array":
+                    run_simulation(trace, predictor, engine="array")
+                else:
+                    run_simulation_reference(trace, predictor)
+                best[side] = min(best[side], time.perf_counter() - start)
+        speedup = best["reference"] / best["array"]
+        assert speedup >= ARRAY_SPEEDUP_FLOOR, f"{key}: {speedup:.2f}x"

@@ -7,6 +7,7 @@ import pytest
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import Bimodal
 from repro.predictors.perfect import PerfectPredictor
+from repro.predictors.registry import make_predictor
 from repro.sim.engine import run_simulation, run_simulation_reference
 from repro.traces.trace import TraceBuilder
 from repro.traces.types import BranchType
@@ -125,20 +126,23 @@ def test_normal_warmup_does_not_warn():
     "bimodal", "gshare", "tsl64", "llbp", "perfect",
 ])
 def test_specialized_loops_match_reference(tiny_workload_trace, key):
-    """The specialized measurement loops are an optimization only: every
+    """The array engine's fused loops are an optimization only: every
     predictor family must produce a bit-identical SimulationResult to the
-    generic reference loop, including per-PC counters and extra stats."""
-    from repro.predictors.registry import make_predictor
-
+    generic reference loop, including per-PC counters and extra stats
+    (bimodal and perfect reach the reference loop through the fallback)."""
     fast = run_simulation(tiny_workload_trace, make_predictor(key),
-                          collect_per_pc=True)
+                          collect_per_pc=True, engine="array")
     slow = run_simulation_reference(tiny_workload_trace,
                                     make_predictor(key),
                                     collect_per_pc=True)
     assert fast == slow
 
 
-def test_specialized_loop_matches_reference_without_per_pc():
-    fast = run_simulation(make_trace(), Bimodal())
-    slow = run_simulation_reference(make_trace(), Bimodal())
+def test_specialized_loop_matches_reference_without_per_pc(
+        tiny_workload_trace):
+    fast = run_simulation(tiny_workload_trace, make_predictor("gshare"),
+                          engine="array")
+    slow = run_simulation_reference(tiny_workload_trace,
+                                    make_predictor("gshare"))
     assert fast == slow
+    assert fast.per_pc_executions == {}

@@ -1,9 +1,8 @@
-"""Batched multi-predictor engine: bit-identical to serial simulation.
+"""Multi-predictor batches: bit-identical to serial simulation.
 
-``run_simulation_batch`` shares the trace decode, the folded-history
-registers, and the lookup hashes across members — all of which are pure
-functions of the branch stream — so the only acceptable outcome is full
-:class:`SimulationResult` equality with N independent
+On the array engine the members of a ``run_simulation_batch`` share the
+hash columns memoised on the trace, so the only acceptable outcome is
+full :class:`SimulationResult` equality with N independent
 :func:`run_simulation` calls, per-PC dictionaries (and their insertion
 order, which the cached JSON bytes depend on) included.
 """
@@ -14,11 +13,7 @@ import pytest
 
 from repro.predictors.registry import make_predictor
 from repro.sim.engine import run_simulation
-from repro.sim.multi import (
-    install_fold_sharing,
-    install_lookup_sharing,
-    run_simulation_batch,
-)
+from repro.sim.multi import run_simulation_batch
 
 #: The acceptance mix: a non-TAGE member, the TAGE-SC-L baseline, and
 #: LLBP (whose internal TSL shares fold geometry with the baseline).
@@ -51,7 +46,7 @@ class TestBitIdentical:
     def test_scaled_and_lat0_members(self, tiny_workload_trace):
         """tsl512 shares every fold register with tsl64 (its index folds
         coincide with the (L, 11) tag folds), and llbp:lat0 shares
-        geometry with llbp — the heaviest-sharing configurations must
+        geometry with llbp — members whose hash columns overlap must
         still match their serial runs exactly."""
         keys = ("tsl64", "tsl512", "llbp", "llbp:lat0")
         batch = _batch(tiny_workload_trace, keys)
@@ -61,8 +56,8 @@ class TestBitIdentical:
     def test_infinite_tage_members_on_the_python_engine(
             self, tiny_workload_trace):
         """inf-tage and inf-tsl subclass Tage without bounded tag tables;
-        next to plain TAGEs of the same fold geometry the Python batched
-        pass must leave their lookups unshared and match serial runs."""
+        next to plain TAGEs of the same fold geometry a Python-engine
+        batch must still match serial runs."""
         keys = ("tsl64", "inf-tage", "inf-tsl", "tsl512")
         batch = run_simulation_batch(
             tiny_workload_trace, [make_predictor(k) for k in keys],
@@ -101,8 +96,8 @@ class TestBatchContract:
 
     def test_members_keep_private_state(self, tiny_workload_trace):
         """Two instances of the *same* configuration in one batch must
-        behave like two serial runs — sharing covers stream-determined
-        values only, never predictor tables."""
+        behave like two serial runs — sharing covers trace-determined
+        hash columns only, never predictor tables."""
         first, second = (make_predictor("tsl64"),
                          make_predictor("tsl64"))
         batch = run_simulation_batch(tiny_workload_trace, [first, second],
@@ -110,29 +105,3 @@ class TestBatchContract:
         serial = _serial(tiny_workload_trace, "tsl64")
         assert batch[0] == serial
         assert batch[1] == serial
-
-
-class TestSharingInstallers:
-    def test_fold_sharing_rewires_duplicate_geometry(self):
-        predictors = [make_predictor(k)
-                      for k in ("tsl64", "llbp", "gshare")]
-        assert install_fold_sharing(predictors) > 0
-
-    def test_fold_sharing_skips_non_stream_driven(self):
-        predictors = [make_predictor(k) for k in ("gshare", "bimodal")]
-        assert install_fold_sharing(predictors) == 0
-
-    def test_lookup_sharing_groups_identical_geometry(self):
-        predictors = [make_predictor(k) for k in ("tsl64", "llbp")]
-        # llbp's internal 64K TSL has tsl64's TAGE geometry: one
-        # follower match core gets rewired.
-        assert install_lookup_sharing(predictors, [0]) == 1
-
-    def test_lookup_sharing_skips_infinite_tage(self):
-        predictors = [make_predictor(k)
-                      for k in ("tsl64", "inf-tage", "inf-tsl")]
-        assert install_lookup_sharing(predictors, [0]) == 0
-
-    def test_lookup_sharing_no_group_of_one(self):
-        predictors = [make_predictor(k) for k in ("tsl64", "gshare")]
-        assert install_lookup_sharing(predictors, [0]) == 0

@@ -129,21 +129,12 @@ class TestCorruptionDetection:
 
 
 class TestMemoryMapping:
-    def test_mmap_and_copy_reads_identical(self, tiny_workload_trace,
-                                           tmp_path):
-        path = tmp_path / "t.rpt"
-        write_packed(tiny_workload_trace, path)
-        mapped = read_packed(path, use_mmap=True)
-        copied = read_packed(path, use_mmap=False)
-        _assert_traces_equal(mapped, copied)
-        assert list(mapped.iter_tuples()) == list(copied.iter_tuples())
-
     def test_mmap_views_are_readonly(self, mixed_trace, tmp_path):
         """Zero-copy views over a shared mapping must not be writable:
         a worker scribbling on them would corrupt every sibling."""
         path = tmp_path / "t.rpt"
         write_packed(mixed_trace, path)
-        mapped = read_packed(path, use_mmap=True)
+        mapped = read_packed(path)
         for column in COLUMNS:
             assert not getattr(mapped, column).flags.writeable
 

@@ -57,13 +57,6 @@ class TestAuxRoundTrip:
         write_packed(mixed_trace, path)
         assert read_packed(path).aux == {}
 
-    def test_mmap_and_copy_agree(self, mixed_trace, tmp_path):
-        mixed_trace.aux.update(_aux_arrays())
-        path = tmp_path / "t.rpt"
-        write_packed(mixed_trace, path)
-        _assert_aux_equal(read_packed(path, use_mmap=True).aux,
-                          read_packed(path, use_mmap=False).aux)
-
     def test_unsupported_dtype_rejected(self, mixed_trace, tmp_path):
         mixed_trace.aux["bad"] = np.zeros(4, dtype=np.float64)
         with pytest.raises(ValueError, match="unsupported dtype"):
@@ -241,7 +234,7 @@ class TestAppendAuxConcurrency:
             ]]
         # Both processes made progress and every publish succeeded.
         assert counts == [25, 25]
-        trace = read_packed(path, use_mmap=False)
+        trace = read_packed(path)
         assert np.array_equal(trace.pcs, mixed_trace.pcs)
         assert np.array_equal(trace.takens, mixed_trace.takens)
         # At least the last writer's column survived, intact.

@@ -41,6 +41,20 @@ def test_num_instructions_is_gap_sum():
     assert trace.num_instructions == 10
 
 
+def test_builder_instruction_count_tracks_appends():
+    """The builder's running count equals the gap sum after any mix of
+    ``append`` and ``append_record`` calls, including a rejected one."""
+    builder = TraceBuilder("count")
+    assert builder.num_instructions == 0
+    builder.append(0x10, BranchType.COND, True, 0x20, 3)
+    builder.append_record(BranchRecord(0x30, BranchType.CALL, True, 0x40, 5))
+    with pytest.raises(ValueError):
+        builder.append(0x50, BranchType.JUMP, True, 0x60, 0)
+    builder.append(0x50, BranchType.JUMP, True, 0x60, 1)
+    builder.append_record(BranchRecord(0x70, BranchType.COND, False, 0x80, 7))
+    assert builder.num_instructions == int(builder.build().gaps.sum()) == 16
+
+
 def test_num_conditional():
     trace = build([(0, BranchType.COND, True, 0, 1),
                    (4, BranchType.JUMP, True, 8, 1),
