@@ -13,19 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.analysis.working_set import baseline_order
+import numpy as np
+
+from repro.analysis.working_set import baseline_order, traced_inf_tage
 from repro.common.stats import percentile
-from repro.predictors.infinite import InfiniteTage, PatternKey
-from repro.predictors.presets import tage_config_64k
-from repro.predictors.tage_sc_l import TageScL, TslConfig
+from repro.predictors.infinite import PatternKey
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 from repro.traces.types import BranchType
 
-_UNCOND_TYPES = {
+_UNCOND_TYPES = [
     int(BranchType.JUMP), int(BranchType.CALL), int(BranchType.RET),
     int(BranchType.IND_JUMP), int(BranchType.IND_CALL),
-}
+]
 
 
 @dataclass
@@ -70,48 +70,33 @@ def patterns_per_context_study(
     Runs one Inf-TAGE simulation; every useful-pattern event for a
     top-``top_branches`` branch is attributed, per requested window depth
     W, to the context formed by the last W unconditional-branch PCs
-    (W=0: a single global context — the paging-scheme view).
+    before it (W=0: a single global context — the paging-scheme view).
     """
     top: Set[int] = set(baseline_order(baseline)[:top_branches])
-    max_window = max(windows)
-    window_pcs: List[int] = [0] * max(max_window, 1)
+    events = traced_inf_tage(trace, warmup_instructions).useful_events
+
+    # One pass over the trace: how many unconditional branches precede
+    # each conditional branch, and their PCs behind an all-zero window.
+    uncond = np.isin(trace.types, _UNCOND_TYPES)
+    seen = np.cumsum(uncond)[trace.types == 0].tolist()
+    pad = max(max(windows), 1)
+    window_pcs = [0] * pad + trace.pcs[uncond].tolist()
 
     # (W, branch, context) -> set of patterns
     patterns: Dict[Tuple[int, int, int], Set[PatternKey]] = {}
-
-    config = TslConfig(tage=tage_config_64k(), sc_index_bits=8, name="Inf TAGE")
-    tage = InfiniteTage(config.tage)
-    tage.trace_useful = True
-    predictor = TageScL(config, tage=tage)
-
-    contexts_now: Dict[int, int] = {w: 0 for w in windows}
-
-    def on_useful(pc: int, pattern: PatternKey) -> None:
+    # Window end -> the context at every depth W, hashed once.
+    contexts: Dict[int, List[int]] = {}
+    for ordinal, pc, pattern in events:
         if pc not in top:
-            return
-        for w in windows:
-            key = (w, pc, contexts_now[w])
-            patterns.setdefault(key, set()).add(pattern)
-
-    tage.useful_callback = on_useful
-
-    instructions = 0
-    for pc, btype, taken_i, target, gap in trace.iter_tuples():
-        instructions += gap
-        taken = taken_i == 1
-        if btype == 0:
-            if instructions > warmup_instructions:
-                meta = predictor.predict(pc)
-            else:
-                meta = predictor.lookup(pc)
-            predictor.train(pc, taken, meta)
-        predictor.update_history(pc, btype, taken, target)
-        if btype in _UNCOND_TYPES:
-            window_pcs.append(pc)
-            window_pcs.pop(0)
-            for w in windows:
-                if w > 0:
-                    contexts_now[w] = _context_hash(window_pcs[-w:])
+            continue
+        end = pad + seen[ordinal]
+        at = contexts.get(end)
+        if at is None:
+            at = contexts[end] = [
+                _context_hash(window_pcs[end - w:end]) if w else 0
+                for w in windows]
+        for w, context in zip(windows, at):
+            patterns.setdefault((w, pc, context), set()).add(pattern)
 
     results = []
     for w in windows:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.predictors.infinite import InfiniteTage
-from repro.predictors.presets import tage_config_64k
-from repro.predictors.tage_sc_l import TageScL, TslConfig
+from repro.predictors.presets import tage_infinite
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
@@ -83,18 +82,25 @@ class UsefulPatternsResult:
         return sum(top) / len(top) if top else 0.0
 
 
+def traced_inf_tage(trace: Trace,
+                    warmup_instructions: int = 0) -> InfiniteTage:
+    """Run Inf TAGE over ``trace`` with useful-pattern tracing on.
+
+    Returns its :class:`InfiniteTage`, whose ``useful_events`` hold every
+    useful-pattern event of the run (warmup included), numbered by
+    conditional-branch ordinal.  A pattern is useful when it provides a
+    correct prediction while the alternative prediction is wrong (§II-D).
+    """
+    predictor = tage_infinite()
+    predictor.tage.trace_useful = True
+    run_simulation(trace, predictor, warmup_instructions=warmup_instructions)
+    return predictor.tage
+
+
 def useful_patterns_study(trace: Trace, baseline: SimulationResult,
                           warmup_instructions: int = 0) -> UsefulPatternsResult:
-    """Run Inf TAGE with useful-pattern tracing (Fig 3b).
-
-    A pattern is useful when it provides a correct prediction while the
-    alternative prediction is wrong (§II-D).
-    """
-    config = TslConfig(tage=tage_config_64k(), sc_index_bits=8, name="Inf TAGE")
-    tage = InfiniteTage(config.tage)
-    tage.trace_useful = True
-    predictor = TageScL(config, tage=tage)
-    run_simulation(trace, predictor, warmup_instructions=warmup_instructions)
+    """Useful patterns per static branch under Inf TAGE (Fig 3b)."""
+    tage = traced_inf_tage(trace, warmup_instructions)
     return UsefulPatternsResult(
         counts_by_pc=tage.useful_pattern_counts(),
         order=baseline_order(baseline),

@@ -14,10 +14,9 @@ it defaults to the CPU count, or REPRO_JOBS when set.  Honours
 REPRO_WORKLOADS / REPRO_INSTRUCTIONS.
 
 Simulations run on the array engine by default — bit-identical to the
-Python engine and several times faster for the TAGE-SC-L/LLBP families;
-predictors it does not fuse (the infinite/perfect limit studies, bimodal,
-``llbp:frontend``) fall back to the Python engine.  ``--engine python`` (or
-``REPRO_ENGINE=python``) runs everything on the Python engine, the oracle.
+Python engine and several times faster for the TAGE-SC-L/LLBP families.
+``--engine python`` (or ``REPRO_ENGINE=python``) runs everything on the
+Python engine, the oracle.
 
 ``--backend tcp`` (or ``REPRO_BACKEND=tcp``) shards the prewarm across
 ``python -m repro.worker`` processes — ``--workers`` names either a

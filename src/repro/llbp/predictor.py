@@ -60,30 +60,6 @@ class LLBPMeta:
         return self.tsl.pred
 
 
-def _compile_slot_tags(slot_folds, tag_mask: int, values: List[int],
-                       second_values: List[int]):
-    """Compile an unrolled slot-tag hash: one list literal, no loop.
-
-    Per-slot shifts, salts and fold indices are baked in as constants;
-    the fold-value lists are bound by identity (mutated in place by their
-    ``HistorySet`` owners, never rebound).  ``second_values`` holds each
-    slot's second (width ``ptb - 1``) fold — usually the baseline TAGE's
-    own tag-fold list, borrowed rather than duplicated.  Semantically
-    identical to looping over ``_slot_folds`` and hashing each slot.
-    """
-    exprs = [
-        f"(pcx ^ (pcx >> {sh}) ^ values[{ja}] ^ (second[{jb}] << 1)"
-        f" ^ {salt}) & {tag_mask}"
-        for sh, salt, ja, jb in slot_folds
-    ]
-    body = "[" + ",\n            ".join(exprs) + "]"
-    lines = ["def _slot_tags(pcx, values=values, second=second):",
-             "    return " + body]
-    namespace = {"values": values, "second": second_values}
-    exec(compile("\n".join(lines), "<slot-tags>", "exec"), namespace)
-    return namespace["_slot_tags"]
-
-
 class LLBPTageScL(BranchPredictor):
     """LLBP backing a TAGE-SC-L baseline (the paper's evaluated design)."""
 
@@ -99,48 +75,23 @@ class LLBPTageScL(BranchPredictor):
             self.name = "llbp-0lat"
         self.history: GlobalHistory = self.tsl.history
         # Folded registers for the 16 hash slots, fed by the same history
-        # stream as the baseline TAGE (§V-B).
-        # Tag-only: LLBP never indexes by a folded history, and with
-        # index_bits == tag_bits the index fold would just duplicate the
-        # tag fold — tag_only drops it, cutting a third of the fold work.
-        # Starred (duplicate-length) slots share identical fold values, so
-        # only unique lengths carry registers; per-slot rows map back.
+        # stream as the baseline TAGE (§V-B).  Starred (duplicate-length)
+        # slots share identical fold values, so only unique lengths carry
+        # registers; per-slot rows map back.
         unique: dict = {}
         for length in config.slot_lengths:
             if length not in unique:
                 unique[length] = len(unique)
         ptb = config.pattern_tag_bits
-        specs = [HistorySpec(length, ptb, ptb) for length in unique]
-        # Second fold (width ptb-1): when the baseline TAGE folds the very
-        # same history lengths at that width (the standard geometry —
-        # slot lengths are TAGE lengths and tag_bits == ptb - 1), its tag
-        # folds are bit-identical registers, so borrow them instead of
-        # maintaining duplicates.  Otherwise keep a private pair.
-        tage_cfg = self.tsl.tage.config
-        tage_lengths = tage_cfg.history_lengths
-        if (tage_cfg.tag_bits == ptb - 1
-                and all(length in tage_lengths for length in unique)):
-            self.folded = HistorySet(self.history, specs, fold_widths=(ptb,))
-            second_values = self.tsl.tage.folded.values
-            second = {
-                length: 3 * tage_lengths.index(length) + 1 for length in unique
-            }
-            first_stride = 1
-        else:
-            self.folded = HistorySet(self.history, specs, tag_only=True)
-            second_values = self.folded.values
-            second = {length: 2 * unique[length] + 1 for length in unique}
-            first_stride = 2
-        # Per-slot (pc shift, salt, fold indices) rows for compute_slot_tags;
-        # ja indexes this set's values, jb the (possibly borrowed) second
-        # fold's list.
+        self.folded = HistorySet(
+            self.history, [HistorySpec(length, ptb, ptb) for length in unique])
+        # Per-slot (pc shift, salt, fold index) rows for compute_slot_tags;
+        # the fold index points at the slot length's index fold, followed
+        # by its two tag folds (widths ptb and ptb - 1).
         self._slot_folds = [
-            (h + 2, h * 0x9E5, first_stride * unique[length], second[length])
+            (h + 2, h * 0x9E5, 3 * unique[length])
             for h, length in enumerate(config.slot_lengths)
         ]
-        self._slot_tags = _compile_slot_tags(
-            self._slot_folds, (1 << ptb) - 1,
-            self.folded.values, second_values)
         # History-length rank of each hash slot, in TAGE-table units, so a
         # small comparison arbitrates between the two predictors (§V-B).
         self._slot_rank = [
@@ -194,7 +145,14 @@ class LLBPTageScL(BranchPredictor):
         same width but mix the PC differently — the slot index acts as the
         hash salt (§VI: "a modified hash function").
         """
-        return self._slot_tags(pc >> 2)
+        pcx = pc >> 2
+        values = self.folded.values
+        mask = self._tag_mask
+        return [
+            (pcx ^ (pcx >> shift) ^ values[j + 1] ^ (values[j + 2] << 1)
+             ^ salt) & mask
+            for shift, salt, j in self._slot_folds
+        ]
 
     # -- prediction ---------------------------------------------------------------
 

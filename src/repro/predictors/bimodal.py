@@ -48,3 +48,9 @@ class Bimodal(BranchPredictor):
 
     def storage_bits(self) -> int:
         return 2 * (1 << self.index_bits)
+
+    def state_arrays(self) -> dict:
+        """Snapshot of the counter table (see ``GShare.state_arrays``)."""
+        import numpy as np
+
+        return {"table": np.array(self.table, dtype=np.int8)}

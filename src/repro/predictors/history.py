@@ -9,21 +9,12 @@ tags) can fold the *same* history stream at different widths.
 History policy (matching common TAGE implementations): every branch
 inserts one bit — the outcome for conditional branches, a PC-derived bit
 for unconditional ones — and two PC bits into the 32-bit path history.
-
-The fold update is the hottest non-engine code in the simulator: every
-retired branch updates three folds per component across every attached
-consumer (a 64K TSL alone carries 21 folds).  ``HistorySet`` therefore
-keeps the fold state in flat parallel lists of ints and applies the
-incremental XOR-fold inline — semantically identical to chaining
-:class:`repro.common.bitops.FoldedHistory` registers (the tests
-cross-check against that reference) but without 3 method calls and ~12
-attribute loads per component per branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.common.bitops import HistoryBuffer
 
@@ -87,133 +78,75 @@ class HistorySet:
     ``index_bits`` (table index), one at ``tag_bits`` and one at
     ``tag_bits - 1`` (the classic double-fold that decorrelates tags from
     indices).  ``index_fold``, ``tag_fold`` and ``tag_fold2`` expose the
-    current values as plain ints for hot-loop use; ``values`` is the flat
-    backing list ``[idx0, tag0, tag2_0, idx1, tag1, tag2_1, ...]`` which
-    hot loops (TAGE/LLBP lookup) may read directly but must never mutate
-    or rebind.
+    current values as plain ints; ``values`` is the flat backing list
+    ``[idx0, tag0, tag2_0, idx1, tag1, tag2_1, ...]`` which lookups may
+    read directly but must never mutate or rebind.  The incremental
+    XOR-fold is the one :class:`repro.common.bitops.FoldedHistory`
+    applies (the tests cross-check against that reference).
     """
 
-    __slots__ = ("specs", "values", "_params", "_stride", "_push")
+    __slots__ = ("specs", "values", "_folds")
 
-    def __init__(self, history: GlobalHistory, specs: Sequence[HistorySpec],
-                 tag_only: bool = False,
-                 fold_widths: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, history: GlobalHistory,
+                 specs: Sequence[HistorySpec]) -> None:
         self.specs = list(specs)
         capacity = history.buffer.capacity
-        self._stride = len(fold_widths) if fold_widths else (2 if tag_only else 3)
         self.values: List[int] = []
-        # One parameter tuple per component:
-        # (age, out0, w0, m0, out1, w1, m1[, out2, w2, m2]) where out is
-        # pre-shifted to ``1 << (length % width)`` — a single
-        # sequence-unpack in _push replaces nine list-index loads.
-        # ``tag_only`` drops the index fold: when index_bits == tag_bits
-        # the two folds are always equal (LLBP's pattern-tag sets), so
-        # maintaining both wastes a third of the fold work.  An explicit
-        # ``fold_widths`` overrides both layouts — used when some folds a
-        # component needs are already maintained by another set over the
-        # same history (LLBP borrowing TAGE's tag folds).
-        self._params: List[Tuple[int, ...]] = []
+        # One (age, out, width, mask) row per fold, parallel to
+        # ``values``: ``age`` locates the bit leaving the window and
+        # ``out`` is that bit pre-shifted to ``1 << (length % width)``.
+        self._folds: List[Tuple[int, int, int, int]] = []
         for spec in self.specs:
             if spec.length > capacity:
                 raise ValueError(
                     f"history length {spec.length} exceeds the buffer "
                     f"capacity {capacity}")
-            if fold_widths:
-                widths: Tuple[int, ...] = tuple(fold_widths)
-            elif tag_only:
-                widths = (spec.tag_bits, max(1, spec.tag_bits - 1))
-            else:
-                widths = (spec.index_bits, spec.tag_bits,
-                          max(1, spec.tag_bits - 1))
-            params: List[int] = [spec.length - 1]
-            for width in widths:
+            for width in (spec.index_bits, spec.tag_bits,
+                          max(1, spec.tag_bits - 1)):
                 self.values.append(0)
-                params.extend((1 << (spec.length % width), width,
-                               (1 << width) - 1))
-            self._params.append(tuple(params))
-        self._push = _compile_push(self._params, self.values)
+                self._folds.append((spec.length - 1,
+                                    1 << (spec.length % width), width,
+                                    (1 << width) - 1))
         history.attach(self)
 
     def __len__(self) -> int:
         return len(self.specs)
 
+    def _push(self, bits: List[int], head: int, new_bit: int) -> None:
+        """Fold ``new_bit`` into every register.
+
+        ``bits``/``head`` are the history buffer's backing list and write
+        position *before* the push, so ``bits[head - 1 - age]`` is the bit
+        leaving each window; Python's negative indexing supplies the
+        circular addressing (ages are bounded by the capacity check).
+        """
+        values = self.values
+        base = head - 1
+        for j, (age, out, width, mask) in enumerate(self._folds):
+            v = (values[j] << 1) | new_bit
+            if bits[base - age]:
+                v ^= out
+            v ^= v >> width
+            values[j] = v & mask
+
     def index_fold(self, i: int) -> int:
-        # A tag-only set's index fold equals its tag fold by construction.
-        return self.values[self._stride * i]
+        return self.values[3 * i]
 
     def tag_fold(self, i: int) -> int:
-        return self.values[self._stride * i + (1 if self._stride == 3 else 0)]
+        return self.values[3 * i + 1]
 
     def tag_fold2(self, i: int) -> int:
-        # Last fold of the component; with a single fold it coincides
-        # with the tag fold.
-        return self.values[self._stride * i + self._stride - 1]
+        return self.values[3 * i + 2]
 
     def folds(self, i: int) -> Tuple[int, int, int]:
-        j = self._stride * i
+        j = 3 * i
         values = self.values
-        if self._stride == 3:
-            return values[j], values[j + 1], values[j + 2]
-        if self._stride == 2:
-            return values[j], values[j], values[j + 1]
-        return values[j], values[j], values[j]
+        return values[j], values[j + 1], values[j + 2]
 
     def reset(self) -> None:
         values = self.values
         for j in range(len(values)):
             values[j] = 0
-
-
-def _compile_push(params: Sequence[Tuple[int, ...]],
-                  values: List[int]) -> "Callable":
-    """Compile a specialised fold-update function for one fold set.
-
-    The returned function is what :meth:`GlobalHistory.push_branch` calls
-    per retired branch: it folds the incoming bit into every register,
-    reading ``bits``/``head`` (the history buffer's backing list and write
-    position *before* the push) so ``bits[head-1-age]`` is the bit leaving
-    each window — Python's negative-index wraparound provides the circular
-    addressing (ages are bounded by the capacity check in ``__init__``).
-
-    This is by far the hottest code in the simulator (three folds per TAGE
-    table per retired branch), so the incremental XOR-fold is *generated*:
-    the loop over components is unrolled and every width, mask, out-shift
-    and value index is baked in as a constant, then specialised four ways —
-    the incoming bit selects a branch and each component's outgoing bit
-    selects a body, so both single-bit terms collapse into constants.
-    Semantically identical to chaining ``FoldedHistory.update`` calls (the
-    tests cross-check against that reference).
-    """
-    def emit(out: List[str], indent: str, new_bit: int) -> None:
-        j = 0
-        for tup in params:
-            age, folds = tup[0], tup[1:]
-            orr = " | 1" if new_bit else ""
-            out.append(f"{indent}if bits[base - {age}]:")
-            for body_old in (True, False):
-                if not body_old:
-                    out.append(f"{indent}else:")
-                for k in range(0, len(folds), 3):
-                    p, w, m = folds[k], folds[k + 1], folds[k + 2]
-                    jj = j + k // 3
-                    xor = f" ^ {p}" if body_old else ""
-                    out.append(f"{indent}    v = (values[{jj}] << 1{orr}){xor}")
-                    out.append(f"{indent}    v ^= v >> {w}")
-                    out.append(f"{indent}    values[{jj}] = v & {m}")
-            j += len(folds) // 3
-
-    lines = ["def _push(bits, head, new_bit, values=values):"]
-    if params:
-        lines.append("    base = head - 1")
-        lines.append("    if new_bit:")
-        emit(lines, "        ", 1)
-        lines.append("    else:")
-        emit(lines, "        ", 0)
-    else:
-        lines.append("    pass")
-    namespace = {"values": values}
-    exec(compile("\n".join(lines), "<fold-push>", "exec"), namespace)
-    return namespace["_push"]
 
 
 def geometric_lengths(minimum: int, maximum: int, count: int) -> List[int]:

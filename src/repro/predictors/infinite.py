@@ -8,20 +8,25 @@ geometric histories) is preserved.
 
 The class also hosts the *useful pattern* instrumentation behind the
 working-set studies (Figs 3b and 5): a pattern is useful when it provides
-a correct prediction while the alternative prediction is wrong; an
-optional callback receives each useful event so analysis code can
-attribute it to a static branch or to a program context.
+a correct prediction while the alternative prediction is wrong.  With
+``trace_useful`` set, every such event is appended to ``useful_events``
+as ``(ordinal, pc, pattern)``, where ``ordinal`` numbers the conditional
+branches this predictor has trained on, so analysis code can attribute
+each event to a static branch or to the program context it occurred in.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.predictors.history import GlobalHistory
 from repro.predictors.tage import Tage, TageConfig, TageResult
 
 # A pattern's identity: (table, index, tag, pc).
 PatternKey = Tuple[int, int, int, int]
+
+# One useful-pattern event: (conditional-branch ordinal, pc, pattern).
+UsefulEvent = Tuple[int, int, PatternKey]
 
 
 class InfiniteTage(Tage):
@@ -38,76 +43,35 @@ class InfiniteTage(Tage):
         self.entries: List[Dict[Tuple[int, int, int], List[int]]] = [
             dict() for _ in range(n)
         ]
-        # Rebuild the match rows over the dict tables (the inherited rows
-        # reference the deleted array tables).
-        self._match_rows = [(t, t + 1, e) for t, e in enumerate(self.entries)]
         self.trace_useful = False
-        self.useful_patterns: Dict[int, Set[PatternKey]] = {}
-        self.useful_callback: Optional[Callable[[int, PatternKey], None]] = None
+        self.useful_events: List[UsefulEvent] = []
+        # Conditional branches trained on so far (the next event ordinal).
+        self.updates = 0
 
     # -- prediction ----------------------------------------------------------
 
     def lookup(self, pc: int) -> TageResult:
-        idx_mask = self._idx_mask
-        tag_mask = self._tag_mask
-        pcx = pc >> 2
-        path = self.history.path
-        path_mix = pcx ^ (path ^ (path >> self.config.index_bits))
-
-        indices: List[int] = []
-        tags: List[int] = []
-        append_index = indices.append
-        append_tag = tags.append
+        indices, tags = self._hashes(pc)
         provider = -1
         alt = -1
-        fv = iter(self.folded.values)
-        for (t, sh, entries_t), f0, f1, f2 in zip(self._match_rows,
-                                                  fv, fv, fv):
-            idx = ((pcx >> sh) ^ f0 ^ path_mix) & idx_mask
-            tag = (pcx ^ f1 ^ (f2 << 1)) & tag_mask
-            append_index(idx)
-            append_tag(tag)
-            if (idx, tag, pc) in entries_t:
-                alt = provider
-                provider = t
-
-        res = TageResult.__new__(TageResult)
-        res.indices = indices
-        res.tags = tags
-        res.bim_pred = bim_pred = self.bimodal.lookup(pc)
-        res.provider = provider
-        if provider >= 0:
-            ctr = self.entries[provider][(indices[provider], tags[provider], pc)][0]
-            res.provider_ctr = ctr
-            res.provider_pred = provider_pred = ctr >= 0
-            res.provider_weak = weak = ctr == 0 or ctr == -1
-            res.alt_provider = alt
-            if alt >= 0:
-                alt_pred = self.entries[alt][(indices[alt], tags[alt], pc)][0] >= 0
-            else:
-                alt_pred = bim_pred
-            res.alt_pred = alt_pred
-            if weak and self._use_alt >= self._use_alt_mid:
-                res.used_alt = True
-                res.pred = alt_pred
-            else:
-                res.used_alt = False
-                res.pred = provider_pred
-        else:
-            res.provider_ctr = 0
-            res.provider_pred = False
-            res.provider_weak = False
-            res.alt_provider = -1
-            res.used_alt = False
-            res.alt_pred = bim_pred
-            res.pred = bim_pred
-        return res
+        provider_ctr = 0
+        alt_ctr = 0
+        for t, (entries_t, idx, tag) in enumerate(
+                zip(self.entries, indices, tags)):
+            entry = entries_t.get((idx, tag, pc))
+            if entry is not None:
+                alt, alt_ctr = provider, provider_ctr
+                provider, provider_ctr = t, entry[0]
+        return self._result(pc, indices, tags, provider, provider_ctr,
+                            alt, alt_ctr)
 
     # -- training ------------------------------------------------------------
 
     def update(self, pc: int, taken: bool, res: TageResult,
                suppress_provider: bool = False,
                suppress_alloc: bool = False) -> None:
+        ordinal = self.updates
+        self.updates = ordinal + 1
         provider = res.provider
         mispredicted = res.pred != taken
 
@@ -117,7 +81,9 @@ class InfiniteTage(Tage):
             if res.provider_pred != res.alt_pred:
                 if res.provider_pred == taken:
                     entry[1] = 1
-                    self._record_useful(pc, provider, key)
+                    if self.trace_useful:
+                        self.useful_events.append(
+                            (ordinal, pc, (provider, key[0], key[1], pc)))
                 elif entry[1] > 0:
                     entry[1] = 0
                 if res.provider_weak:
@@ -162,17 +128,12 @@ class InfiniteTage(Tage):
 
     # -- instrumentation ----------------------------------------------------------
 
-    def _record_useful(self, pc: int, table: int, key: Tuple[int, int, int]) -> None:
-        if not self.trace_useful:
-            return
-        pattern: PatternKey = (table, key[0], key[1], pc)
-        self.useful_patterns.setdefault(pc, set()).add(pattern)
-        if self.useful_callback is not None:
-            self.useful_callback(pc, pattern)
-
     def useful_pattern_counts(self) -> Dict[int, int]:
         """Unique useful patterns observed per static branch PC."""
-        return {pc: len(keys) for pc, keys in self.useful_patterns.items()}
+        patterns: Dict[int, set] = {}
+        for _ordinal, pc, pattern in self.useful_events:
+            patterns.setdefault(pc, set()).add(pattern)
+        return {pc: len(keys) for pc, keys in patterns.items()}
 
     def num_patterns(self) -> int:
         """Total live patterns across all tables."""
@@ -181,3 +142,31 @@ class InfiniteTage(Tage):
     def storage_bits(self) -> int:
         entry_bits = self.config.counter_bits + self.config.tag_bits + 1
         return self.bimodal.storage_bits() + self.num_patterns() * entry_bits
+
+    def state_arrays(self) -> dict:
+        """Snapshot of the mutable table state as numpy arrays.
+
+        ``entries`` lists every pattern as ``(table, idx, tag, pc, ctr,
+        useful)`` rows, table by table in insertion order (the order is
+        part of the state: it is what a dict iteration sees).  Traced
+        predictors add their ``useful_events`` as ``(ordinal, pc, table,
+        idx, tag)`` rows.
+        """
+        import numpy as np
+
+        arrays = {
+            "entries": np.array(
+                [(t, idx, tag, pc, ctr, useful)
+                 for t, entries_t in enumerate(self.entries)
+                 for (idx, tag, pc), (ctr, useful) in entries_t.items()],
+                dtype=np.int64).reshape(-1, 6),
+            "bimodal": np.array(self.bimodal.table, dtype=np.int16),
+            "use_alt": np.array(self._use_alt, dtype=np.int64),
+            "rng": np.array(self._rng.state, dtype=np.uint64),
+        }
+        if self.trace_useful:
+            arrays["useful_events"] = np.array(
+                [(ordinal, pc, table, idx, tag)
+                 for ordinal, pc, (table, idx, tag, _pc) in self.useful_events],
+                dtype=np.int64).reshape(-1, 5)
+        return arrays

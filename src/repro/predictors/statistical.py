@@ -11,7 +11,7 @@ TAGE mis-learns.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 class ScResult:
@@ -20,7 +20,7 @@ class ScResult:
     __slots__ = ("sum", "pred", "use", "base_pred", "indices", "bias_index")
 
     def __init__(self, sum: int = 0, pred: bool = False, use: bool = False,
-                 base_pred: bool = False, indices: Tuple[int, ...] = (),
+                 base_pred: bool = False, indices: Sequence[int] = (),
                  bias_index: int = 0) -> None:
         self.sum = sum
         self.pred = pred              # corrector's own direction
@@ -28,34 +28,6 @@ class ScResult:
         self.base_pred = base_pred    # the prediction being corrected
         self.indices = indices
         self.bias_index = bias_index
-
-
-def _compile_vote(hist_masks: Sequence[int], index_bits: int, mask: int,
-                  tables: List[List[int]]):
-    """Compile the unrolled per-component hash-and-vote core of ``lookup``.
-
-    History masks, pc shifts and the index mask are baked in as constants;
-    the counter tables are bound by identity (mutated in place by
-    ``train``, never rebound).  Returns ``(indices, vote)`` where ``vote``
-    is the sum of the centred component counters,
-    ``sum(2 * table[idx] + 1)`` — equivalent to hashing each component
-    with ``_component_index`` and accumulating.
-    """
-    n = len(hist_masks)
-    lines = []
-    add = lines.append
-    add(f"def _vote(pcx, history, "
-        f"{', '.join(f'T{c}=T{c}' for c in range(n))}):")
-    for c, hist_mask in enumerate(hist_masks):
-        add(f"    h = history & {hist_mask}")
-        add(f"    i{c} = (pcx ^ (pcx >> {c + 2}) ^ h ^ (h >> {index_bits}))"
-            f" & {mask}")
-    indices = ", ".join(f"i{c}" for c in range(n)) + ("," if n == 1 else "")
-    votes = " + ".join(f"T{c}[i{c}]" for c in range(n))
-    add(f"    return ({indices}), 2 * ({votes}) + {n}")
-    namespace = {f"T{c}": table for c, table in enumerate(tables)}
-    exec(compile("\n".join(lines), "<sc-vote>", "exec"), namespace)
-    return namespace["_vote"]
 
 
 class StatisticalCorrector:
@@ -76,11 +48,6 @@ class StatisticalCorrector:
         self.tables: List[List[int]] = [
             [0] * (1 << index_bits) for _ in self.history_lengths
         ]
-        # Generated, unrolled component-vote core (see _compile_vote); the
-        # tables are bound by identity and mutated in place, so the
-        # compiled function never goes stale.
-        self._vote = _compile_vote(
-            self._hist_masks, index_bits, self._mask, self.tables)
         self.bias_table = [0] * (1 << index_bits)
         self.history = 0  # corrector-local outcome history
         self.threshold = 6
@@ -90,21 +57,23 @@ class StatisticalCorrector:
 
     # -- lookup ---------------------------------------------------------------
 
-    def _component_index(self, pc: int, component: int) -> int:
-        length = self.history_lengths[component]
-        h = self.history & ((1 << length) - 1)
-        pcx = pc >> 2
-        return (pcx ^ (pcx >> (component + 2)) ^ h ^ (h >> self.index_bits)) & self._mask
-
     def lookup(self, pc: int, base_pred: bool, provider_ctr: int,
                provider_valid: bool) -> ScResult:
         pcx = pc >> 2
-        bias_index = (pcx * 2 + (1 if base_pred else 0)) & self._mask
-        # The generated core hashes every history window and accumulates
-        # the centred component votes (equivalent to summing
-        # ``2 * table[_component_index(pc, c)] + 1`` over components).
-        indices, vote = self._vote(pcx, self.history)
-        total = 2 * self.bias_table[bias_index] + 1 + vote
+        mask = self._mask
+        bias_index = (pcx * 2 + (1 if base_pred else 0)) & mask
+        # Component c hashes the PC with its history window; its counter
+        # votes centred, 2 * ctr + 1.
+        history = self.history
+        index_bits = self.index_bits
+        indices: List[int] = []
+        total = 2 * self.bias_table[bias_index] + 1
+        for shift, (hist_mask, table) in enumerate(
+                zip(self._hist_masks, self.tables), 2):
+            h = history & hist_mask
+            idx = (pcx ^ (pcx >> shift) ^ h ^ (h >> index_bits)) & mask
+            indices.append(idx)
+            total += 2 * table[idx] + 1
         # TAGE's confidence participates in the vote (centered magnitude).
         if provider_valid:
             conf = abs(2 * provider_ctr + 1)

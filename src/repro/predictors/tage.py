@@ -96,45 +96,6 @@ class TageResult:
         return self.provider + 1
 
 
-def _compile_match(num_tables: int, idx_mask: int, tag_mask: int,
-                   values: List[int], tags: List[List[int]]):
-    """Compile the unrolled per-instance table-match core of ``lookup``.
-
-    Runs once per conditional branch, against every table, so the loop is
-    generated with all geometry (pc shifts, masks) baked in as constants
-    and the fold registers unpacked into locals in one go.  The fold-value
-    list and the per-table tag lists are bound as default arguments; both
-    are mutated in place by their owners (``HistorySet`` / ``allocate``)
-    and never rebound, so the binding stays valid for the instance's life.
-    Semantically identical to looping ``compute_index``/``compute_tag``
-    with a sequential longest-match scan.
-    """
-    lines = []
-    add = lines.append
-    defaults = ", ".join(
-        ["values=values"] + [f"T{t}=T{t}" for t in range(num_tables)])
-    add(f"def _match(pcx, path_mix, {defaults}):")
-    names = ", ".join(f"f{j}" for j in range(3 * num_tables))
-    add(f"    {names} = values")
-    add("    provider = -1")
-    add("    alt = -1")
-    for t in range(num_tables):
-        j = 3 * t
-        add(f"    i{t} = ((pcx >> {t + 1}) ^ f{j} ^ path_mix) & {idx_mask}")
-        add(f"    g{t} = (pcx ^ f{j + 1} ^ (f{j + 2} << 1)) & {tag_mask}")
-        add(f"    if T{t}[i{t}] == g{t}:")
-        add("        alt = provider")
-        add(f"        provider = {t}")
-    idx_list = f"[{', '.join(f'i{t}' for t in range(num_tables))}]"
-    tag_list = f"[{', '.join(f'g{t}' for t in range(num_tables))}]"
-    add(f"    return {idx_list}, {tag_list}, provider, alt")
-    namespace = {"values": values}
-    for t in range(num_tables):
-        namespace[f"T{t}"] = tags[t]
-    exec(compile("\n".join(lines), "<tage-match>", "exec"), namespace)
-    return namespace["_match"]
-
-
 class Tage(BranchPredictor):
     """Finite-capacity TAGE over a shared :class:`GlobalHistory`."""
 
@@ -156,19 +117,13 @@ class Tage(BranchPredictor):
         self._ctr_lo = -(ctr_hi + 1)
         # Parallel per-table arrays: prediction counters, tags, useful bits.
         # Tags start at the -1 sentinel: computed tags are always >= 0, so
-        # an unallocated entry can never match and the hot match loop
-        # needs no separate valid check (``_valid`` is still maintained
-        # for allocation bookkeeping and tests).
+        # an unallocated entry can never match and the match loop needs
+        # no separate valid check (``_valid`` is still maintained for
+        # allocation bookkeeping and tests).
         self.ctrs: List[List[int]] = [[0] * size for _ in range(n)]
         self.tags: List[List[int]] = [[-1] * size for _ in range(n)]
         self.useful: List[List[int]] = [[0] * size for _ in range(n)]
         self._valid: List[List[bool]] = [[False] * size for _ in range(n)]
-        # Generated, fully-unrolled table-match core (see _compile_match).
-        # It captures the fold-value list and the per-table tag lists by
-        # object identity; both are only ever mutated in place, so the
-        # compiled function never goes stale.
-        self._match = _compile_match(
-            n, self._idx_mask, self._tag_mask, self.folded.values, self.tags)
         self._path_shift = config.index_bits
         self._rng = XorShift32(config.seed)
         self._use_alt_mid = 1 << (config.use_alt_bits - 1)
@@ -176,28 +131,47 @@ class Tage(BranchPredictor):
         self._use_alt_max = (1 << config.use_alt_bits) - 1
         self._tick = 0
 
-    # -- hashing -------------------------------------------------------------
-
-    def compute_index(self, pc: int, table: int) -> int:
-        pcx = pc >> 2
-        fold = self.folded.index_fold(table)
-        path = self.history.path
-        h = pcx ^ (pcx >> (table + 1)) ^ fold ^ (path ^ (path >> self.config.index_bits))
-        return h & self._idx_mask
-
-    def compute_tag(self, pc: int, table: int) -> int:
-        pcx = pc >> 2
-        _, tag1, tag2 = self.folded.folds(table)
-        return (pcx ^ tag1 ^ (tag2 << 1)) & self._tag_mask
-
     # -- prediction ----------------------------------------------------------
 
-    def lookup(self, pc: int) -> TageResult:
+    def _hashes(self, pc: int) -> Tuple[List[int], List[int]]:
+        """``(indices, tags)`` of ``pc`` in every tagged table.
+
+        Table ``t`` mixes the PC, its index fold and the path history
+        into the index, and the PC with its two tag folds into the tag.
+        """
         pcx = pc >> 2
         path = self.history.path
-        indices, tags, provider, alt = self._match(
-            pcx, pcx ^ (path ^ (path >> self._path_shift)))
+        path_mix = pcx ^ (path ^ (path >> self._path_shift))
+        idx_mask = self._idx_mask
+        tag_mask = self._tag_mask
+        indices: List[int] = []
+        tags: List[int] = []
+        folds = iter(self.folded.values)
+        for shift, (f0, f1, f2) in enumerate(zip(folds, folds, folds), 1):
+            indices.append(((pcx >> shift) ^ f0 ^ path_mix) & idx_mask)
+            tags.append((pcx ^ f1 ^ (f2 << 1)) & tag_mask)
+        return indices, tags
 
+    def lookup(self, pc: int) -> TageResult:
+        indices, tags = self._hashes(pc)
+        provider = -1
+        alt = -1
+        for t, (table_tags, idx, tag) in enumerate(
+                zip(self.tags, indices, tags)):
+            if table_tags[idx] == tag:
+                alt = provider
+                provider = t
+        ctrs = self.ctrs
+        return self._result(
+            pc, indices, tags, provider,
+            ctrs[provider][indices[provider]] if provider >= 0 else 0,
+            alt, ctrs[alt][indices[alt]] if alt >= 0 else 0)
+
+    def _result(self, pc: int, indices: List[int], tags: List[int],
+                provider: int, provider_ctr: int, alt: int,
+                alt_ctr: int) -> TageResult:
+        """The :class:`TageResult` for the longest (``provider``) and
+        second-longest (``alt``) matching tables; -1 = no match."""
         # Built via __new__ with every slot stored exactly once: one
         # TageResult per conditional branch makes default-then-overwrite
         # construction measurable.
@@ -207,15 +181,11 @@ class Tage(BranchPredictor):
         res.bim_pred = bim_pred = self.bimodal.lookup(pc)
         res.provider = provider
         if provider >= 0:
-            ctr = self.ctrs[provider][indices[provider]]
-            res.provider_ctr = ctr
-            res.provider_pred = provider_pred = ctr >= 0
-            res.provider_weak = weak = ctr == 0 or ctr == -1
+            res.provider_ctr = provider_ctr
+            res.provider_pred = provider_pred = provider_ctr >= 0
+            res.provider_weak = weak = provider_ctr == 0 or provider_ctr == -1
             res.alt_provider = alt
-            if alt >= 0:
-                alt_pred = self.ctrs[alt][indices[alt]] >= 0
-            else:
-                alt_pred = bim_pred
+            alt_pred = alt_ctr >= 0 if alt >= 0 else bim_pred
             res.alt_pred = alt_pred
             # Newly-allocated entries are unreliable; a global counter
             # decides whether to trust the alternative instead.

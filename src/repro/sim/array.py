@@ -37,9 +37,12 @@ import numpy as np
 from repro import telemetry
 from repro.llbp.predictor import LLBPTageScL
 from repro.predictors.base import BranchPredictor
+from repro.predictors.bimodal import Bimodal
 from repro.predictors.bimode import BiMode
 from repro.predictors.gshare import GShare
+from repro.predictors.infinite import InfiniteTage
 from repro.predictors.perceptron import HashedPerceptron
+from repro.predictors.perfect import PerfectPredictor
 from repro.predictors.tage import Tage
 from repro.predictors.tage_sc_l import TageScL
 from repro.sim import columns as columns_mod
@@ -61,26 +64,23 @@ def unsupported_reason(predictor: BranchPredictor) -> Optional[str]:
     Exact-type checks on purpose: a subclass may override any method the
     fused code inlines, which would silently diverge from the oracle.
     """
-    if type(predictor) is GShare:
-        return None
-    if type(predictor) is BiMode:
-        return None
-    if type(predictor) is HashedPerceptron:
+    if type(predictor) in (GShare, Bimodal, BiMode, HashedPerceptron,
+                           PerfectPredictor):
         return None
     if type(predictor) is TageScL:
-        return _tsl_reason(predictor)
+        return _tsl_reason(predictor, (Tage, InfiniteTage))
     if type(predictor) is LLBPTageScL:
         if predictor.btb is not None:
             return "front-end redirect modelling is not fused"
         if type(predictor.tsl) is not TageScL:
             return "baseline is not a plain TageScL"
-        return _tsl_reason(predictor.tsl)
+        return _tsl_reason(predictor.tsl, (Tage,))
     return f"no fused loop for {type(predictor).__name__}"
 
 
-def _tsl_reason(tsl: TageScL) -> Optional[str]:
-    if type(tsl.tage) is not Tage:
-        return "TAGE variant is not a plain Tage"
+def _tsl_reason(tsl: TageScL, tage_types) -> Optional[str]:
+    if type(tsl.tage) not in tage_types:
+        return f"TAGE variant {type(tsl.tage).__name__} is not fused here"
     if tsl.sc is None or tsl.loop is None:
         return "SC/loop components disabled"
     return None
@@ -101,22 +101,39 @@ def supports(predictor: BranchPredictor) -> bool:
 
 def _emit_tage_lookup(a, tage) -> None:
     num_tables = tage.config.num_tables
+    infinite = type(tage) is InfiniteTage
     a("provider = -1")
     a("alt = -1")
-    for t in range(num_tables):
-        a(f"if TT{t}[row[{t}]] == row[{num_tables + t}]:")
-        a("    alt = provider")
-        a(f"    provider = {t}")
+    if infinite:
+        # InfiniteTage.lookup: the same hashes probe per-PC-tagged dict
+        # tables; the matching [ctr, useful] entries are kept.
+        a("p_e = None")
+        for t in range(num_tables):
+            a(f"e = E{t}.get((row[{t}], row[{num_tables + t}], pc))")
+            a("if e is not None:")
+            a("    alt = provider")
+            a("    alt_e = p_e")
+            a(f"    provider = {t}")
+            a("    p_e = e")
+    else:
+        for t in range(num_tables):
+            a(f"if TT{t}[row[{t}]] == row[{num_tables + t}]:")
+            a("    alt = provider")
+            a(f"    provider = {t}")
     a(f"bim_i = (pc >> 2) & {tage.bimodal._mask}")
     a("bim_pred = BIM[bim_i] >= 0")
     a("if provider >= 0:")
-    a("    p_idx = row[provider]")
-    a("    CP = T_CTRS[provider]")
-    a("    provider_ctr = ctr = CP[p_idx]")
+    if infinite:
+        a("    provider_ctr = ctr = p_e[0]")
+    else:
+        a("    p_idx = row[provider]")
+        a("    CP = T_CTRS[provider]")
+        a("    provider_ctr = ctr = CP[p_idx]")
     a("    provider_pred = ctr >= 0")
     a("    provider_weak = ctr == 0 or ctr == -1")
     a("    if alt >= 0:")
-    a("        alt_pred = T_CTRS[alt][row[alt]] >= 0")
+    a("        alt_pred = " + ("alt_e[0]" if infinite
+                                else "T_CTRS[alt][row[alt]]") + " >= 0")
     a("    else:")
     a("        alt_pred = bim_pred")
     a(f"    if provider_weak and use_alt >= {tage._use_alt_mid}:")
@@ -315,20 +332,78 @@ def _emit_tage_update(a, tage, guarded: bool) -> None:
     a("                UT[:] = ZEROS")
 
 
+def _emit_inf_tage_update(a, tage) -> None:
+    """InfiniteTage.update inlined: dict entries, allocation that never
+    fails, no tick.  A traced predictor's useful events are appended with
+    their conditional-branch ordinal ``ord0 + m``."""
+    num_tables = tage.config.num_tables
+    a("if provider >= 0:")
+    a("    if provider_pred != alt_pred:")
+    a("        if provider_pred == taken:")
+    a("            p_e[1] = 1")
+    if tage.trace_useful:
+        a("            USEFUL((ord0 + m, pc, (provider, row[provider],"
+          f" row[{num_tables} + provider], pc)))")
+    a("        elif p_e[1] > 0:")
+    a("            p_e[1] = 0")
+    a("        if provider_weak:")
+    a(f"            if alt_pred == taken and use_alt < {tage._use_alt_max}:"
+      " use_alt += 1")
+    a("            elif provider_pred == taken and use_alt > 0: use_alt -= 1")
+    a("    ctr2 = p_e[0]")
+    a("    if taken:")
+    a(f"        if ctr2 < {tage._ctr_hi}: p_e[0] = ctr2 + 1")
+    a(f"    elif ctr2 > {tage._ctr_lo}: p_e[0] = ctr2 - 1")
+    a("    if provider_weak and alt < 0:")
+    a("        v = BIM[bim_i]")
+    a("        if taken:")
+    a("            if v < 1: BIM[bim_i] = v + 1")
+    a("        elif v > -2: BIM[bim_i] = v - 1")
+    a("else:")
+    a("    v = BIM[bim_i]")
+    a("    if taken:")
+    a("        if v < 1: BIM[bim_i] = v + 1")
+    a("    elif v > -2: BIM[bim_i] = v - 1")
+    a("if t_pred != taken:")
+    a(f"    if provider < {num_tables - 1}:")
+    a("        start = provider + 1")
+    a(f"        if start < {num_tables - 1} and tage_chance(1, 2): start += 1")
+    a("        allocated = 0")
+    a("        t = start")
+    a(f"        while t < {num_tables} and allocated"
+      f" < {tage.config.max_allocations}:")
+    a(f"            key = (row[t], row[{num_tables} + t], pc)")
+    a("            ET = ETABS[t]")
+    a("            if key not in ET:")
+    a("                ET[key] = [0 if taken else -1, 0]")
+    a("                allocated += 1")
+    a("                t += 2")
+    a("            else:")
+    a("                t += 1")
+
+
 def _tsl_namespace(tsl: TageScL) -> dict:
     tage, sc, loop = tsl.tage, tsl.sc, tsl.loop
     ns = {
         "tage": tage, "sc": sc, "loop": loop,
-        "T_CTRS": tage.ctrs, "T_TAGS": tage.tags, "T_USEFUL": tage.useful,
-        "T_VALID": tage._valid,
         "BIM": tage.bimodal.table, "BIAS": sc.bias_table,
         "LOOPTAB": loop.table,
         "loop_chance": loop._rng.chance, "loop_alloc": loop._allocate,
         "tage_chance": tage._rng.chance,
-        "ZEROS": [0] * tage._size,
     }
-    for t in range(tage.config.num_tables):
-        ns[f"TT{t}"] = tage.tags[t]
+    if type(tage) is InfiniteTage:
+        ns["ETABS"] = tage.entries
+        ns["USEFUL"] = tage.useful_events.append
+        for t, entries in enumerate(tage.entries):
+            ns[f"E{t}"] = entries
+    else:
+        ns.update({
+            "T_CTRS": tage.ctrs, "T_TAGS": tage.tags,
+            "T_USEFUL": tage.useful, "T_VALID": tage._valid,
+            "ZEROS": [0] * tage._size,
+        })
+        for t in range(tage.config.num_tables):
+            ns[f"TT{t}"] = tage.tags[t]
     for c in range(len(sc.history_lengths)):
         ns[f"S{c}"] = sc.tables[c]
     return ns
@@ -359,14 +434,19 @@ def _compile_tsl(p: TageScL):
     """Generate ``_sim(pcs, takens, cols, csplit, per_pc_misp)`` for ``p``.
 
     Inputs are the conditional-branch-only pc/taken columns and the
-    precomputed hash matrix; returns ``(measured_misp, misp_all)``.
+    precomputed hash matrix; returns ``(measured_misp, misp_all)``.  An
+    :class:`InfiniteTage` hashes exactly like a ``Tage``, so it reads the
+    same matrix; only its probe, update and allocation differ.
     """
     tage, sc, loop = p.tage, p.sc, p.loop
     num_tables = tage.config.num_tables
+    infinite = type(tage) is InfiniteTage
     lines = []
     add = lines.append
     add("def _sim(pcs, takens, cols, csplit, per_pc_misp):")
     lines.extend(_TSL_SCALAR_PREAMBLE)
+    if infinite:
+        add("    ord0 = tage.updates")
     add("    misp_all = 0")
     add("    measured_misp = 0")
     add("    misp_get = per_pc_misp.get")
@@ -383,22 +463,28 @@ def _compile_tsl(p: TageScL):
         _emit_count(a, measuring)
         _emit_loop_train(a, loop)
         _emit_sc_train(a, sc, num_tables)
-        _emit_tage_update(a, tage, guarded=False)
+        if infinite:
+            _emit_inf_tage_update(a, tage)
+        else:
+            _emit_tage_update(a, tage, guarded=False)
         return ["            " + x for x in b]
 
-    add("    for lo in range(0, csplit, CH):")
-    add("        hi = lo + CH")
-    add("        if hi > csplit: hi = csplit")
-    add("        for pc, taken, row in zip(pcs[lo:hi].tolist(),"
-        " takens[lo:hi].tolist(), cols[lo:hi].tolist()):")
-    lines.extend(body(False))
-    add("    for lo in range(csplit, n, CH):")
-    add("        hi = lo + CH")
-    add("        if hi > n: hi = n")
-    add("        for pc, taken, row in zip(pcs[lo:hi].tolist(),"
-        " takens[lo:hi].tolist(), cols[lo:hi].tolist()):")
-    lines.extend(body(True))
+    # Only a traced InfiniteTage needs each row's ordinal ``m``.
+    if infinite and tage.trace_useful:
+        row_vars, ordinals = "m, pc, taken, row", "range(lo, hi), "
+    else:
+        row_vars, ordinals = "pc, taken, row", ""
+    for measuring, lo_expr, stop in ((False, "0, csplit", "csplit"),
+                                     (True, "csplit, n", "n")):
+        add(f"    for lo in range({lo_expr}, CH):")
+        add("        hi = lo + CH")
+        add(f"        if hi > {stop}: hi = {stop}")
+        add(f"        for {row_vars} in zip({ordinals}pcs[lo:hi].tolist(),"
+            " takens[lo:hi].tolist(), cols[lo:hi].tolist()):")
+        lines.extend(body(measuring))
     lines.extend(_TSL_SCALAR_EPILOGUE)
+    if infinite:
+        add("    tage.updates = ord0 + n")
     add("    return measured_misp, misp_all")
 
     namespace = _tsl_namespace(p)
@@ -406,8 +492,9 @@ def _compile_tsl(p: TageScL):
     return namespace["_sim"]
 
 
-def _compile_gshare(p: GShare):
-    """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for gshare."""
+def _compile_gshare(p):
+    """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for one
+    table of 2-bit counters: gshare, or bimodal over its PC index."""
     lines = []
     add = lines.append
     add("def _sim(pcs, takens, idx, csplit, per_pc_misp):")
@@ -946,7 +1033,15 @@ def run_simulation_array(
     start = time.perf_counter() if telemetry_on else 0.0
 
     per_pc_misp: Dict[int, int] = {}
-    if type(predictor) is GShare:
+    if type(predictor) is PerfectPredictor:
+        # Never mispredicts: nothing to simulate.
+        measured_misp = misp_all = 0
+    elif type(predictor) is Bimodal:
+        idx = (pcs_cond >> np.uint64(2)) & np.uint64(predictor._mask)
+        sim = _compile_gshare(predictor)
+        measured_misp, misp_all = sim(
+            pcs_cond, takens_cond, idx, csplit, per_pc_misp)
+    elif type(predictor) is GShare:
         idx = columns_mod.gshare_columns(trace, predictor)
         sim = _compile_gshare(predictor)
         measured_misp, misp_all = sim(

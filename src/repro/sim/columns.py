@@ -22,10 +22,11 @@ columns emits ``trace.store_stale`` and is upgraded in place from the
 in-memory trace, without rereading the file.
 
 The scalar references these columns must match are the predictors' own
-hashes: TAGE's ``compute_index`` / ``compute_tag``, the corrector's
-``_component_index`` and LLBP's per-slot pattern tags.  The property
-tests in ``tests/sim/test_columns.py`` pin that equivalence against
-live, training predictors.
+hashes: the indices and tags ``Tage.lookup`` and
+``StatisticalCorrector.lookup`` compute, and LLBP's
+``compute_slot_tags``.  The property tests in
+``tests/sim/test_columns.py`` pin that equivalence against live,
+training predictors.
 """
 
 from __future__ import annotations
@@ -236,10 +237,10 @@ def _hash_columns(trace: Trace, tsl_config=None,
     """``(tsl_matrix, slot_tag_matrix)`` in closed form; ``None`` for a
     part whose config is ``None``.
 
-    Row ``m`` holds, for the ``m``-th conditional branch, what
-    ``Tage.compute_index`` / ``compute_tag``,
-    ``StatisticalCorrector._component_index`` and LLBP's per-slot tag
-    hash return there for a predictor of this geometry.  Every branch
+    Row ``m`` holds, for the ``m``-th conditional branch, the indices
+    and tags ``Tage.lookup`` and ``StatisticalCorrector.lookup`` compute
+    there, and LLBP's ``compute_slot_tags``, for a predictor of this
+    geometry.  Every branch
     pushes one history bit: its outcome if conditional, ``(pc >> 2) & 1``
     otherwise.  Both parts fold that one stream, so they share one
     :class:`HistoryFolds`.

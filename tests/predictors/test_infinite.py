@@ -62,7 +62,9 @@ def test_useful_tracing_disabled_by_default():
     predictor = InfiniteTage(small_config())
     for i in range(300):
         drive(predictor, 0x100, i % 2 == 0)
-    assert predictor.useful_patterns == {}
+    assert predictor.useful_events == []
+    assert predictor.useful_pattern_counts() == {}
+    assert predictor.updates == 300
 
 
 def test_useful_tracing_records_patterns():
@@ -74,17 +76,43 @@ def test_useful_tracing_records_patterns():
     assert counts.get(0x100, 0) >= 1
 
 
-def test_useful_callback_invoked():
+def test_useful_events_recorded():
+    """Each useful event is (conditional-branch ordinal, pc, pattern),
+    at most one per trained branch, in branch order."""
     predictor = InfiniteTage(small_config())
     predictor.trace_useful = True
-    events = []
-    predictor.useful_callback = lambda pc, key: events.append((pc, key))
     for i in range(600):
         drive(predictor, 0x100, i % 2 == 0)
+    events = predictor.useful_events
     assert events
-    assert all(pc == 0x100 for pc, _ in events)
-    table, idx, tag, pc = events[0][1]
-    assert 0 <= table < 5
+    ordinals = [ordinal for ordinal, _, _ in events]
+    assert ordinals == sorted(set(ordinals))
+    assert 0 <= ordinals[0] and ordinals[-1] < 600
+    for _ordinal, pc, (table, idx, tag, pattern_pc) in events:
+        assert pc == pattern_pc == 0x100
+        assert 0 <= table < 5
+        assert (idx, tag, pc) in predictor.entries[table]
+    assert predictor.useful_pattern_counts() == {
+        0x100: len({pattern for _, _, pattern in events})}
+
+
+def test_state_arrays_snapshot():
+    """The snapshot covers the dict tables in insertion order (and the
+    useful events when traced) instead of the deleted array tables."""
+    predictor = tage_infinite()
+    predictor.tage.trace_useful = True
+    for i in range(400):
+        drive(predictor, 0x100 + 8 * (i % 7), i % 3 == 0)
+    arrays = predictor.state_arrays()
+    entries = arrays["tage/entries"]
+    assert len(entries) == predictor.tage.num_patterns() > 0
+    first = [(t, *key) for t, table in enumerate(predictor.tage.entries)
+             for key in table]
+    assert [tuple(row[:4]) for row in entries.tolist()] == first
+    assert len(arrays["tage/useful_events"]) == len(
+        predictor.tage.useful_events)
+    assert {"tage/bimodal", "tage/use_alt", "tage/rng"} <= set(arrays)
+    assert "tage/useful_events" not in tsl_infinite().state_arrays()
 
 
 def test_inf_beats_finite_under_pressure(tiny_workload_trace):

@@ -8,7 +8,7 @@ instance in the same final state (``state_arrays()``).  These tests pin
 that equivalence over the full 14-workload catalog for every supported
 predictor family, and pin the engine-selection contract
 (argument > ``REPRO_ENGINE`` > default, graceful fallback for
-unsupported predictors), the exact set of keys that fall back, and a
+unsupported predictors), that no figure or explore key falls back, and a
 host-normalised speed floor over the reference loop.
 """
 
@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.predictors.bimodal import Bimodal
+from repro.analysis.working_set import traced_inf_tage
+from repro.predictors.base import BranchPredictor
 from repro.predictors.registry import make_predictor
 from repro.sim import array
 from repro.sim.engine import (
@@ -35,8 +36,30 @@ from repro.sim.engine import (
 from repro.sim.multi import run_simulation_batch
 from repro.workloads.catalog import generate_workload, workload_names
 
-#: The families the array engine supports, by registry key.
-KEYS = ("gshare", "bimode", "percep", "tsl64", "llbp")
+#: The families the array engine supports, by registry key
+#: (``perfect`` has no table state and is checked on results alone).
+KEYS = ("bimodal", "gshare", "bimode", "percep", "tsl64", "llbp",
+        "inf-tage", "inf-tsl")
+
+
+class Unfused(BranchPredictor):
+    """A predictor the array engine has no fused loop for."""
+
+    name = "unfused"
+
+    def predict(self, pc):
+        return pc & 4 == 0
+
+    def train(self, pc, taken, meta):
+        pass
+
+
+def traced():
+    """The Inf TAGE of Figs 3b and 5, with useful-pattern tracing on."""
+    predictor = make_predictor("inf-tage")
+    predictor.tage.trace_useful = True
+    return predictor
+
 
 #: Same budget as the golden-MPKI fixtures: small enough that the full
 #: 14x3 matrix stays in test-suite territory, long enough to exercise
@@ -44,10 +67,14 @@ KEYS = ("gshare", "bimode", "percep", "tsl64", "llbp")
 INSTRUCTIONS = 30_000
 
 
+def _make(key):
+    return traced() if key == "traced" else make_predictor(key)
+
+
 def _run_both(trace, key):
     """One Python-engine and one array-engine run with fresh predictors."""
-    oracle = make_predictor(key)
-    subject = make_predictor(key)
+    oracle = _make(key)
+    subject = _make(key)
     ref = run_simulation(trace, oracle, collect_per_pc=True,
                          engine="python")
     res = run_simulation(trace, subject, collect_per_pc=True,
@@ -75,10 +102,29 @@ def _assert_state_equal(oracle, subject):
 @pytest.mark.parametrize("workload", workload_names())
 def test_bit_identity_full_catalog(workload):
     trace = generate_workload(workload, INSTRUCTIONS)
-    for key in KEYS:
+    for key in KEYS + ("traced",):
         oracle, subject, ref, res = _run_both(trace, key)
         _assert_identical(ref, res)
         _assert_state_equal(oracle, subject)
+    _, _, ref, res = _run_both(trace, "perfect")
+    _assert_identical(ref, res)
+
+
+def test_traced_useful_events_match_across_engines(monkeypatch):
+    """The events Figs 3b and 5 read are the same on both engines, and
+    their ordinals number the trace's conditional branches."""
+    trace = generate_workload("Tomcat", INSTRUCTIONS)
+    runs = {}
+    for engine in ("python", "array"):
+        monkeypatch.setenv(ENGINE_ENV_VAR, engine)
+        runs[engine] = traced_inf_tage(trace, INSTRUCTIONS // 3)
+    python, fused = runs["python"], runs["array"]
+    assert python.useful_events == fused.useful_events
+    assert python.useful_events
+    cond_pcs = trace.pcs[trace.types == 0].tolist()
+    assert python.updates == fused.updates == len(cond_pcs)
+    for ordinal, pc, _pattern in python.useful_events:
+        assert cond_pcs[ordinal] == pc
 
 
 #: A small odd chunk, so chunk boundaries fall everywhere.
@@ -86,7 +132,8 @@ ODD_CHUNK = 97
 
 
 @pytest.mark.parametrize(
-    "key", ("tsl64", "llbp", "llbp:lat0", "gshare", "bimode", "percep"))
+    "key", ("tsl64", "llbp", "llbp:lat0", "gshare", "bimode", "percep",
+            "inf-tage", "inf-tsl", "traced"))
 def test_chunk_boundaries_do_not_change_results(monkeypatch, key):
     """Chunking the fused loops is invisible, even with the warmup split
     landing mid-chunk (the catalog runs stay inside one chunk)."""
@@ -104,11 +151,18 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch, key):
 
 
 def test_supported_families():
-    for key in KEYS:
+    for key in KEYS + ("perfect",):
         assert array.unsupported_reason(make_predictor(key)) is None
         assert array.supports(make_predictor(key))
-    assert not array.supports(Bimodal())
-    assert array.unsupported_reason(Bimodal()) is not None
+    assert array.supports(traced())
+    assert not array.supports(Unfused())
+    assert array.unsupported_reason(Unfused()) is not None
+    # The one registry key left on the reference loop.
+    assert not array.supports(make_predictor("llbp:frontend"))
+    # LLBP's fused loop inlines a finite TAGE only.
+    llbp = make_predictor("llbp")
+    llbp.tsl = make_predictor("inf-tage")
+    assert "InfiniteTage" in array.unsupported_reason(llbp)
 
 
 def test_without_per_pc_collection():
@@ -133,7 +187,7 @@ def test_explicit_warmup_budget():
 def test_unsupported_predictor_raises_in_direct_call():
     trace = generate_workload("Kafka", INSTRUCTIONS)
     with pytest.raises(ValueError, match="array engine cannot"):
-        array.run_simulation_array(trace, Bimodal())
+        array.run_simulation_array(trace, Unfused())
 
 
 class TestEngineSelection:
@@ -172,16 +226,24 @@ class TestEngineSelection:
         _assert_identical(ref, res)
 
 
-def test_benchmarked_workflows_never_fall_back():
-    """Every key fig09 and the characterize sweep simulate runs on the
-    array engine, so the default path never drops to the Python loop
-    unnoticed."""
-    from repro.analysis.characterize import FAMILIES
-    from repro.experiments import fig09
+def _figure_keys():
+    import repro.experiments
 
-    keys = {key for _, key in fig09.jobs()} | set(FAMILIES)
-    for key in sorted(keys):
-        assert array.unsupported_reason(make_predictor(key)) is None, key
+    keys = set()
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        if info.name.startswith("fig"):
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            keys |= {key for _, key in module.jobs()}
+    return keys
+
+
+def _space_keys():
+    from repro.explore.space import SPACES
+
+    keys = set()
+    for space in SPACES.values():
+        keys |= set(space.expand())
+    return keys
 
 
 def _fallback_keys(keys):
@@ -189,36 +251,34 @@ def _fallback_keys(keys):
             if array.unsupported_reason(make_predictor(key)) is not None}
 
 
+def test_benchmarked_workflows_never_fall_back():
+    """Every key any figure, the characterize sweep or an explore space
+    simulates runs on the array engine, so the default path never drops
+    to the Python loop unnoticed."""
+    from repro.analysis.characterize import FAMILIES
+
+    keys = _figure_keys() | _space_keys() | set(FAMILIES)
+    for key in sorted(keys):
+        assert array.unsupported_reason(make_predictor(key)) is None, key
+    # Figs 3b and 5 build their traced Inf TAGE outside the registry.
+    assert array.unsupported_reason(traced()) is None
+
+
 def test_fallback_traffic_is_pinned():
-    """The exact keys that still land on the reference loop: the
-    limit-study predictors in the figures, plus the bimodal anchor in
-    the explore spaces.  A key that starts falling back fails here; a
-    family newly fused into the array engine shrinks these sets."""
-    import repro.experiments
-    from repro.explore.space import SPACES
-
-    figure_keys = set()
-    for info in pkgutil.iter_modules(repro.experiments.__path__):
-        if info.name.startswith("fig"):
-            module = importlib.import_module(f"repro.experiments.{info.name}")
-            figure_keys |= {key for _, key in module.jobs()}
-    assert _fallback_keys(figure_keys) == {"inf-tage", "inf-tsl", "perfect"}
-
-    space_keys = set()
-    for space in SPACES.values():
-        space_keys |= set(space.expand())
-    assert _fallback_keys(space_keys) == {
-        "bimodal", "inf-tage", "inf-tsl", "perfect"}
+    """No figure or explore key lands on the reference loop.  A key that
+    starts falling back fails here."""
+    assert _fallback_keys(_figure_keys()) == set()
+    assert _fallback_keys(_space_keys()) == set()
 
 
 def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):
     """``engine="array"`` with an unsupported predictor degrades to the
     Python engine — same answer, plus a ``sim.engine_fallback`` event."""
     trace = generate_workload("Kafka", INSTRUCTIONS)
-    ref = run_simulation(trace, Bimodal(), engine="python")
+    ref = run_simulation(trace, Unfused(), engine="python")
     monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "events"))
     try:
-        res = run_simulation(trace, Bimodal(), engine="array")
+        res = run_simulation(trace, Unfused(), engine="array")
     finally:
         telemetry.reset()
     assert ref == res

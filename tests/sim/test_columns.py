@@ -11,8 +11,9 @@ table contents, predictions and training.  These properties pin that:
   real predictor's ``_index``/``update_history``;
 * the TAGE/SC column matrix computed from the trace alone equals the
   values a *live, training* simulation computes at every conditional
-  branch (captured by instrumenting the compiled ``_match`` and
-  ``_vote`` cores mid-run), over preset and explore geometries;
+  branch (captured by spying on ``Tage.lookup`` and
+  ``StatisticalCorrector.lookup`` mid-run), over preset and explore
+  geometries;
 * ditto for the LLBP slot-tag matrix, wherever the live predictor
   computes slot tags at all;
 * the column call's peak memory stays a small multiple of what it
@@ -116,22 +117,23 @@ def test_closed_form_fold_matches_incremental_register(bits, length, width):
 
 
 def _spy_tsl(tsl):
-    """Record what ``tsl``'s live ``_match``/``_vote`` cores compute."""
+    """Record the indices and tags ``tsl``'s live TAGE and corrector
+    lookups compute, one row per conditional branch."""
     recorded = []
-    real_match, real_vote = tsl.tage._match, tsl.sc._vote
+    real_tage, real_sc = tsl.tage.lookup, tsl.sc.lookup
 
-    def spy_match(pcx, path_mix):
-        indices, tags, provider, alt = real_match(pcx, path_mix)
-        recorded.append(list(indices) + list(tags))
-        return indices, tags, provider, alt
+    def spy_tage(pc):
+        res = real_tage(pc)
+        recorded.append(list(res.indices) + list(res.tags))
+        return res
 
-    def spy_vote(pcx, history):
-        indices, vote = real_vote(pcx, history)
-        recorded[-1].extend(indices)
-        return indices, vote
+    def spy_sc(*args):
+        res = real_sc(*args)
+        recorded[-1].extend(res.indices)
+        return res
 
-    tsl.tage._match = spy_match
-    tsl.sc._vote = spy_vote
+    tsl.tage.lookup = spy_tage
+    tsl.sc.lookup = spy_sc
     return recorded
 
 

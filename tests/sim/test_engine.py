@@ -128,8 +128,7 @@ def test_normal_warmup_does_not_warn():
 def test_specialized_loops_match_reference(tiny_workload_trace, key):
     """The array engine's fused loops are an optimization only: every
     predictor family must produce a bit-identical SimulationResult to the
-    generic reference loop, including per-PC counters and extra stats
-    (bimodal and perfect reach the reference loop through the fallback)."""
+    generic reference loop, including per-PC counters and extra stats."""
     fast = run_simulation(tiny_workload_trace, make_predictor(key),
                           collect_per_pc=True, engine="array")
     slow = run_simulation_reference(tiny_workload_trace,

@@ -108,8 +108,9 @@ class TestEngineInstrumentation:
 
     def test_engine_emits_phase_events(self, monkeypatch, tmp_path,
                                        pattern_trace):
+        """The reference loop times its warmup and measure phases."""
         monkeypatch.setenv(telemetry.ENV_VAR, str(tmp_path))
-        result = run_simulation(pattern_trace, Bimodal())
+        result = run_simulation(pattern_trace, Bimodal(), engine="python")
         by_event = {}
         for e in telemetry.events():
             by_event.setdefault(e["event"], []).append(e)

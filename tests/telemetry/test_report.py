@@ -11,6 +11,7 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.experiments import runner
+from repro.sim.engine import ENGINE_ENV_VAR
 from repro.telemetry import format_summary, load_events, summarize
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -98,6 +99,8 @@ class TestRoundTrip:
         """A cached-runner session produces a summarizable JSONL log."""
         tdir = isolated_caches / "telemetry"
         monkeypatch.setenv(telemetry.ENV_VAR, str(tdir))
+        # The warmup/measure phase events come from the reference loop.
+        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
 
         runner.get_result("Kafka", "bimodal")   # miss: trace gen + simulate
         runner.get_result("Kafka", "bimodal")   # memory hit
