@@ -6,8 +6,8 @@ dispatch (predict/train/update_history), per-branch metadata objects
 This engine removes all three:
 
 * every hash the predictor computes per branch is precomputed once per
-  trace into flat integer columns (:mod:`repro.sim.columns`) and
-  persisted with the packed trace;
+  trace into flat integer columns (:mod:`repro.sim.columns`), memoised
+  on the trace;
 * one specialised ``_sim`` function per predictor *instance* is
   generated, inlining lookup and training into a single loop body with
   bank sizes, masks and saturation bounds baked in as constants and the
@@ -192,8 +192,8 @@ def _emit_loop_lookup(a, loop) -> None:
     a("    pred = l_pred")
 
 
-def _emit_count(a, measuring) -> None:
-    a("if pred != taken:")
+def _emit_count(a, measuring, miss="pred != taken") -> None:
+    a(f"if {miss}:")
     a("    misp_all += 1")
     if measuring:
         a("    measured_misp += 1")
@@ -430,6 +430,50 @@ _TSL_SCALAR_EPILOGUE = (
 )
 
 
+def _cond_sim(arg, row, body, head=(), setup=(), tail=(), ordinals=False):
+    """Source of ``_sim(pcs, takens, <arg>, csplit, per_pc_misp)``, one
+    fused loop over the conditional branches returning
+    ``(measured_misp, misp_all)``.
+
+    The indented body lines ``head`` come first, then the misprediction
+    counters and ``setup``; then the warmup rows ``[0, csplit)`` and the
+    measured rows ``[csplit, n)`` run in chunks of ``_CHUNK``, and
+    ``tail`` precedes the return.  Each row binds ``pc``, ``taken`` and
+    one variable per ``(name, column)`` pair in ``row``, preceded by its
+    ordinal ``m`` with ``ordinals``; ``body(measuring)`` returns the
+    unindented per-row lines.
+    """
+    lines = [f"def _sim(pcs, takens, {arg}, csplit, per_pc_misp):"]
+    lines.extend(head)
+    lines.extend(("    misp_all = 0", "    measured_misp = 0",
+                  "    misp_get = per_pc_misp.get", "    n = len(pcs)"))
+    lines.extend(setup)
+    lines.append(f"    CH = {_CHUNK}")
+    names = ["pc", "taken"] + [name for name, _ in row]
+    chunks = [f"{column}[lo:hi].tolist()"
+              for column in ["pcs", "takens"] + [column for _, column in row]]
+    if ordinals:
+        names.insert(0, "m")
+        chunks.insert(0, "range(lo, hi)")
+    for measuring, lo_expr, stop in ((False, "0, csplit", "csplit"),
+                                     (True, "csplit, n", "n")):
+        lines.append(f"    for lo in range({lo_expr}, CH):")
+        lines.append("        hi = lo + CH")
+        lines.append(f"        if hi > {stop}: hi = {stop}")
+        lines.append(f"        for {', '.join(names)} in zip("
+                     f"{', '.join(chunks)}):")
+        lines.extend("            " + x for x in body(measuring))
+    lines.extend(tail)
+    lines.append("    return measured_misp, misp_all")
+    return lines
+
+
+def _exec_sim(lines, name: str, namespace: dict):
+    """Compile the generated ``_sim`` with ``namespace`` as its globals."""
+    exec(compile("\n".join(lines), f"<array-sim-{name}>", "exec"), namespace)
+    return namespace["_sim"]
+
+
 def _compile_tsl(p: TageScL):
     """Generate ``_sim(pcs, takens, cols, csplit, per_pc_misp)`` for ``p``.
 
@@ -441,17 +485,6 @@ def _compile_tsl(p: TageScL):
     tage, sc, loop = p.tage, p.sc, p.loop
     num_tables = tage.config.num_tables
     infinite = type(tage) is InfiniteTage
-    lines = []
-    add = lines.append
-    add("def _sim(pcs, takens, cols, csplit, per_pc_misp):")
-    lines.extend(_TSL_SCALAR_PREAMBLE)
-    if infinite:
-        add("    ord0 = tage.updates")
-    add("    misp_all = 0")
-    add("    measured_misp = 0")
-    add("    misp_get = per_pc_misp.get")
-    add("    n = len(pcs)")
-    add(f"    CH = {_CHUNK}")
 
     def body(measuring):
         b = []
@@ -467,74 +500,34 @@ def _compile_tsl(p: TageScL):
             _emit_inf_tage_update(a, tage)
         else:
             _emit_tage_update(a, tage, guarded=False)
-        return ["            " + x for x in b]
+        return b
 
-    # Only a traced InfiniteTage needs each row's ordinal ``m``.
-    if infinite and tage.trace_useful:
-        row_vars, ordinals = "m, pc, taken, row", "range(lo, hi), "
-    else:
-        row_vars, ordinals = "pc, taken, row", ""
-    for measuring, lo_expr, stop in ((False, "0, csplit", "csplit"),
-                                     (True, "csplit, n", "n")):
-        add(f"    for lo in range({lo_expr}, CH):")
-        add("        hi = lo + CH")
-        add(f"        if hi > {stop}: hi = {stop}")
-        add(f"        for {row_vars} in zip({ordinals}pcs[lo:hi].tolist(),"
-            " takens[lo:hi].tolist(), cols[lo:hi].tolist()):")
-        lines.extend(body(measuring))
-    lines.extend(_TSL_SCALAR_EPILOGUE)
+    head, tail = _TSL_SCALAR_PREAMBLE, _TSL_SCALAR_EPILOGUE
     if infinite:
-        add("    tage.updates = ord0 + n")
-    add("    return measured_misp, misp_all")
-
-    namespace = _tsl_namespace(p)
-    exec(compile("\n".join(lines), "<array-sim-tsl>", "exec"), namespace)
-    return namespace["_sim"]
+        head += ("    ord0 = tage.updates",)
+        tail += ("    tage.updates = ord0 + n",)
+    # Only a traced InfiniteTage needs each row's ordinal ``m``.
+    lines = _cond_sim("cols", [("row", "cols")], body, head=head, tail=tail,
+                      ordinals=infinite and tage.trace_useful)
+    return _exec_sim(lines, "tsl", _tsl_namespace(p))
 
 
 def _compile_gshare(p):
     """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for one
     table of 2-bit counters: gshare, or bimodal over its PC index."""
-    lines = []
-    add = lines.append
-    add("def _sim(pcs, takens, idx, csplit, per_pc_misp):")
-    add("    misp_all = 0")
-    add("    measured_misp = 0")
-    add("    misp_get = per_pc_misp.get")
-    add("    n = len(pcs)")
-    add(f"    CH = {_CHUNK}")
 
     def body(measuring):
         b = []
         a = b.append
         a("v = TBL[i]")
-        a("if (v >= 0) != taken:")
-        a("    misp_all += 1")
-        if measuring:
-            a("    measured_misp += 1")
-            a("    per_pc_misp[pc] = misp_get(pc, 0) + 1")
+        _emit_count(a, measuring, "(v >= 0) != taken")
         a("if taken:")
         a("    if v < 1: TBL[i] = v + 1")
         a("elif v > -2: TBL[i] = v - 1")
-        return ["            " + x for x in b]
+        return b
 
-    add("    for lo in range(0, csplit, CH):")
-    add("        hi = lo + CH")
-    add("        if hi > csplit: hi = csplit")
-    add("        for pc, taken, i in zip(pcs[lo:hi].tolist(),"
-        " takens[lo:hi].tolist(), idx[lo:hi].tolist()):")
-    lines.extend(body(False))
-    add("    for lo in range(csplit, n, CH):")
-    add("        hi = lo + CH")
-    add("        if hi > n: hi = n")
-    add("        for pc, taken, i in zip(pcs[lo:hi].tolist(),"
-        " takens[lo:hi].tolist(), idx[lo:hi].tolist()):")
-    lines.extend(body(True))
-    add("    return measured_misp, misp_all")
-
-    namespace = {"TBL": p.table}
-    exec(compile("\n".join(lines), "<array-sim-gshare>", "exec"), namespace)
-    return namespace["_sim"]
+    return _exec_sim(_cond_sim("idx", [("i", "idx")], body), "gshare",
+                     {"TBL": p.table})
 
 
 def _compile_bimode(p: BiMode):
@@ -544,16 +537,6 @@ def _compile_bimode(p: BiMode):
     branch (:func:`repro.sim.columns.bimode_columns`); the body is
     ``BiMode.predict`` + ``train`` with the bank selected into a local.
     """
-    lines = []
-    add = lines.append
-    add("def _sim(pcs, takens, cols, csplit, per_pc_misp):")
-    add("    misp_all = 0")
-    add("    measured_misp = 0")
-    add("    misp_get = per_pc_misp.get")
-    add("    n = len(pcs)")
-    add("    ci_col = cols[:, 0]")
-    add("    di_col = cols[:, 1]")
-    add(f"    CH = {_CHUNK}")
 
     def body(measuring):
         b = []
@@ -562,11 +545,7 @@ def _compile_bimode(p: BiMode):
         a("ct = cv >= 0")
         a("B = TB if ct else NB")
         a("v = B[di]")
-        a("if (v >= 0) != taken:")
-        a("    misp_all += 1")
-        if measuring:
-            a("    measured_misp += 1")
-            a("    per_pc_misp[pc] = misp_get(pc, 0) + 1")
+        _emit_count(a, measuring, "(v >= 0) != taken")
         # Choice trains toward the outcome unless it missed but the
         # selected bank covered for it (BiMode.train).
         a("if not (ct != taken and (v >= 0) == taken):")
@@ -576,23 +555,14 @@ def _compile_bimode(p: BiMode):
         a("if taken:")
         a("    if v < 1: B[di] = v + 1")
         a("elif v > -2: B[di] = v - 1")
-        return ["            " + x for x in b]
+        return b
 
-    for first, lo_expr, hi_expr in ((True, "0, csplit", "csplit"),
-                                    (False, "csplit, n", "n")):
-        add(f"    for lo in range({lo_expr}, CH):")
-        add("        hi = lo + CH")
-        add(f"        if hi > {hi_expr}: hi = {hi_expr}")
-        add("        for pc, taken, ci, di in zip(pcs[lo:hi].tolist(),"
-            " takens[lo:hi].tolist(), ci_col[lo:hi].tolist(),"
-            " di_col[lo:hi].tolist()):")
-        lines.extend(body(not first))
-    add("    return measured_misp, misp_all")
-
-    namespace = {"CHOICE": p.choice, "TB": p.taken_bank,
-                 "NB": p.nottaken_bank}
-    exec(compile("\n".join(lines), "<array-sim-bimode>", "exec"), namespace)
-    return namespace["_sim"]
+    lines = _cond_sim("cols", [("ci", "ci_col"), ("di", "di_col")], body,
+                      setup=("    ci_col = cols[:, 0]",
+                             "    di_col = cols[:, 1]"))
+    return _exec_sim(lines, "bimode", {"CHOICE": p.choice,
+                                       "TB": p.taken_bank,
+                                       "NB": p.nottaken_bank})
 
 
 def _compile_perceptron(p: HashedPerceptron):
@@ -606,29 +576,13 @@ def _compile_perceptron(p: HashedPerceptron):
     num_tables = p.config.tables
     theta = p._theta
     wmin, wmax = p._wmin, p._wmax
-    idx_names = [f"i{t}" for t in range(num_tables)]
-
-    lines = []
-    add = lines.append
-    add("def _sim(pcs, takens, cols, csplit, per_pc_misp):")
-    add("    misp_all = 0")
-    add("    measured_misp = 0")
-    add("    misp_get = per_pc_misp.get")
-    add("    n = len(pcs)")
-    for t in range(num_tables):
-        add(f"    c{t} = cols[:, {t}]")
-    add(f"    CH = {_CHUNK}")
 
     def body(measuring):
         b = []
         a = b.append
         a("total = " + " + ".join(
             f"W{t}[i{t}]" for t in range(num_tables)))
-        a("if (total >= 0) != taken:")
-        a("    misp_all += 1")
-        if measuring:
-            a("    measured_misp += 1")
-            a("    per_pc_misp[pc] = misp_get(pc, 0) + 1")
+        _emit_count(a, measuring, "(total >= 0) != taken")
         # Threshold training: update on a miss or a weak (|sum|<=theta)
         # hit; +1 steps can only violate the upper clamp, -1 the lower.
         a(f"if (total >= 0) != taken or {-theta} <= total <= {theta}:")
@@ -640,22 +594,13 @@ def _compile_perceptron(p: HashedPerceptron):
         for t in range(num_tables):
             a(f"        w = W{t}[i{t}] - 1")
             a(f"        if w >= {wmin}: W{t}[i{t}] = w")
-        return ["            " + x for x in b]
+        return b
 
-    zip_args = ", ".join(f"c{t}[lo:hi].tolist()" for t in range(num_tables))
-    for first, lo_expr, hi_expr in ((True, "0, csplit", "csplit"),
-                                    (False, "csplit, n", "n")):
-        add(f"    for lo in range({lo_expr}, CH):")
-        add("        hi = lo + CH")
-        add(f"        if hi > {hi_expr}: hi = {hi_expr}")
-        add(f"        for pc, taken, {', '.join(idx_names)} in zip("
-            f"pcs[lo:hi].tolist(), takens[lo:hi].tolist(), {zip_args}):")
-        lines.extend(body(not first))
-    add("    return measured_misp, misp_all")
-
-    namespace = {f"W{t}": p.tables[t] for t in range(num_tables)}
-    exec(compile("\n".join(lines), "<array-sim-percep>", "exec"), namespace)
-    return namespace["_sim"]
+    tables = range(num_tables)
+    lines = _cond_sim("cols", [(f"i{t}", f"c{t}") for t in tables], body,
+                      setup=[f"    c{t} = cols[:, {t}]" for t in tables])
+    return _exec_sim(lines, "percep",
+                     {f"W{t}": p.tables[t] for t in tables})
 
 
 def _compile_llbp(p: LLBPTageScL):
@@ -924,8 +869,7 @@ def _compile_llbp(p: LLBPTageScL):
         "SRANK": p._slot_rank,
         "QUAL": tuple(p.rcr.qualifies(t) for t in range(8)),
     })
-    exec(compile("\n".join(lines), "<array-sim-llbp>", "exec"), namespace)
-    return namespace["_sim"]
+    return _exec_sim(lines, "llbp", namespace)
 
 
 # -- driver ------------------------------------------------------------------
@@ -1073,7 +1017,7 @@ def run_simulation_array(
     else:
         tsl_cols, slot_cols = columns_mod.llbp_columns(trace, predictor)
         # The fused loop wants one row per branch; memoise the combined
-        # matrix (in-memory only — the store keeps the two parts).
+        # matrix next to its two parts.
         combined_key = ("rows/" + columns_mod.tsl_key(predictor.tsl) + "+"
                         + columns_mod.llbp_key(predictor))
         cols = trace.aux.get(combined_key)

@@ -12,14 +12,10 @@ then consume these as flat integer rows and never touch the
 folded-history machinery at all.
 
 Columns are memoised on ``Trace.aux`` (keyed by a digest of the
-geometry).  When the trace came from the packed store
-(:mod:`repro.traces.store`), the TAGE/SC and LLBP matrices — the array
-engine's default path, and the costly ones on long traces — are also
-persisted back into the trace file as aux sections: precompute once,
-reuse across every run and process.  The gshare, Bi-Mode and perceptron
-columns are cheap and stay in-process memos.  A store file lacking the
-columns emits ``trace.store_stale`` and is upgraded in place from the
-in-memory trace, without rereading the file.
+geometry), so every predictor of one geometry in a batch over the trace
+shares them.  They never reach disk: the closed form rebuilds a matrix
+in a fraction of a second at the default budget, and the packed store
+(:mod:`repro.traces.store`) holds branch records only.
 
 The scalar references these columns must match are the predictors' own
 hashes: the indices and tags ``Tage.lookup`` and
@@ -324,59 +320,34 @@ def _slot_tag_matrix(llbp_config, pcx: np.ndarray,
     return slot_cols
 
 
-#: Aux-key prefixes of the matrices persisted into the store file; every
-#: other ``Trace.aux`` entry is an in-process memo.
-_PERSISTED = ("cols/tsl:", "cols/llbp:")
-
-
-def _persist(trace: Trace, fresh: dict) -> None:
-    """Publish freshly computed columns back into the trace's store file.
-
-    The file keeps every persisted matrix the trace holds: the ones it
-    was loaded with, the ones published since and ``fresh``.
-    """
-    if trace.store_path is None or not fresh:
-        return
-    from repro.traces import store
-
-    for key in fresh:
-        telemetry.emit("trace.store_stale", workload=trace.name,
-                       path=str(trace.store_path),
-                       reason="missing-columns", key=key)
-    store.append_aux(trace.store_path, trace, {
-        key: array for key, array in trace.aux.items()
-        if key.startswith(_PERSISTED)})
+def _memo(trace: Trace, key: str, compute) -> np.ndarray:
+    """``trace.aux[key]``, set to ``compute()`` on first use."""
+    cached = trace.aux.get(key)
+    if cached is None:
+        start = time.perf_counter()
+        cached = trace.aux[key] = compute()
+        telemetry.emit("sim.columns", workload=trace.name, key=key,
+                       rows=len(cached),
+                       seconds=time.perf_counter() - start)
+    return cached
 
 
 def gshare_columns(trace: Trace, predictor) -> np.ndarray:
-    """Per-conditional-branch gshare indices (memoised, not persisted)."""
-    key = gshare_key(predictor)
-    cached = trace.aux.get(key)
-    if cached is None:
-        cached = gshare_index_column(
-            trace, predictor.index_bits, predictor.history_bits)
-        trace.aux[key] = cached
-    return cached
+    """Per-conditional-branch gshare indices."""
+    return _memo(trace, gshare_key(predictor), lambda: gshare_index_column(
+        trace, predictor.index_bits, predictor.history_bits))
 
 
 def bimode_columns(trace: Trace, predictor) -> np.ndarray:
-    """Per-conditional-branch bimode indices (memoised, not persisted)."""
-    key = bimode_key(predictor)
-    cached = trace.aux.get(key)
-    if cached is None:
-        cached = bimode_index_columns(trace, predictor.config)
-        trace.aux[key] = cached
-    return cached
+    """Per-conditional-branch bimode indices."""
+    return _memo(trace, bimode_key(predictor),
+                 lambda: bimode_index_columns(trace, predictor.config))
 
 
 def percep_columns(trace: Trace, predictor) -> np.ndarray:
-    """Per-conditional-branch perceptron indices (memoised, not persisted)."""
-    key = percep_key(predictor)
-    cached = trace.aux.get(key)
-    if cached is None:
-        cached = percep_index_columns(trace, predictor.config)
-        trace.aux[key] = cached
-    return cached
+    """Per-conditional-branch perceptron indices."""
+    return _memo(trace, percep_key(predictor),
+                 lambda: percep_index_columns(trace, predictor.config))
 
 
 def tsl_columns(trace: Trace, predictor) -> np.ndarray:
@@ -385,43 +356,26 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
     Row layout per conditional branch (``T`` TAGE tables, ``C`` SC
     components): ``[idx_0..idx_T-1, tag_0..tag_T-1, sc_0..sc_C-1]``.
     """
-    key = tsl_key(predictor)
-    cached = trace.aux.get(key)
-    if cached is None:
-        start = time.perf_counter()
-        cached, _ = _hash_columns(trace, predictor.config)
-        trace.aux[key] = cached
-        _persist(trace, {key: cached})
-        telemetry.emit("sim.columns", workload=trace.name, key=key,
-                       rows=len(cached),
-                       seconds=time.perf_counter() - start)
-    return cached
+    return _memo(trace, tsl_key(predictor),
+                 lambda: _hash_columns(trace, predictor.config)[0])
 
 
 def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
     """``(tsl_columns, slot_tag_columns)`` for an LLBP predictor.
 
-    Only the missing matrices are computed (in one shared pass over the
-    history stream when both are) and (re)stored.
+    When neither matrix is memoised yet, both come from one shared pass
+    over the history stream.
     """
-    t_key = tsl_key(predictor.tsl)
-    s_key = llbp_key(predictor)
-    t_cached = trace.aux.get(t_key)
-    s_cached = trace.aux.get(s_key)
-    if t_cached is None or s_cached is None:
-        start = time.perf_counter()
-        tsl_cols, slot_cols = _hash_columns(
-            trace, predictor.tsl.config if t_cached is None else None,
-            predictor.config if s_cached is None else None)
-        fresh = {}
-        if t_cached is None:
-            trace.aux[t_key] = t_cached = tsl_cols
-            fresh[t_key] = tsl_cols
-        if s_cached is None:
-            trace.aux[s_key] = s_cached = slot_cols
-            fresh[s_key] = slot_cols
-        _persist(trace, fresh)
-        telemetry.emit("sim.columns", workload=trace.name, key=s_key,
-                       rows=len(s_cached),
-                       seconds=time.perf_counter() - start)
-    return t_cached, s_cached
+    tsl = predictor.tsl
+    t_key = tsl_key(tsl)
+
+    def slot_tags():
+        shared = None if t_key in trace.aux else tsl.config
+        tsl_cols, slot_cols = _hash_columns(trace, shared, predictor.config)
+        if tsl_cols is not None:
+            trace.aux[t_key] = tsl_cols
+        return slot_cols
+
+    slot_cols = _memo(trace, llbp_key(predictor), slot_tags)
+    return (_memo(trace, t_key, lambda: _hash_columns(trace, tsl.config)[0]),
+            slot_cols)

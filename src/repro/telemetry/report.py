@@ -89,18 +89,21 @@ def _summarize_caches(events: List[Event]) -> Dict[str, Any]:
     result = [e for e in events if e["event"] == "runner.result"]
     memory = sum(1 for e in result if e.get("source") == "memory")
     disk = sum(1 for e in result if e.get("source") == "disk")
-    simulated = sum(1 for e in result if e.get("source") == "simulated")
+    # A batched miss repeats its whole batch's seconds on every key it
+    # served; each key takes its share, so the batch counts once.
+    simulated = [e for e in result
+                 if e.get("source") in ("simulated", "batched")]
     trace = [e for e in events if e["event"] == "trace.cache"]
     trace_hits = sum(1 for e in trace if e.get("hit"))
     return {
         "result": {
             "memory_hits": memory,
             "disk_hits": disk,
-            "misses": simulated,
+            "misses": len(simulated),
             "hit_rate": _rate(memory + disk, len(result)),
             "simulation_seconds": round(
-                sum(float(e.get("seconds", 0.0)) for e in result
-                    if e.get("source") == "simulated"), 4),
+                sum(float(e.get("seconds", 0.0)) / int(e.get("batched", 1))
+                    for e in simulated), 4),
         },
         "trace": {
             "hits": trace_hits,

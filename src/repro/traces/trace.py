@@ -25,11 +25,12 @@ class Trace:
     """An immutable sequence of branch records backed by numpy arrays.
 
     ``aux`` carries optional derived columns keyed by string — the array
-    engine's precomputed hash/fold columns live there (persisted by the
-    packed store when the trace came from it).  ``store_path`` is the
-    packed-store file backing this trace, or ``None`` for in-memory
-    traces; consumers use it to persist freshly derived aux columns.
-    Neither participates in trace equality or length checks.
+    engine memoises its precomputed hash/fold columns there, so every
+    run over this trace object shares them; they never reach disk.
+    ``store_path`` is the packed-store file backing this trace, or
+    ``None`` for in-memory traces; the TCP backend ships that file to
+    workers as is.  Neither participates in trace equality or length
+    checks.
     """
 
     __slots__ = ("pcs", "types", "takens", "targets", "gaps", "name",

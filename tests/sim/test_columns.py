@@ -38,6 +38,7 @@ from repro.predictors.gshare import GShare
 from repro.predictors.registry import make_predictor
 from repro.sim import columns
 from repro.sim.engine import run_simulation
+from repro.traces.store import pack_trace
 from repro.traces.trace import TraceBuilder
 from repro.traces.types import BranchType
 from repro.workloads.catalog import generate_workload
@@ -227,10 +228,7 @@ def test_traces_without_conditional_branches(key, make_trace):
 
 @pytest.fixture(scope="module")
 def long_trace():
-    # Generated uncached, so no store path: nothing is persisted.
-    trace = generate_workload("Kafka", 200_000, use_cache=False)
-    assert trace.store_path is None
-    return trace
+    return generate_workload("Kafka", 200_000, use_cache=False)
 
 
 @pytest.mark.parametrize("key", ("tsl64", "llbp"))
@@ -261,22 +259,19 @@ def test_columns_are_memoised_on_trace_aux():
     assert columns.tsl_key(predictor) in trace.aux
 
 
-def test_store_keeps_only_tsl_and_llbp_matrices(tmp_path):
-    """A store-backed trace persists its TAGE/SC and LLBP matrices, each
-    publish keeping the ones before it, and none of its in-process memos
-    (gshare indices, LLBP's fused rows)."""
+def test_array_runs_leave_the_store_file_untouched(tmp_path):
+    """The store holds traces only: simulating a store-backed trace keeps
+    the columns it computes in memory, and the file keeps the packed
+    trace's exact bytes, with no temp file left beside it."""
     trace = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
-    assert trace.store_path is not None
-    for key in ("llbp", "gshare", "tsl512"):
+    path = trace.store_path
+    assert path is not None
+    packed = path.read_bytes()
+    for key in ("tsl64", "llbp", "inf-tage"):
         run_simulation(trace, make_predictor(key), engine="array")
-    llbp = make_predictor("llbp")
-    persisted = {columns.tsl_key(make_predictor("tsl512")),
-                 columns.tsl_key(llbp.tsl), columns.llbp_key(llbp)}
-    assert len(persisted) == 3 and persisted < set(trace.aux)
-    stored = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
-    assert set(stored.aux) == persisted
-    for key in persisted:
-        assert np.array_equal(stored.aux[key], trace.aux[key])
+    assert columns.tsl_key(make_predictor("tsl64")) in trace.aux
+    assert path.read_bytes() == packed == pack_trace(trace)
+    assert list(path.parent.iterdir()) == [path]
 
 
 def test_column_dtype_stays_compact():

@@ -84,6 +84,25 @@ class TestSummarize:
         assert par["worker_utilization"] == pytest.approx(0.6)
         assert par["workers"]["7"]["busy_seconds"] == 8.0
 
+    def test_batched_results_are_misses_timed_once(self):
+        """``run_batch`` emits one ``batched`` result per key, each
+        carrying the whole batch's seconds: every key is a miss, and the
+        batch's time counts once."""
+        events = [
+            {"event": "runner.result", "ts": 1.0, "pid": 1, "source": "disk"},
+            *({"event": "runner.result", "ts": 2.0, "pid": 7,
+               "source": "batched", "batched": 3, "seconds": 1.5}
+              for _ in range(3)),
+            *({"event": "runner.result", "ts": 3.0, "pid": 8,
+               "source": "batched", "batched": 2, "seconds": 0.5}
+              for _ in range(2)),
+        ]
+        result = summarize(events)["caches"]["result"]
+        assert result["misses"] == 5
+        assert result["disk_hits"] == 1
+        assert result["simulation_seconds"] == 2.0
+        assert "simulated 5 in 2.00s" in format_summary(summarize(events))
+
     def test_empty_stream(self):
         summary = summarize([])
         assert summary["events"] == 0
