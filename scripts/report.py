@@ -13,12 +13,6 @@ human-readable report: per-phase simulation timings and branches/sec,
 result/trace cache hit rates, parallel worker utilization, LLBP
 pattern-buffer and prefetch counters, and per-figure wall clock.
 
-A distributed run (``REPRO_BACKEND=tcp``) additionally gets a
-``backend`` section from the ``backend.*`` events: workers joined/left,
-task dispatches and completions, trace bytes fetched over the socket,
-per-worker busy time and utilization, rejected (digest-mismatched)
-results, and degradations to the local backend.
-
 A bumpy run additionally gets a ``robustness`` section: retries by
 error kind (with total backoff time), job timeouts, workers lost, pool
 rebuilds, degradation to serial, injected chaos faults, corrupt cache

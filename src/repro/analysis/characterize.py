@@ -21,17 +21,17 @@ One pass over a workload's conditional branches computes, per workload:
 
 All entropies are in bits per conditional branch.  The pipeline then
 asks the cached runner (:mod:`repro.experiments.runner`) for each
-predictor family's measured MPKI — the ``run_many`` batch API keeps the
-sweep backend-aware (``REPRO_BACKEND``) — and pins a ``predicted_winner``
-derived *only from the metrics* next to the ``measured_winner`` derived
-from MPKI.  The prediction rule is deliberately simple (see
+predictor family's measured MPKI — the ``run_many`` batch API fans the
+sweep across the process pool (``REPRO_JOBS``) — and pins a
+``predicted_winner`` derived *only from the metrics* next to the
+``measured_winner`` derived from MPKI.  The prediction rule is deliberately simple (see
 :func:`predicted_winner`); its hit rate over the catalog is asserted in
 ``tests/analysis/test_characterize.py``.
 
 The artifact is byte-deterministic: floats are rounded to
 :data:`DIGITS` places and serialised with sorted keys, so the same
-workloads + budget produce the same bytes on any engine or backend —
-CI diffs a local artifact against a TCP-backend one.
+workloads + budget produce the same bytes on any engine and at any
+worker count — CI diffs a pooled artifact against a serial one.
 
 CLI::
 
@@ -279,7 +279,7 @@ def _round_floats(value):
 
 def artifact_json(artifact: Dict[str, object]) -> str:
     """Canonical serialisation: rounded floats, sorted keys, trailing
-    newline — byte-identical across engines, backends and platforms."""
+    newline — byte-identical across engines, worker counts and platforms."""
     return json.dumps(_round_floats(artifact), sort_keys=True, indent=2) + "\n"
 
 

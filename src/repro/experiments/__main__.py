@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.experiments [fig01 fig02 ... table3] [--jobs N]
                                 [--engine NAME] [--telemetry [DIR]]
-                                [--backend NAME] [--workers SPEC]
                                 [--resume] [--retries N] [--job-timeout S]
 
 With no experiment names every experiment runs (simulation results are
@@ -17,12 +16,6 @@ Simulations run on the array engine by default — bit-identical to the
 Python engine and several times faster for the TAGE-SC-L/LLBP families.
 ``--engine python`` (or ``REPRO_ENGINE=python``) runs everything on the
 Python engine, the oracle.
-
-``--backend tcp`` (or ``REPRO_BACKEND=tcp``) shards the prewarm across
-``python -m repro.worker`` processes — ``--workers`` names either a
-loopback worker count or ``host:port,...`` listeners on other machines
-(REPRO_BACKEND_WORKERS) — byte-identical to a local run, with traces
-shared through the content-addressed store.
 
 The run is fault-tolerant: failed simulations retry with backoff
 (``--retries`` / REPRO_RETRIES), hung workers are killed after
@@ -48,7 +41,6 @@ import sys
 import time
 
 from repro import parallel, telemetry
-from repro.parallel import backend as backend_mod
 from repro.sim import engine as engine_mod
 from repro.experiments import (
     fig01, fig02, fig03, fig05, fig09, fig10, fig11, fig12, fig13, fig14,
@@ -124,7 +116,8 @@ def _prewarm(names, workers: int, policy: RetryPolicy,
               f"({time.time() - start:.1f}s)")
 
 
-def main(argv) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line; EXPERIMENTS.md's flag table must match it."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's figures and tables.")
@@ -144,18 +137,6 @@ def main(argv) -> int:
                              "REPRO_ENGINE or array); the array engine "
                              "is bit-identical where supported and falls "
                              "back to python elsewhere")
-    parser.add_argument("--backend", choices=("local", "tcp"),
-                        default=None,
-                        help="execution backend for the simulation prewarm "
-                             "(default: REPRO_BACKEND or local); tcp "
-                             "shards batched tasks across repro.worker "
-                             "processes")
-    parser.add_argument("--workers", default=None, metavar="SPEC",
-                        help="tcp-backend workers: a loopback worker count "
-                             "or a comma-separated host:port list of "
-                             "'python -m repro.worker --listen' processes "
-                             "(default: REPRO_BACKEND_WORKERS; implies "
-                             "--backend tcp)")
     parser.add_argument("--resume", action="store_true",
                         help="continue an interrupted run: skip every "
                              "simulation the checkpoint journal records "
@@ -169,7 +150,11 @@ def main(argv) -> int:
                         help="kill and retry any simulation running longer "
                              "than this (default: REPRO_JOB_TIMEOUT or "
                              "no timeout)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv) -> int:
+    args = build_parser().parse_args(argv)
 
     names = args.names or list(_EXPERIMENTS)
     unknown = [n for n in names if n not in _EXPERIMENTS]
@@ -185,15 +170,6 @@ def main(argv) -> int:
         # Also via the environment: run_simulation consults REPRO_ENGINE
         # in-process and in every prewarm worker.
         os.environ[engine_mod.ENGINE_ENV_VAR] = args.engine
-
-    if args.workers is not None:
-        # Like --engine: the executor consults REPRO_BACKEND* when it
-        # builds the backend for the prewarm batch.
-        os.environ[backend_mod.ENV_WORKERS] = args.workers
-        if args.backend is None:
-            args.backend = "tcp"
-    if args.backend is not None:
-        os.environ[backend_mod.ENV_BACKEND] = args.backend
 
     policy = RetryPolicy.from_env()
     overrides = {}

@@ -4,12 +4,12 @@ The paper evaluates one LLBP geometry; this package searches around it.
 A declarative :mod:`~repro.explore.space` expands to canonical registry
 keys, :mod:`~repro.explore.cost` prices each key's storage statically,
 :mod:`~repro.explore.search` runs a successive-halving bandit over the
-executor/backend layer (short traces for everyone, full-length runs for
+parallel executor (short traces for everyone, full-length runs for
 the survivors), and :mod:`~repro.explore.pareto` extracts the
 storage/MPKI Pareto front with per-workload winner attribution as a
 deterministic JSON artifact.  ``python -m repro.explore`` is the CLI;
 the ``smoke`` budget reproduces ``tests/explore/golden_frontier.json``
-byte-identically on any engine or backend.
+byte-identically on any engine, at any ``--jobs``.
 """
 
 from repro.explore.cost import (

@@ -5,26 +5,24 @@ Usage::
     python -m repro.explore [--budget NAME] [--space SPEC] [--seed N]
                             [--workloads W1,W2] [--out FILE]
                             [--check FILE] [--jobs N] [--engine NAME]
-                            [--backend NAME] [--workers SPEC]
                             [--resume] [--telemetry [DIR]] [--quiet]
 
 ``--budget`` picks how much simulation to spend (``smoke`` / ``short``
 / ``full``); ``--space`` picks what to search — a built-in space name
 (see ``repro.explore.space.SPACES``) or a ``;``-separated list of
 registry keys.  The search runs a successive-halving schedule through
-the standard executor, so ``--jobs`` / ``--engine`` (default
-``array``) / ``--backend`` / ``--workers`` mean exactly what they do
-for ``python -m repro.experiments``, and ``--resume`` continues an
-interrupted search from its checkpoint journal (kept at
-``explore-journal.jsonl`` next to the result cache, separate from the
-experiments journal).
+the standard executor, so ``--jobs`` and ``--engine`` (default
+``array``) mean exactly what they do for ``python -m
+repro.experiments``, and ``--resume`` continues an interrupted search
+from its checkpoint journal (kept at ``explore-journal.jsonl`` next to
+the result cache, separate from the experiments journal).
 
 The ``smoke`` budget pins its workloads, trace lengths and search space
 regardless of REPRO_WORKLOADS / REPRO_INSTRUCTIONS: it exists to
 reproduce ``tests/explore/golden_frontier.json`` byte-identically on
-every machine, engine and backend.  ``--out FILE`` writes the JSON
-artifact (``-`` for stdout); ``--check FILE`` instead diffs the bytes
-the search produced against an existing artifact and fails on any
+every machine and engine, at any ``--jobs``.  ``--out FILE`` writes the
+JSON artifact (``-`` for stdout); ``--check FILE`` instead diffs the
+bytes the search produced against an existing artifact and fails on any
 mismatch — that is the bench/CI gate.
 """
 
@@ -44,7 +42,6 @@ from repro.experiments.common import (
     experiment_workloads,
 )
 from repro.explore import pareto, search, space as space_mod
-from repro.parallel import backend as backend_mod
 from repro.parallel.retry import RetryPolicy
 from repro.sim import engine as engine_mod
 
@@ -127,12 +124,6 @@ def main(argv) -> int:
     parser.add_argument("--engine", choices=engine_mod.ENGINES, default=None,
                         help="simulation engine (default: REPRO_ENGINE or "
                              "array; engines are bit-identical)")
-    parser.add_argument("--backend", choices=("local", "tcp"), default=None,
-                        help="execution backend (default: REPRO_BACKEND or "
-                             "local)")
-    parser.add_argument("--workers", default=None, metavar="SPEC",
-                        help="tcp-backend workers: a loopback count or "
-                             "host:port list (implies --backend tcp)")
     parser.add_argument("--resume", action="store_true",
                         help="continue an interrupted search from the "
                              "explore checkpoint journal")
@@ -148,12 +139,6 @@ def main(argv) -> int:
         telemetry.configure(args.telemetry)
     if args.engine is not None:
         os.environ[engine_mod.ENGINE_ENV_VAR] = args.engine
-    if args.workers is not None:
-        os.environ[backend_mod.ENV_WORKERS] = args.workers
-        if args.backend is None:
-            args.backend = "tcp"
-    if args.backend is not None:
-        os.environ[backend_mod.ENV_BACKEND] = args.backend
 
     budget = BUDGETS[args.budget]
     space_spec = args.space or budget.space or "default"

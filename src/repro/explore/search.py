@@ -1,4 +1,4 @@
-"""Guided search: successive halving over the executor/backend layer.
+"""Guided search: successive halving over the parallel executor.
 
 The driver evaluates every config of a search space at a short trace
 length, then repeatedly *promotes* only the most promising fraction to
@@ -9,13 +9,13 @@ functions (:func:`halving_schedule`, :func:`promote`, :func:`shuffled`)
 so it is unit-testable without an engine; the driver itself is a thin
 loop that turns each rung into :class:`~repro.parallel.SimJob` batches
 and hands them to :func:`repro.parallel.run_jobs` — which is what makes
-a search parallel, fault-tolerant, cache-aware, journal-resumable and
-backend-portable (local pool or TCP worker fleet) for free.
+a search parallel, fault-tolerant, cache-aware and journal-resumable
+for free.
 
 Everything is deterministic in (space, schedule, seed): scores are pure
 functions of simulation results, ties break on the key string, and the
 seed only shuffles the initial evaluation order.  A re-run — or a
-``--resume`` after a crash, or the same search on a TCP fleet —
+``--resume`` after a crash, or the same search at another ``--jobs`` —
 produces the identical frontier, which the golden-fixture tests assert
 byte for byte.
 """
@@ -158,15 +158,14 @@ class SearchOutcome:
 
 def run_search(keys: Sequence[str], workloads: Sequence[str],
                schedule: Sequence[Rung], *, seed: int = 0,
-               max_workers: Optional[int] = None, backend=None,
+               max_workers: Optional[int] = None,
                journal=None, policy=None) -> SearchOutcome:
     """Drive the halving schedule over the executor; returns the outcome.
 
-    ``backend``/``journal``/``policy``/``max_workers`` pass straight
-    through to :func:`repro.parallel.run_jobs`, so a search inherits the
-    executor's whole contract: results identical to serial simulation,
-    retries and degradation on faults, journal-verified resume, and the
-    choice of local pool or TCP fleet.
+    ``journal``/``policy``/``max_workers`` pass straight through to
+    :func:`repro.parallel.run_jobs`, so a search inherits the executor's
+    whole contract: results identical to serial simulation, retries and
+    degradation on faults, and journal-verified resume.
     """
     if not keys:
         raise ValueError("empty search space")
@@ -191,7 +190,7 @@ def run_search(keys: Sequence[str], workloads: Sequence[str],
                 for key in alive for workload in workloads]
         evaluations += len(jobs)
         results = run_jobs(jobs, max_workers=max_workers, policy=policy,
-                           journal=journal, backend=backend)
+                           journal=journal)
 
         scores = {}
         for key in alive:

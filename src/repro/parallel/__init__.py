@@ -1,37 +1,23 @@
 """Parallel experiment execution.
 
-Fans simulation jobs across worker processes with cache-aware dispatch:
-jobs whose results are already cached never reach the pool, duplicate
-jobs are coalesced, and completed results land in both the on-disk
-result cache and the calling process's in-memory cache.  Jobs sharing
-a (workload, instructions) pair are grouped into one batched task that
-decodes the trace once for all of them (``REPRO_BATCH=0`` opts out).
-
-Execution is pluggable (:mod:`repro.parallel.backend`): the default
-local process pool, or a TCP work queue (``REPRO_BACKEND=tcp``) whose
-workers — ``python -m repro.worker`` — may live on any host and share
-traces through the content-addressed store.
+Fans simulation jobs across a local process pool with cache-aware
+dispatch: jobs whose results are already cached never reach the pool,
+duplicate jobs are coalesced, and completed results land in both the
+on-disk result cache and the calling process's in-memory cache.  Jobs
+sharing a (workload, instructions) pair are grouped into one batched
+task that decodes the trace once for all of them.
 
 The scheduler is fault-tolerant: failed attempts retry with bounded
 jittered backoff (:mod:`repro.parallel.retry`), hung workers are timed
-out and their pool rebuilt (a hung TCP worker just loses its
-connection), dead workers are detected and the stranded jobs
-re-dispatched, a remote backend with no workers left degrades to the
-local pool, and an irrecoverable pool degrades to serial in-process
-execution.  Every failure path can be forced deterministically via
-:mod:`repro.parallel.faults` (``REPRO_FAULTS``).
+out and their pool rebuilt, dead workers are detected and the stranded
+tasks re-dispatched, and an irrecoverable pool degrades to serial
+in-process execution.  Every failure path can be forced
+deterministically via :mod:`repro.parallel.faults` (``REPRO_FAULTS``).
 """
 
-from repro.parallel import backend, faults
-from repro.parallel.backend import (
-    Backend,
-    BackendBroken,
-    RemoteTaskError,
-    WorkerLost,
-)
+from repro.parallel import faults
 from repro.parallel.executor import (
     SimJob,
-    batching_enabled,
     default_jobs,
     make_jobs,
     run_jobs,
@@ -40,15 +26,9 @@ from repro.parallel.executor import (
 from repro.parallel.retry import RetryPolicy, backoff_delay
 
 __all__ = [
-    "Backend",
-    "BackendBroken",
-    "RemoteTaskError",
     "RetryPolicy",
     "SimJob",
-    "WorkerLost",
-    "backend",
     "backoff_delay",
-    "batching_enabled",
     "default_jobs",
     "faults",
     "make_jobs",

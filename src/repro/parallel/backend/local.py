@@ -1,11 +1,10 @@
-"""The historical in-process ``ProcessPoolExecutor`` backend.
+"""Submit tasks to, and rebuild, the executor's process pool.
 
 :class:`LocalBackend` is a thin adapter over the executor module's
 process-global pool state (``executor._get_pool`` / ``_pool_futures`` /
 ``_discard_pool``), not an owner of a private pool: the pool is shared
 across ``run_jobs`` calls, grows lazily, and is torn down only by
-``parallel.shutdown()`` — exactly the pre-backend behaviour, so local
-runs stay byte-identical (tests monkeypatch ``executor._get_pool`` and
+``parallel.shutdown()`` (tests monkeypatch ``executor._get_pool`` and
 read ``executor._pool_workers``; the adapter resolves both through the
 module at call time to keep that surface live).
 """
@@ -15,18 +14,15 @@ from __future__ import annotations
 from concurrent.futures import Future
 from typing import Optional
 
-from repro.parallel.backend import Backend
 
-
-class LocalBackend(Backend):
+class LocalBackend:
     """Run tasks on the module-global process pool."""
-
-    name = "local"
 
     def __init__(self, max_workers: int) -> None:
         self._max_workers = max(1, int(max_workers))
 
     def submit(self, task, fault: Optional[str]) -> Future:
+        """Queue one task attempt; ``fault`` is its chaos assignment."""
         from repro.parallel import executor
 
         with executor._lock:
@@ -35,20 +31,17 @@ class LocalBackend(Backend):
             executor._pool_futures.add(future)
         return future
 
-    def workers(self) -> int:
-        return self._max_workers
-
     def reap(self, done) -> None:
+        """Forget completed futures, so the pool may resize when idle."""
         from repro.parallel import executor
 
         with executor._lock:
             executor._pool_futures.difference_update(done)
 
     def reset(self, kill: bool = False) -> None:
+        """Drop the pool (killing its workers with ``kill``); the next
+        ``submit`` builds a fresh one."""
         from repro.parallel import executor
 
         with executor._lock:
             executor._discard_pool(kill=kill)
-
-    # close() stays a no-op: the pool is process-global state owned by
-    # executor.shutdown(), and must survive this batch for the next one.

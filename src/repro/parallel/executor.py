@@ -19,33 +19,18 @@ on-disk result cache.  :func:`run_jobs` takes any number of jobs and:
 5. seeds the parent's in-memory cache with every result, so subsequent
    serial code (``get_result``) never re-simulates.
 
-``REPRO_BATCH=0`` disables the grouping, making every task a single
-job (the pre-batching behaviour, and the granularity the fault plan's
-indices historically referred to).
-
-Tasks execute through a pluggable *backend*
-(:mod:`repro.parallel.backend`): the default ``LocalBackend`` is the
-process pool described below, byte-identical to the pre-backend
-executor; ``TCPBackend`` shards the same tasks across
-``python -m repro.worker`` processes on any host.  Selection is via
-``run_jobs(..., backend=)``, ``REPRO_BACKEND``, or the CLI
-``--backend`` / ``--workers`` flags.
-
 Failures do not abort the batch.  Each task runs under a
 :class:`~repro.parallel.retry.RetryPolicy`: an attempt that raises is
 retried with bounded, jittered exponential backoff; an attempt that
 exceeds its timeout (``policy.timeout`` × the task's job count) has its
-(hung) worker killed — the local pool is rebuilt, a TCP worker's
-connection is surgically severed; a worker that dies mid-task
-(OOM-kill, segfault, dead connection) strands its tasks, which are
-retried without burning their own attempt budget (a task that keeps
-*being held* by dying workers is eventually charged, so a poison task
-cannot loop forever).  A retried task recovers incrementally: members
-whose results were already published to the disk cache answer from it,
-so only the unfinished remainder re-simulates.  A remote backend whose
-last worker is gone (past a ``REPRO_BACKEND_GRACE`` rejoin window)
-degrades to the local pool; if the local pool proves irrecoverable —
-more rebuilds than ``policy.max_pool_rebuilds`` — the batch degrades to
+(hung) worker killed and the pool rebuilt; a worker that dies mid-task
+(OOM-kill, segfault) breaks the pool, which is rebuilt too.  Tasks
+whose attempts the broken pool failed are retried; tasks it had not
+yet answered are resubmitted without burning an attempt.  A retried
+task recovers incrementally: members whose results were already
+published to the disk cache answer from it, so only the unfinished
+remainder re-simulates.  If the pool proves irrecoverable — more
+rebuilds than ``policy.max_pool_rebuilds`` — the batch degrades to
 serial in-process execution rather than failing.  Only a task that
 exhausts ``max_attempts`` raises to the caller.
 
@@ -74,9 +59,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.parallel import backend as backend_mod
 from repro.parallel import faults
-from repro.parallel.backend import Backend, BackendBroken, WorkerLost
+from repro.parallel.backend.local import LocalBackend
 from repro.parallel.retry import RetryPolicy, backoff_delay
 from repro.sim.results import SimulationResult
 
@@ -113,20 +97,8 @@ class _Task(NamedTuple):
         return ",".join(job.key for job in self.jobs)
 
 
-def batching_enabled() -> bool:
-    """True unless ``REPRO_BATCH=0`` opts out of shared-trace batching."""
-    return os.environ.get("REPRO_BATCH", "1") != "0"
-
-
 def _make_tasks(jobs: Sequence[SimJob]) -> List[_Task]:
-    """Group jobs into tasks, preserving first-occurrence order.
-
-    With batching disabled every job is its own task, which reproduces
-    the historical one-future-per-job dispatch exactly (fault-plan
-    indices included).
-    """
-    if not batching_enabled():
-        return [_Task((job,)) for job in jobs]
+    """Group jobs by (workload, instructions), in first-occurrence order."""
     groups: Dict[Tuple[str, int], List[SimJob]] = {}
     for job in jobs:
         groups.setdefault((job.workload, job.instructions), []).append(job)
@@ -319,27 +291,13 @@ def shutdown() -> None:
 
 
 class _TaskState:
-    """Per-task retry bookkeeping for one owned batch.
+    """Per-task retry bookkeeping for one owned batch."""
 
-    ``losses`` counts how often this task's worker died under it.
-    Losses are normally free (collateral damage must not burn the
-    victim's attempts), but a task that *keeps* killing its workers is
-    indistinguishable from a poison task — past
-    ``policy.max_pool_rebuilds`` losses it starts being charged, so it
-    cannot reschedule forever.
-    """
-
-    __slots__ = ("attempts", "fault", "losses")
+    __slots__ = ("attempts", "fault")
 
     def __init__(self) -> None:
         self.attempts = 0
-        self.losses = 0
         self.fault = faults.assign_next()
-
-
-def _error_kind(error: BaseException) -> str:
-    """Telemetry label for an error: the remote original where known."""
-    return getattr(error, "kind", None) or type(error).__name__
 
 
 def _journal_record(journal, job: SimJob, result: SimulationResult) -> None:
@@ -374,32 +332,24 @@ def _run_serial_attempts(task: _Task, state: _TaskState, policy: RetryPolicy,
 
 
 def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
-                   workers: int, policy: RetryPolicy, journal,
-                   backend: Optional[Backend] = None) -> int:
+                   workers: int, policy: RetryPolicy, journal) -> int:
     """Drive every owned task to settled tickets; returns pool rebuilds.
 
-    The loop dispatches ready tasks to the backend, waits for
-    completions or the nearest deadline, and turns each failure into
-    either a scheduled retry (with backoff) or settled errors.  Worker
-    death and hung workers both end in a recovery — a local pool
-    rebuild, or a surgical connection eviction on a remote backend;
-    past the rebuild budget the remaining tasks finish serially in this
-    process, and a remote backend with no workers left (after its
-    rejoin grace) degrades to the local pool first.  A task's deadline
+    The loop submits ready tasks to the pool, waits for completions or
+    the nearest deadline, and turns each failure into either a
+    scheduled retry (with backoff) or settled errors.  Worker death and
+    hung workers both end in a pool rebuild; past the rebuild budget the
+    remaining tasks finish serially in this process.  A task's deadline
     is ``policy.timeout`` × its job count — it does the work of that
     many jobs in one pass, so the per-job budget simply accumulates.
     """
-    from repro.parallel.backend.local import LocalBackend
-
-    if backend is None:
-        backend = LocalBackend(workers)
+    pool = LocalBackend(workers)
     states = {task: _TaskState() for task in tasks}
     waiting: Set[_Task] = set(tasks)
     not_before = {task: 0.0 for task in tasks}
     running: Dict[Future, _Task] = {}
     deadlines: Dict[Future, float] = {}
     rebuilds = 0
-    degraded = False
 
     def settle_ok(task: _Task, results: Sequence[SimulationResult]) -> None:
         for job, result in zip(task.jobs, results):
@@ -424,7 +374,7 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
             if state.attempts >= policy.max_attempts:
                 telemetry.emit("parallel.exhausted", workload=task.workload,
                                key=task.keys, attempts=state.attempts,
-                               error=_error_kind(error))
+                               error=type(error).__name__)
                 settle_error(task, error)
                 return
             delay = backoff_delay(state.attempts, policy, key=task.jobs[0])
@@ -438,14 +388,8 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
             not_before[task] = 0.0
         waiting.add(task)
 
-    def charge_loss(task: _Task) -> bool:
-        """Whether this worker loss burns one of ``task``'s attempts."""
-        state = states[task]
-        state.losses += 1
-        return state.losses > policy.max_pool_rebuilds
-
-    def rebuild_pool(kill: bool) -> None:
-        nonlocal rebuilds, degraded
+    def rebuild_pool() -> None:
+        nonlocal rebuilds
         for future, task in running.items():
             if future.done() and not future.cancelled():
                 # Completed between wait() returning and the rebuild:
@@ -455,94 +399,47 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
                     results = future.result()
                 except BrokenProcessPool as error:
                     schedule_retry(task, error, "worker_lost")
-                except WorkerLost as error:
-                    schedule_retry(task, error, "worker_lost",
-                                   charge=charge_loss(task))
                 except BaseException as error:
-                    schedule_retry(task, error, _error_kind(error))
+                    schedule_retry(task, error, type(error).__name__)
                 else:
                     settle_ok(task, results)
                 continue
-            backend.cancel(future)
+            future.cancel()
             schedule_retry(task, BrokenProcessPool("pool rebuilt"),
                            "worker_lost", charge=False)
         running.clear()
         deadlines.clear()
         rebuilds += 1
-        backend.reset(kill=kill)
+        pool.reset(kill=True)
         telemetry.emit("parallel.pool_rebuild", rebuilds=rebuilds,
-                       killed=kill)
-        if rebuilds > policy.max_pool_rebuilds:
-            degraded = True
+                       killed=True)
 
-    def degrade_to_local(reason: str) -> None:
-        """Swap a dead remote backend for the local pool, mid-batch.
-
-        In-flight submissions are collateral damage (their workers are
-        gone or unreachable), so they reschedule without being charged;
-        the replaced backend is closed hard — ``run_jobs`` closing it
-        again later is a harmless no-op.
-        """
-        nonlocal backend
-        for future, task in list(running.items()):
-            backend.cancel(future)
-            schedule_retry(task, WorkerLost(reason), "worker_lost",
-                           charge=False)
-        running.clear()
-        deadlines.clear()
-        telemetry.emit("backend.degraded", backend=backend.name, to="local",
-                       reason=reason,
-                       remaining=sum(len(t.jobs) for t in waiting))
-        warnings.warn(f"{backend.name} backend degraded to local: {reason}",
-                      RuntimeWarning, stacklevel=3)
-        try:
-            backend.close(kill=True)
-        except Exception:
-            pass
-        backend = LocalBackend(workers)
-
-    remote = backend.name != "local"
-    while waiting or running:
-        if degraded:
-            break
-
-        # A remote backend with nobody to run on cannot make progress:
-        # give departed workers one ``grace`` window to (re)join, then
-        # fall back to the local pool rather than stalling the batch.
-        if remote and backend.workers() == 0:
-            if not backend.wait_for_workers(1, timeout=backend.grace):
-                degrade_to_local(
-                    f"no workers for {backend.grace:.1f}s")
-                remote = False
-            continue
-
+    while (waiting or running) and rebuilds <= policy.max_pool_rebuilds:
         # Dispatch tasks whose backoff has elapsed (original order, so
         # the fault plan's indices stay deterministic), keeping at most
-        # one future in flight per backend worker.  The deadline starts
-        # at submission, so a task queued behind a full pool would burn
-        # its timeout budget waiting for a worker instead of running;
+        # one future in flight per pool worker.  The deadline starts at
+        # submission, so a task queued behind a full pool would burn its
+        # timeout budget waiting for a worker instead of running;
         # bounding in-flight work makes submission ≈ execution start.
         now = time.monotonic()
-        slots = backend.workers() - len(running)
         ready = [task for task in tasks
                  if task in waiting and not_before[task] <= now]
-        ready = ready[:max(0, slots)]
+        ready = ready[:max(0, workers - len(running))]
         if ready:
             try:
                 for task in ready:
-                    future = backend.submit(task,
-                                            states[task].fault.take())
+                    future = pool.submit(task, states[task].fault.take())
                     waiting.discard(task)
                     running[future] = task
                     if policy.timeout is not None:
                         deadlines[future] = (
                             time.monotonic()
                             + policy.timeout * len(task.jobs))
-            except (BrokenProcessPool, BackendBroken, RuntimeError):
-                # The pool died before accepting work (submit on a
-                # broken/shut-down executor); tasks not yet submitted
-                # are still in ``waiting``.
-                rebuild_pool(kill=True)
+            except RuntimeError:
+                # The pool died before accepting work (BrokenProcessPool,
+                # or submit on a shut-down executor); tasks not yet
+                # submitted are still in ``waiting``.
+                rebuild_pool()
                 continue
 
         if not running:
@@ -557,22 +454,16 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
         # the nearest *future* backoff expiry, whichever comes first.
         # A task that is already dispatchable but slot-starved is not a
         # wakeup — only a completion can free its slot, so counting it
-        # would just busy-poll wait().  On a remote backend the wait is
-        # additionally capped so the loop re-checks worker liveness: a
-        # queued submission's future settles only when a worker pulls
-        # it, so if every worker died while idle nothing would ever
-        # complete and an uncapped wait would block forever.
+        # would just busy-poll wait().
         now = time.monotonic()
         wakeups = [d - now for d in deadlines.values()]
         wakeups += [not_before[task] - now for task in waiting
                     if not_before[task] > now]
         timeout = max(0.01, min(wakeups)) if wakeups else None
-        if remote:
-            timeout = 0.25 if timeout is None else min(timeout, 0.25)
         done, _ = wait(list(running), timeout=timeout,
                        return_when=FIRST_COMPLETED)
         if done:
-            backend.reap(done)
+            pool.reap(done)
 
         broken = False
         for future in done:
@@ -586,45 +477,35 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
                 # is gone for everyone, handled below.
                 broken = True
                 schedule_retry(task, error, "worker_lost")
-            except WorkerLost as error:
-                # A dead connection strands only its own task; other
-                # workers keep running, so no pool-wide recovery — the
-                # task reschedules for free (until it looks poisonous).
-                schedule_retry(task, error, "worker_lost",
-                               charge=charge_loss(task))
             except CancelledError as error:
                 schedule_retry(task, error, "cancelled", charge=False)
             except BaseException as error:
-                schedule_retry(task, error, _error_kind(error))
+                schedule_retry(task, error, type(error).__name__)
             else:
                 settle_ok(task, results)
         if broken:
-            rebuild_pool(kill=True)
+            rebuild_pool()
             continue
 
-        # Enforce deadlines: a hung worker never returns.  A remote
-        # backend evicts surgically — severing just that worker's
-        # connection — while the local pool can only be killed and
-        # rebuilt wholesale.
+        # Enforce deadlines: a hung worker never returns, and the only
+        # way to kill one pool worker is to rebuild the whole pool.
         now = time.monotonic()
         expired = [future for future, deadline in deadlines.items()
                    if deadline <= now]
+        for future in expired:
+            task = running.pop(future)
+            deadlines.pop(future)
+            telemetry.emit("parallel.timeout", workload=task.workload,
+                           key=task.keys, timeout=policy.timeout,
+                           attempt=states[task].attempts + 1)
+            schedule_retry(task, TimeoutError(
+                f"task {task.workload}/{task.keys} exceeded "
+                f"{policy.timeout * len(task.jobs)}s"), "timeout")
         if expired:
-            surgical = True
-            for future in expired:
-                task = running.pop(future)
-                deadlines.pop(future)
-                telemetry.emit("parallel.timeout", workload=task.workload,
-                               key=task.keys, timeout=policy.timeout,
-                               attempt=states[task].attempts + 1)
-                schedule_retry(task, TimeoutError(
-                    f"task {task.workload}/{task.keys} exceeded "
-                    f"{policy.timeout * len(task.jobs)}s"), "timeout")
-                surgical = backend.evict(future) and surgical
-            if not surgical:
-                rebuild_pool(kill=True)
+            rebuild_pool()
 
-    if degraded and (waiting or running):
+    if waiting or running:
+        # Past the rebuild budget: the pool is irrecoverable.
         remaining = [task for task in tasks
                      if task in waiting or task in set(running.values())]
         telemetry.emit("parallel.degraded",
@@ -646,8 +527,7 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
 def run_jobs(jobs: Sequence[SimJob],
              max_workers: Optional[int] = None,
              policy: Optional[RetryPolicy] = None,
-             journal=None,
-             backend=None) -> Dict[SimJob, SimulationResult]:
+             journal=None) -> Dict[SimJob, SimulationResult]:
     """Run every job, in parallel where possible; returns job -> result.
 
     Results are identical to calling ``runner.get_result`` for each job
@@ -660,13 +540,6 @@ def run_jobs(jobs: Sequence[SimJob],
     :mod:`repro.experiments.journal`): completed jobs are recorded as
     they finish, and a cached result whose digest contradicts the
     journal is treated as corrupt and re-run instead of trusted.
-
-    ``backend`` selects where tasks execute: a name (``"local"`` /
-    ``"tcp"``), a ready :class:`~repro.parallel.backend.Backend`
-    instance (caller-owned — it is not closed here), or ``None`` to
-    consult ``REPRO_BACKEND`` (default local).  An unknown or
-    unstartable backend warns and falls back to local rather than
-    failing the batch, like every other malformed ``REPRO_*`` knob.
     """
     from repro.experiments import runner
 
@@ -674,16 +547,6 @@ def run_jobs(jobs: Sequence[SimJob],
         max_workers = default_jobs()
     if policy is None:
         policy = RetryPolicy.from_env()
-
-    backend_obj = backend if isinstance(backend, Backend) else None
-    if backend_obj is not None:
-        backend_name = backend_obj.name
-    elif isinstance(backend, str):
-        backend_name = backend.strip() or "local"
-    else:
-        backend_name = (os.environ.get(backend_mod.ENV_BACKEND, "local")
-                        .strip() or "local")
-    resolved_local = backend_obj is None and backend_name == "local"
 
     telemetry_on = telemetry.enabled()
     batch_start = time.perf_counter() if telemetry_on else 0.0
@@ -727,11 +590,8 @@ def run_jobs(jobs: Sequence[SimJob],
         emit_batch(pending=0, dispatched=0, workers=0)
         return {job: results[job] for job in jobs}
 
-    if (resolved_local and max_workers <= 1) or len(pending) == 1:
+    if max_workers <= 1 or len(pending) == 1:
         # Serial fallback: no pool spin-up for a single miss or -j 1.
-        # A remote backend ignores -j/-REPRO_JOBS (its parallelism is
-        # its worker count, not this host's CPUs), so only the
-        # single-miss case short-circuits it.
         # Grouping still applies — a -j 1 figure run decodes each trace
         # once — _simulate_task emits the per-task telemetry here too
         # (the "worker" is simply this process), and the retry policy
@@ -757,33 +617,11 @@ def run_jobs(jobs: Sequence[SimJob],
             tickets[job] = ticket
 
     rebuilds = 0
-    owned_backend = None
     try:
         if owned:
-            if backend_obj is None and not resolved_local:
-                # The batch needs a remote backend: build it now (not
-                # for cache-only calls), and degrade to local if it
-                # cannot start — a bad REPRO_BACKEND* value must bend
-                # the run, not break it.
-                try:
-                    owned_backend = backend_mod.create(backend_name, workers)
-                except (ValueError, BackendBroken) as error:
-                    warnings.warn(
-                        f"backend {backend_name!r} unavailable ({error}); "
-                        "falling back to local", RuntimeWarning,
-                        stacklevel=2)
-                    telemetry.emit("backend.degraded", backend=backend_name,
-                                   to="local", reason=_error_kind(error))
-                backend_obj = owned_backend
             rebuilds = _execute_owned(_make_tasks(list(owned)), tickets,
-                                      workers, policy, journal,
-                                      backend=backend_obj)
+                                      workers, policy, journal)
     finally:
-        if owned_backend is not None:
-            try:
-                owned_backend.close()
-            except Exception:
-                pass
         with _lock:
             for job, ticket in owned.items():
                 if _inflight.get(job) is ticket:

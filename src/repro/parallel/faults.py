@@ -1,43 +1,36 @@
 """Deterministic fault injection for the parallel executor.
 
-Chaos testing hook: a *fault plan* names which dispatched jobs fail and
-how, so every failure path the executor claims to handle — a job that
-raises, a job that hangs past its timeout, a worker that dies mid-job —
-is exercisable deterministically in tests and in CI, with no sleeps-
-and-hope races.
+Chaos testing hook: a *fault plan* names which dispatched tasks fail
+and how, so every failure path the executor claims to handle — a task
+that raises, a task that hangs past its timeout, a worker that dies
+mid-task — is exercisable deterministically in tests and in CI, with
+no sleeps-and-hope races.
 
 A plan is a comma-separated spec, via the ``REPRO_FAULTS`` environment
 variable or :func:`install`::
 
-    REPRO_FAULTS="raise@0,hang@2,kill@4"      # fault jobs 0, 2 and 4
-    REPRO_FAULTS="raise@1x3"                  # job 1 fails 3 attempts
+    REPRO_FAULTS="raise@0,hang@2,kill@4"      # fault tasks 0, 2 and 4
+    REPRO_FAULTS="raise@1x3"                  # task 1 fails 3 attempts
 
-``mode@index[xTimes]``: *index* counts jobs actually dispatched to a
+``mode@index[xTimes]``: *index* counts tasks actually dispatched to a
 simulation (cache hits consume no index), in dispatch order, process-
-wide; *times* (default 1) is how many attempts of that job fault before
-it runs clean — ``x`` high enough exhausts the retry budget.  Modes:
+wide.  A task is the uncached jobs of one ``run_jobs`` batch that share
+a (workload, instructions) pair.  *times* (default 1) is how many
+attempts of that task fault before it runs clean — ``x`` high enough
+exhausts the retry budget.  Modes:
 
 * ``raise`` — the attempt raises :class:`FaultInjected`;
 * ``hang``  — the attempt stalls for ``REPRO_FAULT_HANG_SECONDS``
   (default 3600) before proceeding, standing in for a hung worker: the
-  executor's per-job timeout must fire and the hung worker be killed;
+  executor's task timeout must fire and the hung worker be killed;
 * ``kill``  — the worker process dies via SIGKILL, standing in for an
   OOM-kill or segfault: the executor must detect the broken pool,
-  rebuild it, and retry;
-* ``drop``  — a severed connection: a TCP worker
-  (:mod:`repro.worker`) closes its socket and exits quietly, so the
-  submitting side sees EOF mid-task and must reschedule it on another
-  worker (in a pool worker, where there is no connection to sever,
-  ``drop`` behaves like ``kill``);
-* ``slow``  — a stalled worker: like ``hang``, the attempt sleeps for
-  ``REPRO_FAULT_HANG_SECONDS`` before proceeding.  On the TCP backend
-  the deadline then evicts just that connection instead of rebuilding
-  a pool.
+  rebuild it, and retry.
 
 Faults are *assigned in the parent* (the dispatch counter lives here,
 in parent module state) and shipped to workers as an explicit argument,
 so the plan stays deterministic regardless of which worker runs which
-job.  When the faulted attempt runs in the parent process itself (the
+task.  When the faulted attempt runs in the parent process itself (the
 serial path, or after degradation to serial), every mode but ``raise``
 downgrades to ``raise`` — chaos must not take down the main process or
 stall the run it is testing.
@@ -59,7 +52,7 @@ ENV_VAR = "REPRO_FAULTS"
 #: Environment variable: how long a ``hang`` fault stalls, in seconds.
 ENV_HANG = "REPRO_FAULT_HANG_SECONDS"
 
-MODES = ("raise", "hang", "kill", "drop", "slow")
+MODES = ("raise", "hang", "kill")
 
 
 class FaultInjected(RuntimeError):
@@ -74,7 +67,7 @@ class FaultSpec(NamedTuple):
 
 
 class Assignment:
-    """A job's share of the plan: hands out one fault mode per attempt."""
+    """A task's share of the plan: hands out one fault mode per attempt."""
 
     __slots__ = ("mode", "remaining")
 
@@ -117,7 +110,7 @@ def parse(spec: str) -> Dict[int, FaultSpec]:
 
 # Parent-side plan state.  ``_installed`` (test API) overrides the
 # environment; ``_env_plan`` caches the parsed env spec so a run does
-# not re-parse (and re-warn) per job.  ``_sequence`` is the process-wide
+# not re-parse (and re-warn) per task.  ``_sequence`` is the process-wide
 # dispatch counter the plan's indices refer to.
 _installed: Optional[Dict[int, FaultSpec]] = None
 _env_plan: Optional[Dict[int, FaultSpec]] = None
@@ -193,12 +186,9 @@ def apply(mode: Optional[str], job: object, in_worker: bool) -> None:
                             f"in-process) for {job!r}")
     if mode == "raise":
         raise FaultInjected(f"injected raise for {job!r}")
-    if mode in ("hang", "slow"):
+    if mode == "hang":
         time.sleep(hang_seconds())
         return  # then proceed normally, like a real stall
-    if mode in ("kill", "drop"):
-        # ``drop`` reaching this generic path means a pool worker (a TCP
-        # worker severs its socket in repro.worker before getting here):
-        # without a connection to cut, dying is the closest stand-in.
+    if mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     raise ValueError(f"unknown fault mode {mode!r}")

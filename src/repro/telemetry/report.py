@@ -149,58 +149,6 @@ def _summarize_parallel(events: List[Event]) -> Dict[str, Any]:
     }
 
 
-def _summarize_backend(events: List[Event]) -> Dict[str, Any]:
-    """Distributed-backend accounting: workers, dispatches, bytes.
-
-    ``backend.*`` events exist only on remote backends (REPRO_BACKEND=
-    tcp); a local run reports ``dispatches: 0`` and the section is
-    omitted from the text rendering.  Per-worker utilization here is
-    task busy time over the span each worker was connected, which is
-    the number that says whether a sweep kept its remote workers fed.
-    """
-    joins = [e for e in events if e["event"] == "backend.worker_join"]
-    leaves = [e for e in events if e["event"] == "backend.worker_leave"]
-    dispatches = [e for e in events if e["event"] == "backend.dispatch"]
-    fetches = [e for e in events if e["event"] == "backend.trace_fetch"]
-    done = [e for e in events if e["event"] == "backend.task_done"]
-    workers: Dict[str, Dict[str, Any]] = {}
-    for e in joins:
-        w = workers.setdefault(str(e.get("worker")), {
-            "tasks": 0, "busy_seconds": 0.0, "joined": None, "left": None})
-        w["joined"] = float(e.get("ts", 0.0))
-    for e in done:
-        w = workers.setdefault(str(e.get("worker")), {
-            "tasks": 0, "busy_seconds": 0.0, "joined": None, "left": None})
-        w["tasks"] += 1
-        w["busy_seconds"] += float(e.get("seconds", 0.0))
-    for e in leaves:
-        w = workers.get(str(e.get("worker")))
-        if w is not None:
-            w["left"] = float(e.get("ts", 0.0))
-    end = max((float(e["ts"]) for e in events if "ts" in e), default=0.0)
-    for w in workers.values():
-        w["busy_seconds"] = round(w["busy_seconds"], 4)
-        span = ((w["left"] or end) - w["joined"]
-                if w["joined"] is not None else 0.0)
-        w["utilization"] = _rate(w["busy_seconds"], span) if span > 0 else None
-        w.pop("joined", None)
-        w.pop("left", None)
-    return {
-        "workers_joined": len(joins),
-        "workers_left": len(leaves),
-        "dispatches": len(dispatches),
-        "tasks_done": len(done),
-        "trace_fetches": len(fetches),
-        "bytes_dispatched": _sum(dispatches, "bytes"),
-        "bytes_traces": _sum(fetches, "bytes"),
-        "digest_mismatches": len([e for e in events
-                                  if e["event"] == "backend.digest_mismatch"]),
-        "degraded_to_local": len([e for e in events
-                                  if e["event"] == "backend.degraded"]),
-        "workers": workers,
-    }
-
-
 def _summarize_llbp(events: List[Event]) -> Dict[str, Any]:
     counters = [e for e in events if e["event"] == "llbp.counters"]
     if not counters:
@@ -279,7 +227,6 @@ def summarize(events: List[Event]) -> Dict[str, Any]:
         "simulation": _summarize_simulation(events),
         "caches": _summarize_caches(events),
         "parallel": _summarize_parallel(events),
-        "backend": _summarize_backend(events),
         "robustness": _summarize_robustness(events),
         "llbp": _summarize_llbp(events),
         "figures": _summarize_figures(events),
@@ -335,27 +282,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
         for pid, w in sorted(par["workers"].items()):
             lines.append(f"  worker {pid:<8} {w['jobs']:>4} job(s)  "
                          f"{w['busy_seconds']:>8.2f}s busy")
-
-    back = summary.get("backend", {})
-    if back.get("dispatches") or back.get("workers_joined"):
-        lines.append(f"\nbackend — {back['workers_joined']} worker(s) "
-                     f"joined, {back['workers_left']} left; "
-                     f"{back['dispatches']} dispatch(es), "
-                     f"{back['tasks_done']} completed, "
-                     f"{back['trace_fetches']} trace fetch(es) "
-                     f"({back['bytes_traces']:,} bytes; "
-                     f"{back['bytes_dispatched']:,} bytes of envelopes)")
-        for wid, w in sorted(back["workers"].items()):
-            util = _pct(w.get("utilization"))
-            lines.append(f"  worker {wid:<8} {w['tasks']:>4} task(s)  "
-                         f"{w['busy_seconds']:>8.2f}s busy  "
-                         f"utilization {util}")
-        if back.get("digest_mismatches"):
-            lines.append(f"  {back['digest_mismatches']} digest "
-                         f"mismatch(es) — worker results rejected")
-        if back.get("degraded_to_local"):
-            lines.append("  remote workers exhausted — degraded to the "
-                         "local backend")
 
     robust = summary.get("robustness", {})
     eventful = any(robust.get(k) for k in

@@ -28,8 +28,7 @@ class Trace:
     engine memoises its precomputed hash/fold columns there, so every
     run over this trace object shares them; they never reach disk.
     ``store_path`` is the packed-store file backing this trace, or
-    ``None`` for in-memory traces; the TCP backend ships that file to
-    workers as is.  Neither participates in trace equality or length
+    ``None`` for in-memory traces.  Neither participates in trace equality or length
     checks.
     """
 

@@ -8,9 +8,8 @@ Three layers:
   window never loses information), and the whole metric dict is a pure
   function of the trace;
 * **artifact byte-determinism** — the same workloads + budget render
-  the same bytes whichever engine (and, under the ``distributed``
-  marker, whichever backend) computed the MPKI column, and the pinned
-  metrics-only artifact hashes to its committed sha256;
+  the same bytes whichever engine computed the MPKI column, and the
+  pinned metrics-only artifact hashes to its committed sha256;
 * **the predicted-winner contract** — the metrics-only rule names the
   measured-best family on at least 10 of the 14 catalog workloads at
   the pinned budget.
@@ -166,7 +165,6 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_INSTRUCTIONS", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     from repro.experiments.runner import clear_memory_cache
 
     clear_memory_cache()
@@ -178,9 +176,9 @@ SMALL_WORKLOADS = ("Kafka", "adv:xor")
 SMALL_INSTRUCTIONS = 30_000
 
 #: The pinned characterization digest: the metrics-only artifact for
-#: these workloads at this budget.  Metrics never touch an engine or a
-#: backend, so the sha256 is the same on every host; it moves only when
-#: a metric, the workload generators or the serialisation change.
+#: these workloads at this budget.  Metrics never touch an engine or the
+#: process pool, so the sha256 is the same on every host; it moves only
+#: when a metric, the workload generators or the serialisation change.
 DIGEST_WORKLOADS = ("Kafka", "adv:xor")
 DIGEST_INSTRUCTIONS = 60_000
 DIGEST_SHA256 = "2c9d94da33029e1fd98ab554ba8838accf5a0595b96e1053c6425df502c3323d"
@@ -218,21 +216,6 @@ class TestArtifactDeterminism:
         assert artifact_json(a) == artifact_json(b)
         # and the table renderer is deterministic too
         assert render_table(a) == render_table(b)
-
-    @pytest.mark.distributed
-    def test_tcp_backend_renders_identical_bytes(self, isolated_cache,
-                                                 monkeypatch):
-        from repro.experiments.runner import clear_memory_cache
-
-        local = artifact_json(characterize(SMALL_WORKLOADS,
-                                           instructions=SMALL_INSTRUCTIONS))
-        clear_memory_cache()
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        monkeypatch.setenv("REPRO_BACKEND", "tcp")
-        monkeypatch.setenv("REPRO_BACKEND_WORKERS", "2")
-        remote = artifact_json(characterize(SMALL_WORKLOADS,
-                                            instructions=SMALL_INSTRUCTIONS))
-        assert local == remote
 
     def test_artifact_shape(self, isolated_cache):
         artifact = characterize(["Kafka"], instructions=SMALL_INSTRUCTIONS,

@@ -6,6 +6,10 @@ CLI registers, every predictor family the registry parses and every
 workload stressor kind must appear in the user-facing reference docs
 (``EXPERIMENTS.md``, ``docs/API.md``, ``docs/WORKLOADS.md``).  A new
 knob without a doc line fails here, in CI, not in a user's terminal.
+
+The pins run both ways where the inventory is closed: a ``REPRO_*``
+variable or a CLI flag the docs still describe after its code is gone
+fails too.
 """
 
 from __future__ import annotations
@@ -40,6 +44,37 @@ def test_every_env_var_is_documented():
     assert not missing, (
         f"REPRO_* variables read by the code but absent from "
         f"{REFERENCE_DOCS}: {sorted(missing)}")
+
+
+def test_every_documented_env_var_is_read_by_the_code():
+    stale = set(_ENV_VAR.findall(_reference_text())) - _code_env_vars()
+    assert not stale, (
+        f"REPRO_* variables documented in {REFERENCE_DOCS} that no code "
+        f"under src/ or scripts/ reads: {sorted(stale)}")
+
+
+_FLAG = re.compile(r"(?<![\w-])--?[a-z][a-z0-9-]*")
+
+
+def _common_flags_table() -> set:
+    """Flags named in the first column of EXPERIMENTS.md's flag table."""
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    lines = text[text.index("Common flags"):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    flags = set()
+    for line in lines[start + 2:]:  # past the header and |---| rows
+        if not line.startswith("|"):
+            break
+        flags.update(_FLAG.findall(line.split("|")[1]))
+    return flags
+
+
+def test_flag_table_matches_the_experiments_parser():
+    from repro.experiments.__main__ import build_parser
+
+    options = {option for action in build_parser()._actions
+               for option in action.option_strings} - {"-h", "--help"}
+    assert _common_flags_table() == options
 
 
 def test_every_experiment_is_documented():

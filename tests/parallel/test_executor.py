@@ -16,6 +16,10 @@ from repro.experiments import runner
 
 KEYS = ("bimodal", "gshare", "tsl64")
 
+#: Distinct workloads, so jobs that must each be their own task (one
+#: per (workload, instructions) pair) can get one apiece.
+SOLO_WORKLOADS = ("Kafka", "NodeApp", "Tomcat", "PHPWiki", "TPCC", "HTTP")
+
 
 @pytest.fixture(autouse=True)
 def teardown_pool():
@@ -75,9 +79,8 @@ class TestRunJobs:
             assert serial == by_job[job]
 
     def test_duplicate_jobs_run_once(self, isolated_caches, monkeypatch):
-        # REPRO_BATCH=0 keeps one get_result call per unique job; the
-        # batched path would fold both into a single run_batch call.
-        monkeypatch.setenv("REPRO_BATCH", "0")
+        # One workload per unique job keeps one get_result call each;
+        # a shared workload would fold both into one run_batch call.
         calls = []
         real = runner.get_result
 
@@ -87,7 +90,7 @@ class TestRunJobs:
 
         monkeypatch.setattr(runner, "get_result", counting)
         jobs = parallel.make_jobs(
-            [("Kafka", "bimodal")] * 3 + [("Kafka", "gshare")])
+            [("Kafka", "bimodal")] * 3 + [("NodeApp", "gshare")])
         by_job = parallel.run_jobs(jobs, max_workers=1)
         assert len(calls) == 2  # deduplicated before dispatch
         assert len(by_job) == 2  # dict keyed by unique job
@@ -131,10 +134,9 @@ class TestScheduling:
 
         from repro.parallel import executor
 
-        # Six one-job tasks: batching would collapse the six jobs into
-        # two tasks, leaving the slot bound nothing to push against.
-        monkeypatch.setenv("REPRO_BATCH", "0")
-
+        # Six one-job tasks, one per workload: two workloads would
+        # group the six jobs into two tasks, leaving the slot bound
+        # nothing to push against.
         lock = threading.Lock()
         outstanding = set()
         peaks = []
@@ -160,9 +162,7 @@ class TestScheduling:
         monkeypatch.setattr(
             executor, "_get_pool",
             lambda workers: TrackingPool(real_get_pool(workers)))
-        jobs = parallel.make_jobs([(workload, key)
-                                   for workload in ("Kafka", "NodeApp")
-                                   for key in KEYS])
+        jobs = parallel.make_jobs(list(zip(SOLO_WORKLOADS, KEYS * 2)))
         by_job = parallel.run_jobs(jobs, max_workers=2)
         assert set(by_job) == set(jobs)
         assert peaks and max(peaks) <= 2
@@ -183,7 +183,7 @@ class TestScheduling:
 
 
 class TestBatching:
-    """Shared-trace task grouping (the REPRO_BATCH knob)."""
+    """Shared-trace task grouping."""
 
     def test_jobs_group_by_workload_and_budget(self):
         from repro.parallel import executor
@@ -200,16 +200,6 @@ class TestBatching:
         assert [(t.workload, t.instructions) for t in tasks] == [
             ("Kafka", 100), ("NodeApp", 100), ("Kafka", 200)]
 
-    def test_disabled_by_env(self, monkeypatch):
-        from repro.parallel import executor
-
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert not parallel.batching_enabled()
-        jobs = parallel.make_jobs([("Kafka", key) for key in KEYS],
-                                  instructions=100)
-        tasks = executor._make_tasks(jobs)
-        assert [t.jobs for t in tasks] == [(job,) for job in jobs]
-
     def test_batched_run_matches_serial(self, isolated_caches, monkeypatch):
         """The whole point: one trace load per workload must be
         bit-identical to the per-job path, end to end."""
@@ -218,7 +208,6 @@ class TestBatching:
                                    for key in KEYS])
         by_job = parallel.run_jobs(jobs, max_workers=2)
 
-        monkeypatch.setenv("REPRO_BATCH", "0")
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
         runner.clear_memory_cache()
         for job in jobs:

