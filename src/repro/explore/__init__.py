@@ -2,7 +2,7 @@
 
 The paper evaluates one LLBP geometry; this package searches around it.
 A declarative :mod:`~repro.explore.space` expands to canonical registry
-keys, :mod:`~repro.explore.cost` prices each key's storage statically,
+keys, :mod:`~repro.explore.cost` prices each key's storage,
 :mod:`~repro.explore.search` runs a successive-halving bandit over the
 parallel executor (short traces for everyone, full-length runs for
 the survivors), and :mod:`~repro.explore.pareto` extracts the
@@ -12,13 +12,7 @@ the ``smoke`` budget reproduces ``tests/explore/golden_frontier.json``
 byte-identically on any engine, at any ``--jobs``.
 """
 
-from repro.explore.cost import (
-    INFINITE_KEYS,
-    llbp_storage_bits,
-    storage_cost_bits,
-    storage_kib,
-    tsl_storage_bits,
-)
+from repro.explore.cost import INFINITE_KEYS, storage_cost_bits, storage_kib
 from repro.explore.pareto import (
     build_artifact,
     pareto_front,
@@ -56,7 +50,6 @@ __all__ = [
     "Template",
     "build_artifact",
     "halving_schedule",
-    "llbp_storage_bits",
     "mpki",
     "pareto_front",
     "promote",
@@ -68,6 +61,5 @@ __all__ = [
     "shuffled",
     "storage_cost_bits",
     "storage_kib",
-    "tsl_storage_bits",
     "workload_winners",
 ]

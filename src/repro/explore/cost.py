@@ -1,12 +1,11 @@
-"""Static storage-cost model: registry key → predictor state bits.
+"""Storage cost: registry key → predictor state bits.
 
-The explore harness ranks configs by MPKI *and* storage, so it needs a
-cost it can compute for a whole search space without building a single
-table.  This module prices a key from its parsed config alone — pure
-arithmetic over :class:`~repro.predictors.registry.TslGeometry` and
-:class:`~repro.llbp.config.LLBPConfig` — and is pinned against the live
-``predictor.storage_bits()`` accounting by ``tests/explore/test_cost.py``
-for every family, so the two cannot drift apart silently.
+The explore harness ranks configs by MPKI *and* storage.  A key's
+price is the live accounting of the predictor it names,
+``make_predictor(key).storage_bits()``, so there is no second model to
+drift from it.  Building a predictor costs milliseconds (every built-in
+template key together takes a few tens of them), which is nothing
+beside a single simulation.
 
 The infinite-storage oracles (``inf-tage``, ``inf-tsl``) price as
 ``math.inf``: their table state grows with the trace, so no static
@@ -20,104 +19,22 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from repro.llbp.config import LLBPConfig
 from repro.predictors import registry
-from repro.predictors.bimode import BiModeConfig
-from repro.predictors.loop import LoopPredictor
-from repro.predictors.perceptron import PerceptronConfig
-from repro.predictors.presets import tage_config_64k
-from repro.predictors.registry import TslGeometry
-from repro.predictors.statistical import StatisticalCorrector
-from repro.predictors.tage_sc_l import TslConfig
 
 #: Plain keys whose state grows without bound during a run.
 INFINITE_KEYS = frozenset({"inf-tage", "inf-tsl"})
 
-#: Cheap table predictors priced by (one-off) instantiation: their
-#: constructors build a few thousand counters at most.
-_SMALL_FAMILIES = ("bimodal", "gshare", "perfect")
-
-
-def tsl_storage_bits(geometry: TslGeometry) -> int:
-    """Bits of a ``tsl:`` geometry, mirroring ``TageScL.storage_bits``.
-
-    TAGE tagged entries are counter + tag + useful (``Tage.storage_bits``);
-    the bimodal fallback is 2 bits per entry; SC and the loop predictor
-    are priced by building the (tiny) components themselves, so their
-    entry layouts cannot drift from this model.
-    """
-    base = tage_config_64k()
-    extra_bits = geometry.scale.bit_length() - 1
-    entry_bits = base.counter_bits + geometry.tag_bits + 1
-    tage = (len(registry.tsl_history_lengths(geometry.tables))
-            * (1 << (base.index_bits + extra_bits)) * entry_bits)
-    bimodal = 2 * (1 << (base.bimodal_index_bits + extra_bits))
-    defaults = TslConfig(tage=base)
-    sc = StatisticalCorrector(defaults.sc_history_lengths,
-                              geometry.sc_index_bits).storage_bits()
-    loop = LoopPredictor(defaults.loop_index_bits,
-                         defaults.loop_ways).storage_bits()
-    return tage + bimodal + sc + loop
-
-
-def llbp_storage_bits(config: LLBPConfig) -> int:
-    """Bits of an LLBP config: baseline TSL + backing storage + CD + PB.
-
-    Mirrors ``LLBPTageScL.storage_bits`` term for term; the backing
-    storage, directory and pattern-buffer terms are already pure
-    properties on :class:`LLBPConfig`.
-    """
-    return (tsl_storage_bits(TslGeometry())
-            + config.storage_bits
-            + config.cd_bits
-            + config.pb_entries * config.pattern_set_bits)
-
-
-def bimode_storage_bits(config: BiModeConfig) -> int:
-    """Bits of a ``bimode:`` geometry: choice table + two direction banks.
-
-    Mirrors ``BiModeConfig.storage_bits`` (2-bit counters throughout).
-    """
-    return (2 * (1 << config.choice_bits)
-            + 2 * 2 * (1 << config.direction_bits))
-
-
-def percep_storage_bits(config: PerceptronConfig) -> int:
-    """Bits of a ``percep:`` geometry: ``tables * rows * weight_bits``.
-
-    Mirrors ``PerceptronConfig.storage_bits``; the history register and
-    threshold are not table state.
-    """
-    return config.tables * (1 << config.row_bits) * config.weight_bits
-
 
 def storage_cost_bits(key: str) -> Union[int, float]:
-    """Storage cost of ``key`` in bits, without building the predictor.
+    """Storage cost of ``key`` in bits.
 
     Positive for every bounded table predictor, ``math.inf`` for the
     unbounded oracles, 0 for ``perfect``; deterministic in the key.
     Raises the registry's own errors for keys it cannot parse.
     """
-    spec = registry.parse_key(key)
-    if spec.family in INFINITE_KEYS:
+    if key in INFINITE_KEYS:
         return math.inf
-    if spec.family == "llbp":
-        return llbp_storage_bits(spec.config)
-    if spec.family == "tsl":
-        return tsl_storage_bits(spec.config)
-    if spec.family.startswith("tsl"):
-        # Named presets (tsl64 … tsl1m) are pure power-of-two scales.
-        scale = {"tsl64": 1, "tsl128": 2, "tsl256": 4, "tsl512": 8,
-                 "tsl1m": 16}[spec.family]
-        return tsl_storage_bits(TslGeometry(scale=scale))
-    if spec.family == "bimode":
-        return bimode_storage_bits(spec.config)
-    if spec.family == "percep":
-        return percep_storage_bits(spec.config)
-    if spec.family in _SMALL_FAMILIES:
-        return registry.make_predictor(key).storage_bits()
-    raise ValueError(f"no storage model for predictor family "
-                     f"{spec.family!r}")  # pragma: no cover - catalog drift
+    return registry.make_predictor(key).storage_bits()
 
 
 def storage_kib(bits: Union[int, float]) -> float:

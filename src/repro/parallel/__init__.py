@@ -1,8 +1,8 @@
 """Parallel experiment execution.
 
 Fans simulation jobs across a local process pool with cache-aware
-dispatch: jobs whose results are already cached never reach the pool,
-duplicate jobs are coalesced, and completed results land in both the
+dispatch: duplicate jobs run once, jobs whose results are already
+cached never reach the pool, and completed results land in both the
 on-disk result cache and the calling process's in-memory cache.  Jobs
 sharing a (workload, instructions) pair are grouped into one batched
 task that decodes the trace once for all of them.
@@ -16,12 +16,12 @@ deterministically via :mod:`repro.parallel.faults` (``REPRO_FAULTS``).
 """
 
 from repro.parallel import faults
+from repro.parallel.backend.local import shutdown
 from repro.parallel.executor import (
     SimJob,
     default_jobs,
     make_jobs,
     run_jobs,
-    shutdown,
 )
 from repro.parallel.retry import RetryPolicy, backoff_delay
 

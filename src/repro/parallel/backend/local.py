@@ -1,47 +1,77 @@
-"""Submit tasks to, and rebuild, the executor's process pool.
+"""The process pool and its one owner.
 
-:class:`LocalBackend` is a thin adapter over the executor module's
-process-global pool state (``executor._get_pool`` / ``_pool_futures`` /
-``_discard_pool``), not an owner of a private pool: the pool is shared
-across ``run_jobs`` calls, grows lazily, and is torn down only by
-``parallel.shutdown()`` (tests monkeypatch ``executor._get_pool`` and
-read ``executor._pool_workers``; the adapter resolves both through the
-module at call time to keep that surface live).
+The pool is module state here, built lazily by the first
+:meth:`LocalBackend.submit`.  It persists across ``run_jobs`` calls,
+is regrown when a later batch asks for more workers, is rebuilt by
+:meth:`LocalBackend.reset` after a worker death or a deadline expiry,
+and is torn down by :func:`shutdown` (``parallel.shutdown()``).
+
+``run_jobs`` settles every future it submitted before it returns, so
+between calls the pool is idle and growing it never strands work.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Optional
+
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+
+
+def _get_pool(workers: int) -> ProcessPoolExecutor:
+    """The pool, built (or regrown) to at least ``workers`` workers."""
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers < workers:
+        if _pool is not None:
+            _pool.shutdown(wait=True)
+        _pool = ProcessPoolExecutor(max_workers=workers)
+        _pool_workers = workers
+    return _pool
+
+
+def _discard_pool(kill: bool = False) -> None:
+    """Drop the current pool; with ``kill``, SIGKILL its workers first.
+
+    Killing is for hung workers: ``shutdown`` would politely wait for a
+    worker that will never answer, so the recovery path terminates the
+    processes outright and the next submit builds a fresh pool.
+    """
+    global _pool, _pool_workers
+    pool, _pool, _pool_workers = _pool, None, 0
+    if pool is None:
+        return
+    if kill:
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            try:
+                proc.kill()
+            except Exception:
+                pass
+    pool.shutdown(wait=False)
+
+
+def shutdown() -> None:
+    """Tear down the worker pool (tests; end of a CLI run)."""
+    _discard_pool()
 
 
 class LocalBackend:
-    """Run tasks on the module-global process pool."""
+    """Run one batch's task attempts on the process pool."""
 
     def __init__(self, max_workers: int) -> None:
         self._max_workers = max(1, int(max_workers))
 
     def submit(self, task, fault: Optional[str]) -> Future:
         """Queue one task attempt; ``fault`` is its chaos assignment."""
+        # Looked up per call, not bound at import: the pool pickles the
+        # entry point by name, so what runs is whatever the executor
+        # module holds under that name when the task is submitted.
         from repro.parallel import executor
 
-        with executor._lock:
-            pool = executor._get_pool(self._max_workers)
-            future = pool.submit(executor._simulate_task, task, fault, True)
-            executor._pool_futures.add(future)
-        return future
-
-    def reap(self, done) -> None:
-        """Forget completed futures, so the pool may resize when idle."""
-        from repro.parallel import executor
-
-        with executor._lock:
-            executor._pool_futures.difference_update(done)
+        return _get_pool(self._max_workers).submit(
+            executor._simulate_task, task, fault, True)
 
     def reset(self, kill: bool = False) -> None:
-        """Drop the pool (killing its workers with ``kill``); the next
-        ``submit`` builds a fresh one."""
-        from repro.parallel import executor
-
-        with executor._lock:
-            executor._discard_pool(kill=kill)
+        """Drop the pool after a failure (killing its workers with
+        ``kill``); the next ``submit`` builds a fresh one."""
+        _discard_pool(kill=kill)

@@ -8,15 +8,14 @@ on-disk result cache.  :func:`run_jobs` takes any number of jobs and:
 2. answers what it can from the in-memory and on-disk caches without
    touching the pool (re-running anything a checkpoint journal proves
    corrupt);
-3. coalesces jobs already in flight from an earlier call instead of
-   dispatching them twice;
-4. groups the rest into :class:`_Task` units — jobs sharing a
+3. groups the rest into :class:`_Task` units — jobs sharing a
    (workload, instructions) pair, which therefore decode the *same*
-   trace — and fans the tasks across a process pool, where each worker
-   runs the batched cached runner (``runner.run_batch``: one decode
-   pass updates every predictor in the group, bit-identical to running
-   them separately; results land in the shared disk cache atomically);
-5. seeds the parent's in-memory cache with every result, so subsequent
+   trace — and fans the tasks across the process pool that
+   :mod:`repro.parallel.backend.local` owns, where each worker runs the
+   batched cached runner (``runner.run_batch``: one decode pass updates
+   every predictor in the group, bit-identical to running them
+   separately; results land in the shared disk cache atomically);
+4. seeds the parent's in-memory cache with every result, so subsequent
    serial code (``get_result``) never re-simulates.
 
 Failures do not abort the batch.  Each task runs under a
@@ -50,13 +49,11 @@ one.
 from __future__ import annotations
 
 import os
-import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.parallel import faults
@@ -79,7 +76,7 @@ class _Task(NamedTuple):
     All members simulate the same trace, so a worker loads it once and
     runs them as one batch (``runner.run_batch``).  The task is also the retry,
     fault-injection and timeout unit — its deadline scales with its job
-    count — while journal records and result tickets stay per member.
+    count — while journal records and results stay per member.
     """
 
     jobs: Tuple[SimJob, ...]
@@ -193,105 +190,13 @@ def _simulate_task(task: _Task, fault: Optional[str] = None,
     return results
 
 
-class _Ticket:
-    """A job's promised outcome, shared between submitter and coalescers.
-
-    Unlike a pool ``Future``, a ticket survives retries and pool
-    rebuilds: the owning caller may burn through several futures (and
-    pools) before publishing the final result or error here, and every
-    caller waiting on the same job observes only that final outcome.
-    """
-
-    __slots__ = ("_event", "_result", "_error")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._result: Optional[SimulationResult] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def settled(self) -> bool:
-        return self._event.is_set()
-
-    def resolve(self, result: SimulationResult) -> None:
-        self._result = result
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def wait(self) -> SimulationResult:
-        self._event.wait()
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-
-# One pool per process, plus the jobs currently submitted to it.  The
-# lock guards all of it; tickets stay registered until consumed so
-# concurrent run_jobs calls (e.g. threaded test sessions) coalesce
-# duplicates, and ``_pool_futures`` tracks the futures outstanding on
-# the *current* pool so _get_pool knows when a resize is safe.
-_lock = threading.Lock()
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
-_pool_futures: Set[Future] = set()
-_inflight: Dict[SimJob, _Ticket] = {}
-
-
-def _get_pool(workers: int) -> ProcessPoolExecutor:
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers < workers:
-        # An undersized pool can be replaced only while no futures are
-        # outstanding on it.  Registered tickets alone must not pin it:
-        # run_jobs registers the batch's tickets before execution ever
-        # reaches here, so gating on _inflight would mean a first small
-        # batch pins the pool at its size for the whole process.
-        if _pool is not None and not _pool_futures:
-            _pool.shutdown(wait=True)
-            _pool = None
-        if _pool is None:
-            _pool = ProcessPoolExecutor(max_workers=workers)
-            _pool_workers = workers
-    return _pool
-
-
-def _discard_pool(kill: bool = False) -> None:
-    """Drop the current pool; with ``kill``, SIGKILL its workers first.
-
-    Killing is for hung workers: ``shutdown`` would politely wait for a
-    worker that will never answer, so the recovery path terminates the
-    processes outright and builds a fresh pool.  Callers hold ``_lock``.
-    """
-    global _pool, _pool_workers
-    pool, _pool, _pool_workers = _pool, None, 0
-    _pool_futures.clear()
-    if pool is None:
-        return
-    if kill:
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except Exception:
-                pass
-    pool.shutdown(wait=False)
-
-
-def shutdown() -> None:
-    """Tear down the worker pool (tests; end of a CLI run)."""
-    with _lock:
-        tickets = list(_inflight.values())
-        _inflight.clear()
-        _discard_pool()
-    for ticket in tickets:
-        if not ticket.settled:
-            ticket.fail(CancelledError("parallel.shutdown()"))
+#: What a pool batch settles each job to: its result, or the error that
+#: exhausted its task's retries.
+_Outcome = Union[SimulationResult, BaseException]
 
 
 class _TaskState:
-    """Per-task retry bookkeeping for one owned batch."""
+    """Per-task retry bookkeeping for one pool batch."""
 
     __slots__ = ("attempts", "fault")
 
@@ -331,9 +236,10 @@ def _run_serial_attempts(task: _Task, state: _TaskState, policy: RetryPolicy,
             return results
 
 
-def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
-                   workers: int, policy: RetryPolicy, journal) -> int:
-    """Drive every owned task to settled tickets; returns pool rebuilds.
+def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
+                   journal) -> Tuple[Dict[SimJob, _Outcome], int]:
+    """Drive every task until each of its jobs has an outcome; returns
+    the outcomes and the number of pool rebuilds.
 
     The loop submits ready tasks to the pool, waits for completions or
     the nearest deadline, and turns each failure into either a
@@ -349,20 +255,21 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
     not_before = {task: 0.0 for task in tasks}
     running: Dict[Future, _Task] = {}
     deadlines: Dict[Future, float] = {}
+    outcomes: Dict[SimJob, _Outcome] = {}
     rebuilds = 0
 
     def settle_ok(task: _Task, results: Sequence[SimulationResult]) -> None:
         for job, result in zip(task.jobs, results):
             _journal_record(journal, job, result)
-            tickets[job].resolve(result)
+            outcomes[job] = result
 
     def settle_error(task: _Task, error: BaseException) -> None:
         for job in task.jobs:
-            tickets[job].fail(error)
+            outcomes[job] = error
 
     def schedule_retry(task: _Task, error: BaseException, kind: str,
                        charge: bool = True) -> None:
-        """Queue another attempt, or settle the tickets with ``error``.
+        """Queue another attempt, or settle the task with ``error``.
 
         ``charge=False`` is for collateral damage — a task whose worker
         died because a *different* task killed the pool keeps its own
@@ -462,8 +369,6 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
         timeout = max(0.01, min(wakeups)) if wakeups else None
         done, _ = wait(list(running), timeout=timeout,
                        return_when=FIRST_COMPLETED)
-        if done:
-            pool.reap(done)
 
         broken = False
         for future in done:
@@ -521,7 +426,7 @@ def _execute_owned(tasks: Sequence[_Task], tickets: Dict[SimJob, _Ticket],
                 raise
             except Exception as error:
                 settle_error(task, error)
-    return rebuilds
+    return outcomes, rebuilds
 
 
 def run_jobs(jobs: Sequence[SimJob],
@@ -536,10 +441,11 @@ def run_jobs(jobs: Sequence[SimJob],
     never what it computes.
 
     ``policy`` defaults to :meth:`RetryPolicy.from_env` (``REPRO_RETRIES``
-    and friends).  ``journal``, when given, is a checkpoint journal (see
-    :mod:`repro.experiments.journal`): completed jobs are recorded as
-    they finish, and a cached result whose digest contradicts the
-    journal is treated as corrupt and re-run instead of trusted.
+    and ``REPRO_JOB_TIMEOUT``).  ``journal``, when given, is a checkpoint
+    journal (see :mod:`repro.experiments.journal`): completed jobs are
+    recorded as they finish, and a cached result whose digest
+    contradicts the journal is treated as corrupt and re-run instead of
+    trusted.
     """
     from repro.experiments import runner
 
@@ -551,13 +457,11 @@ def run_jobs(jobs: Sequence[SimJob],
     telemetry_on = telemetry.enabled()
     batch_start = time.perf_counter() if telemetry_on else 0.0
 
-    def emit_batch(pending: int, dispatched: int, workers: int,
-                   rebuilds: int = 0) -> None:
+    def emit_batch(dispatched: int, workers: int, rebuilds: int = 0) -> None:
         if telemetry_on:
             telemetry.emit(
                 "parallel.run_jobs", requested=len(jobs), unique=len(unique),
-                cache_hits=len(unique) - pending,
-                coalesced=pending - dispatched, dispatched=dispatched,
+                cache_hits=len(unique) - dispatched, dispatched=dispatched,
                 workers=workers, pool_rebuilds=rebuilds,
                 seconds=time.perf_counter() - batch_start)
 
@@ -587,7 +491,7 @@ def run_jobs(jobs: Sequence[SimJob],
             pending.append(job)
 
     if not pending:
-        emit_batch(pending=0, dispatched=0, workers=0)
+        emit_batch(dispatched=0, workers=0)
         return {job: results[job] for job in jobs}
 
     if max_workers <= 1 or len(pending) == 1:
@@ -601,45 +505,22 @@ def run_jobs(jobs: Sequence[SimJob],
                                            journal)
             for job, result in zip(task.jobs, outcome):
                 results[job] = result
-        emit_batch(pending=len(pending), dispatched=len(pending), workers=1)
+        emit_batch(dispatched=len(pending), workers=1)
         return {job: results[job] for job in jobs}
 
-    owned: Dict[SimJob, _Ticket] = {}
-    tickets: Dict[SimJob, _Ticket] = {}
-    with _lock:
-        workers = min(max_workers, len(pending))
-        for job in pending:
-            ticket = _inflight.get(job)
-            if ticket is None:
-                ticket = _Ticket()
-                _inflight[job] = ticket
-                owned[job] = ticket
-            tickets[job] = ticket
-
-    rebuilds = 0
-    try:
-        if owned:
-            rebuilds = _execute_owned(_make_tasks(list(owned)), tickets,
-                                      workers, policy, journal)
-    finally:
-        with _lock:
-            for job, ticket in owned.items():
-                if _inflight.get(job) is ticket:
-                    del _inflight[job]
-        # Never strand a coalescer: any ticket the owner could not
-        # settle (an exception escaping the retry loop, KeyboardInterrupt)
-        # fails loudly instead of blocking forever.
-        for ticket in owned.values():
-            if not ticket.settled:
-                ticket.fail(CancelledError("executor aborted"))
-
+    # Every task settles (and journals) before the first failed job's
+    # error is raised, so a failure costs the batch no finished work.
+    workers = min(max_workers, len(pending))
+    outcomes, rebuilds = _execute_owned(_make_tasks(pending), workers,
+                                        policy, journal)
     for job in pending:
-        result = tickets[job].wait()
+        outcome = outcomes[job]
+        if isinstance(outcome, BaseException):
+            raise outcome
         # Seed the parent's memory cache: the worker wrote the disk
         # cache, but this process should not have to re-read it.
-        runner.seed_result(job.workload, job.key, job.instructions, result)
-        results[job] = result
+        runner.seed_result(job.workload, job.key, job.instructions, outcome)
+        results[job] = outcome
 
-    emit_batch(pending=len(pending), dispatched=len(owned), workers=workers,
-               rebuilds=rebuilds)
+    emit_batch(dispatched=len(pending), workers=workers, rebuilds=rebuilds)
     return {job: results[job] for job in jobs}

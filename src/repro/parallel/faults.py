@@ -146,11 +146,6 @@ def _plan() -> Dict[int, FaultSpec]:
     return _env_plan or {}
 
 
-def active() -> bool:
-    """True when a non-empty fault plan is in force."""
-    return bool(_plan())
-
-
 def assign_next() -> Assignment:
     """Claim the next dispatch index's fault assignment (parent only)."""
     global _sequence

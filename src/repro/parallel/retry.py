@@ -29,11 +29,8 @@ import os
 import warnings
 from typing import Optional
 
-#: Environment knobs (all optional; malformed values warn and fall back).
+#: Environment knobs (both optional; malformed values warn and fall back).
 ENV_RETRIES = "REPRO_RETRIES"
-ENV_BASE_DELAY = "REPRO_RETRY_BASE_DELAY"
-ENV_MAX_DELAY = "REPRO_RETRY_MAX_DELAY"
-ENV_JITTER = "REPRO_RETRY_JITTER"
 ENV_TIMEOUT = "REPRO_JOB_TIMEOUT"
 
 
@@ -56,16 +53,14 @@ class RetryPolicy:
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":
-        """Build a policy from ``REPRO_RETRIES`` & friends.
+        """Build a policy from ``REPRO_RETRIES`` and ``REPRO_JOB_TIMEOUT``;
+        the backoff shape keeps its defaults.
 
         Like ``REPRO_JOBS``, these are user input reaching deep into a
         run: malformed values must degrade to the default, not raise.
         """
         return cls(
             max_attempts=max(1, _env_int(ENV_RETRIES, cls.max_attempts)),
-            base_delay=max(0.0, _env_float(ENV_BASE_DELAY, cls.base_delay)),
-            max_delay=max(0.0, _env_float(ENV_MAX_DELAY, cls.max_delay)),
-            jitter=_env_float(ENV_JITTER, cls.jitter),
             timeout=_env_timeout(),
         )
 

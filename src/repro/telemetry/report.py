@@ -139,7 +139,6 @@ def _summarize_parallel(events: List[Event]) -> Dict[str, Any]:
         "jobs_requested": _sum(batches, "requested"),
         "jobs_unique": _sum(batches, "unique"),
         "cache_hits": _sum(batches, "cache_hits"),
-        "coalesced": _sum(batches, "coalesced"),
         "dispatched": _sum(batches, "dispatched"),
         "batch_seconds": round(
             sum(float(e.get("seconds", 0.0)) for e in batches), 4),
@@ -274,7 +273,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
                      f"{par['jobs_requested']} jobs, "
                      f"{par['jobs_unique']} unique, "
                      f"{par['cache_hits']} cached, "
-                     f"{par['coalesced']} coalesced, "
                      f"{par['dispatched']} dispatched in "
                      f"{par['batch_seconds']:.2f}s")
         lines.append(f"  worker utilization "

@@ -169,8 +169,10 @@ class TestResumeCLI:
         (resume,) = [e for e in events if e["event"] == "experiment.resume"]
         assert resume["journaled"] == 4
         assert resume["total"] == 4
+        # fig09 runs each workload's keys as one batched task, whose
+        # results carry source="batched": both sources are simulations.
         simulated = [e for e in events if e["event"] == "runner.result"
-                     and e.get("source") == "simulated"]
+                     and e.get("source") in ("simulated", "batched")]
         assert simulated == []  # resume re-executed nothing
         assert "[resume]" in capsys.readouterr().out
 

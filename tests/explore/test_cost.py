@@ -1,9 +1,9 @@
-"""The static storage model must match the live accounting exactly.
+"""A key's storage price is the live accounting of its predictor.
 
-``storage_cost_bits`` prices a key without building tables; every
-predictor exposes ``storage_bits()`` computed from the tables it did
-build.  For every bounded config the two must be equal to the bit —
-any divergence means the model (or the predictor layout) drifted.
+``storage_cost_bits`` builds the predictor a key names and reads its
+``storage_bits()``, computed from the tables it did build.  For every
+bounded config the price must equal that accounting to the bit, so no
+second storage model can creep back in and drift from the predictors.
 """
 
 from __future__ import annotations

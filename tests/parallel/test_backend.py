@@ -20,7 +20,8 @@ import pytest
 from repro import parallel, telemetry
 from repro.experiments import runner
 from repro.experiments.journal import result_digest
-from repro.parallel import executor, faults
+from repro.parallel import faults
+from repro.parallel.backend import local
 from repro.parallel.retry import RetryPolicy
 
 FAST = dict(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
@@ -82,8 +83,7 @@ class TestEnvPropagationPool:
     def test_knob_reaches_pool_worker(self, knob, monkeypatch):
         monkeypatch.setenv(knob, "probe-value")
         parallel.shutdown()  # a fresh pool, forked under this env
-        with executor._lock:
-            pool = executor._get_pool(1)
+        pool = local._get_pool(1)
         try:
             seen = pool.submit(_probe_env, [knob]).result(timeout=60)
         finally:

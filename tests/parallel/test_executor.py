@@ -132,7 +132,7 @@ class TestScheduling:
         their timeout budget waiting for a slot."""
         import threading
 
-        from repro.parallel import executor
+        from repro.parallel.backend import local
 
         # Six one-job tasks, one per workload: two workloads would
         # group the six jobs into two tasks, leaving the slot bound
@@ -140,7 +140,7 @@ class TestScheduling:
         lock = threading.Lock()
         outstanding = set()
         peaks = []
-        real_get_pool = executor._get_pool
+        real_get_pool = local._get_pool
 
         class TrackingPool:
             def __init__(self, pool):
@@ -160,7 +160,7 @@ class TestScheduling:
                 return future
 
         monkeypatch.setattr(
-            executor, "_get_pool",
+            local, "_get_pool",
             lambda workers: TrackingPool(real_get_pool(workers)))
         jobs = parallel.make_jobs(list(zip(SOLO_WORKLOADS, KEYS * 2)))
         by_job = parallel.run_jobs(jobs, max_workers=2)
@@ -170,16 +170,16 @@ class TestScheduling:
     def test_pool_grows_for_larger_batches(self, isolated_caches):
         """A first small batch must not pin the pool size: once its
         futures drain, a later larger batch gets a larger pool."""
-        from repro.parallel import executor
+        from repro.parallel.backend import local
 
         small = parallel.make_jobs([("Kafka", "bimodal"),
                                     ("Kafka", "gshare")])
         parallel.run_jobs(small, max_workers=2)
-        assert executor._pool_workers == 2
+        assert local._pool_workers == 2
 
         big = parallel.make_jobs([("NodeApp", key) for key in KEYS])
         parallel.run_jobs(big, max_workers=3)
-        assert executor._pool_workers == 3
+        assert local._pool_workers == 3
 
 
 class TestBatching:

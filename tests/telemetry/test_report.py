@@ -62,7 +62,7 @@ class TestSummarize:
             {"event": "trace.cache", "ts": 1.6, "pid": 1, "hit": False,
              "seconds": 0.5},
             {"event": "parallel.run_jobs", "ts": 5.0, "pid": 1,
-             "requested": 6, "unique": 4, "cache_hits": 2, "coalesced": 0,
+             "requested": 6, "unique": 4, "cache_hits": 2,
              "dispatched": 2, "workers": 2, "seconds": 10.0},
             {"event": "parallel.job", "ts": 4.5, "pid": 7, "seconds": 8.0},
             {"event": "parallel.job", "ts": 4.6, "pid": 8, "seconds": 4.0},
