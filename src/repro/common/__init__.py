@@ -2,13 +2,12 @@
 
 This package contains the pieces that every predictor level shares:
 history registers and their incremental "folded" hashes (the core of
-TAGE-style index/tag computation), saturating counters, a deterministic
-PRNG for allocation decisions, a generic set-associative container, and
-simple statistics helpers.
+TAGE-style index/tag computation), a deterministic PRNG for allocation
+decisions, a generic set-associative container, and simple statistics
+helpers.
 """
 
 from repro.common.bitops import FoldedHistory, HistoryBuffer, fold_bits
-from repro.common.counters import SaturatingCounter, WidthCounter
 from repro.common.rng import XorShift32
 from repro.common.assoc import SetAssociative
 
@@ -16,8 +15,6 @@ __all__ = [
     "FoldedHistory",
     "HistoryBuffer",
     "fold_bits",
-    "SaturatingCounter",
-    "WidthCounter",
     "XorShift32",
     "SetAssociative",
 ]

@@ -117,8 +117,3 @@ class FoldedHistory:
 
     def reset(self) -> None:
         self.value = 0
-
-
-def mix_pc(pc: int, shift: int = 2) -> int:
-    """Pre-mix a branch PC before hashing (drops alignment bits)."""
-    return (pc >> shift) ^ (pc >> (shift + 5))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def percentile(sorted_values: Sequence[float], p: float) -> float:
@@ -31,27 +31,6 @@ def mean(values: Iterable[float]) -> float:
     if not vals:
         raise ValueError("mean of empty sequence")
     return sum(vals) / len(vals)
-
-
-def cumulative_fraction(sorted_desc: Sequence[float]) -> List[float]:
-    """Cumulative fraction of the total, for descending-sorted values."""
-    total = float(sum(sorted_desc))
-    if total <= 0:
-        return [0.0] * len(sorted_desc)
-    out: List[float] = []
-    acc = 0.0
-    for v in sorted_desc:
-        acc += v
-        out.append(acc / total)
-    return out
-
-
-def histogram(values: Iterable[int]) -> Dict[int, int]:
-    """Count occurrences of each integer value."""
-    out: Dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 def mpki(mispredictions: int, instructions: int) -> float:

@@ -78,14 +78,6 @@ class LLBPConfig:
     weak_override_guard: bool = True
     exclusive_provider_training: bool = False
 
-    # Optional front-end redirect modelling (§VI: "After a misprediction
-    # (BTB miss and misprediction), all in-flight prefetches get
-    # squashed").  When enabled the composite predictor also runs a BTB
-    # and an ITTAGE-style indirect target predictor, and wrong indirect
-    # targets / BTB misses reset the prefetch pipeline — the effect that
-    # makes PHPWiki LLBP's worst case in the paper (§VII-A).
-    model_frontend_redirects: bool = False
-
     def __post_init__(self) -> None:
         if self.patterns_per_set < 1:
             raise ValueError("need at least one pattern per set")

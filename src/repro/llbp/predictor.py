@@ -113,15 +113,6 @@ class LLBPTageScL(BranchPredictor):
         self._rng = XorShift32(seed)
         self._now = 0
         self._cd_accesses = 0
-        # Optional front-end redirect modelling (§VI / §VII-A).
-        self.btb = None
-        self.indirect = None
-        if config.model_frontend_redirects:
-            from repro.predictors.btb import BranchTargetBuffer
-            from repro.predictors.indirect import IndirectPredictor
-
-            self.btb = BranchTargetBuffer()
-            self.indirect = IndirectPredictor(history=self.history)
         # Fig 15 breakdown counters.
         self.counts = {
             "predictions": 0,
@@ -296,32 +287,12 @@ class LLBPTageScL(BranchPredictor):
 
     def update_history(self, pc: int, branch_type: int, taken: bool,
                        target: int) -> None:
-        if self.btb is not None:
-            self._model_redirects(pc, branch_type, taken, target)
         self.tsl.update_history(pc, branch_type, taken, target)
         if self.rcr.qualifies(branch_type):
             changed = self.rcr.push(pc)
             if changed:
                 self._cd_accesses += 1
             self.prefetcher.issue(self.rcr.prefetch_cid, self._now)
-
-    def _model_redirects(self, pc: int, branch_type: int, taken: bool,
-                         target: int) -> None:
-        """BTB misses and wrong indirect targets reset prefetching (§VI)."""
-        flush = False
-        if branch_type in (4, 5):  # IND_JUMP / IND_CALL
-            res = self.indirect.predict(pc)
-            if not self.indirect.train(pc, target, res):
-                flush = True
-                self.counts["indirect_flushes"] = (
-                    self.counts.get("indirect_flushes", 0) + 1)
-        if taken and not self.btb.predict_and_update(pc, target):
-            flush = True
-            self.counts["btb_flushes"] = self.counts.get("btb_flushes", 0) + 1
-        if flush and self.config.simulate_timing:
-            self.prefetcher.squash()
-            for distance in range(self.config.prefetch_distance + 1):
-                self.prefetcher.issue(self.rcr.cid_at(distance), self._now)
 
     def advance(self, instructions: int) -> None:
         self._now += instructions

@@ -23,10 +23,12 @@ Failures do not abort the batch.  Each task runs under a
 retried with bounded, jittered exponential backoff; an attempt that
 exceeds its timeout (``policy.timeout`` × the task's job count) has its
 (hung) worker killed and the pool rebuilt; a worker that dies mid-task
-(OOM-kill, segfault) breaks the pool, which is rebuilt too.  Tasks
-whose attempts the broken pool failed are retried; tasks it had not
-yet answered are resubmitted without burning an attempt.  A retried
-task recovers incrementally: members whose results were already
+(OOM-kill, segfault) breaks the pool, which is rebuilt too.  A broken
+pool fails every task in flight, so a break charges an attempt only
+when one task was in flight; after a break with more, none is charged,
+and those *suspects* rerun first, one at a time, until a break names
+the task that kills its worker.  A retried task recovers
+incrementally: members whose results were already
 published to the disk cache answer from it, so only the unfinished
 remainder re-simulates.  If the pool proves irrecoverable — more
 rebuilds than ``policy.max_pool_rebuilds`` — the batch degrades to
@@ -252,6 +254,8 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
     pool = LocalBackend(workers)
     states = {task: _TaskState() for task in tasks}
     waiting: Set[_Task] = set(tasks)
+    # Tasks in flight at a pool break that could not be pinned on one.
+    suspects: Set[_Task] = set()
     not_before = {task: 0.0 for task in tasks}
     running: Dict[Future, _Task] = {}
     deadlines: Dict[Future, float] = {}
@@ -259,6 +263,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
     rebuilds = 0
 
     def settle_ok(task: _Task, results: Sequence[SimulationResult]) -> None:
+        suspects.discard(task)
         for job, result in zip(task.jobs, results):
             _journal_record(journal, job, result)
             outcomes[job] = result
@@ -277,6 +282,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
         """
         state = states[task]
         if charge:
+            suspects.discard(task)
             state.attempts += 1
             if state.attempts >= policy.max_attempts:
                 telemetry.emit("parallel.exhausted", workload=task.workload,
@@ -295,8 +301,16 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
             not_before[task] = 0.0
         waiting.add(task)
 
-    def rebuild_pool() -> None:
+    def rebuild_pool(lost: List[Tuple[_Task, BaseException]]) -> None:
+        """Requeue every task in flight and rebuild the pool.
+
+        ``lost`` holds the tasks whose futures a broken pool failed.  A
+        broken pool fails every future in flight, so the break names its
+        culprit only when one task was in flight: that task is charged.
+        Otherwise none is, and all of them become suspects.
+        """
         nonlocal rebuilds
+        cancelled = []
         for future, task in running.items():
             if future.done() and not future.cancelled():
                 # Completed between wait() returning and the rebuild:
@@ -305,15 +319,24 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
                 try:
                     results = future.result()
                 except BrokenProcessPool as error:
-                    schedule_retry(task, error, "worker_lost")
+                    lost.append((task, error))
                 except BaseException as error:
                     schedule_retry(task, error, type(error).__name__)
                 else:
                     settle_ok(task, results)
                 continue
             future.cancel()
-            schedule_retry(task, BrokenProcessPool("pool rebuilt"),
-                           "worker_lost", charge=False)
+            cancelled.append(task)
+        if len(lost) == 1 and not cancelled:
+            task, error = lost[0]
+            schedule_retry(task, error, "worker_lost")
+        else:
+            collateral = [task for task, _ in lost] + cancelled
+            for task in collateral:
+                schedule_retry(task, BrokenProcessPool("pool rebuilt"),
+                               "worker_lost", charge=False)
+            if lost:
+                suspects.update(collateral)
         running.clear()
         deadlines.clear()
         rebuilds += 1
@@ -328,10 +351,14 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
         # submission, so a task queued behind a full pool would burn its
         # timeout budget waiting for a worker instead of running;
         # bounding in-flight work makes submission ≈ execution start.
+        # While suspects remain, they go first and alone, so the next
+        # break has one task in flight.
         now = time.monotonic()
         ready = [task for task in tasks
                  if task in waiting and not_before[task] <= now]
-        ready = ready[:max(0, workers - len(running))]
+        slots = (1 if suspects else workers) - len(running)
+        ready.sort(key=lambda task: task not in suspects)
+        ready = ready[:max(0, slots)]
         if ready:
             try:
                 for task in ready:
@@ -346,7 +373,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
                 # The pool died before accepting work (BrokenProcessPool,
                 # or submit on a shut-down executor); tasks not yet
                 # submitted are still in ``waiting``.
-                rebuild_pool()
+                rebuild_pool([])
                 continue
 
         if not running:
@@ -370,26 +397,24 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
         done, _ = wait(list(running), timeout=timeout,
                        return_when=FIRST_COMPLETED)
 
-        broken = False
+        lost: List[Tuple[_Task, BaseException]] = []
         for future in done:
             task = running.pop(future)
             deadlines.pop(future, None)
             try:
                 results = future.result()
             except BrokenProcessPool as error:
-                # This task's worker died mid-attempt: that *is* this
-                # task's failure, so it burns an attempt — but the pool
-                # is gone for everyone, handled below.
-                broken = True
-                schedule_retry(task, error, "worker_lost")
+                # Some worker died mid-attempt, and the pool is gone for
+                # everyone: rebuild_pool decides whom to charge.
+                lost.append((task, error))
             except CancelledError as error:
                 schedule_retry(task, error, "cancelled", charge=False)
             except BaseException as error:
                 schedule_retry(task, error, type(error).__name__)
             else:
                 settle_ok(task, results)
-        if broken:
-            rebuild_pool()
+        if lost:
+            rebuild_pool(lost)
             continue
 
         # Enforce deadlines: a hung worker never returns, and the only
@@ -407,7 +432,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
                 f"task {task.workload}/{task.keys} exceeded "
                 f"{policy.timeout * len(task.jobs)}s"), "timeout")
         if expired:
-            rebuild_pool()
+            rebuild_pool([])
 
     if waiting or running:
         # Past the rebuild budget: the pool is irrecoverable.

@@ -27,8 +27,6 @@ from repro.predictors.loop import LoopPredictor
 from repro.predictors.statistical import StatisticalCorrector
 from repro.predictors.tage_sc_l import TageScL, TslConfig
 from repro.predictors.perfect import PerfectPredictor
-from repro.predictors.btb import BranchTargetBuffer
-from repro.predictors.indirect import IndirectPredictor, IttageConfig
 from repro.predictors.presets import (
     tsl_64k,
     tsl_scaled,
@@ -58,9 +56,6 @@ __all__ = [
     "TageScL",
     "TslConfig",
     "PerfectPredictor",
-    "BranchTargetBuffer",
-    "IndirectPredictor",
-    "IttageConfig",
     "tsl_64k",
     "tsl_scaled",
     "tsl_infinite",

@@ -147,21 +147,3 @@ class HistorySet:
         values = self.values
         for j in range(len(values)):
             values[j] = 0
-
-
-def geometric_lengths(minimum: int, maximum: int, count: int) -> List[int]:
-    """Geometrically spaced history lengths, deduplicated and increasing."""
-    if count < 2:
-        raise ValueError("need at least two lengths")
-    if minimum < 1 or maximum <= minimum:
-        raise ValueError("invalid length range")
-    ratio = (maximum / minimum) ** (1.0 / (count - 1))
-    lengths: List[int] = []
-    value = float(minimum)
-    for _ in range(count):
-        candidate = int(round(value))
-        if lengths and candidate <= lengths[-1]:
-            candidate = lengths[-1] + 1
-        lengths.append(candidate)
-        value *= ratio
-    return lengths

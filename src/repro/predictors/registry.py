@@ -40,12 +40,13 @@ design-space exploration harness (:mod:`repro.explore`)::
     percep:t=4,r=11,h=24       tables, row bits, total history bits
     percep:w=6,theta=40        weight width, training threshold
 
-The token grammar is *declarative*: each family lists flag tokens (a bare
-word pinning one config field to one value) and parameter tokens
-(``name=value`` with a parser per name).  Unknown plain keys raise
-``KeyError``; malformed suffix tokens raise ``ValueError`` — the same
-error contract the deprecated helpers always had, which the experiment
-CLIs and cache filenames rely on.
+The token grammar is *declarative*: one table (``_FAMILIES``) lists, per
+parameterised family, its config type, flag tokens (a bare word pinning
+one config field to one value), parameter tokens (``name=value`` with a
+parser per name) and builder, and one parser and one spelling emitter
+read it.  Unknown plain keys raise ``KeyError``; malformed suffix tokens
+raise ``ValueError`` — the contract the experiment CLIs and cache
+filenames rely on.
 
 A key has exactly one *canonical* spelling (:func:`canonical_key`):
 flags before parameters, tokens in declaration order, defaults omitted,
@@ -57,7 +58,7 @@ Cache filenames and the explore harness dedup through it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.llbp.config import ContextSource, LLBPConfig
 from repro.llbp.predictor import LLBPTageScL
@@ -87,16 +88,50 @@ from repro.predictors.tage_sc_l import TageScL, TslConfig
 class PredictorSpec:
     """A parsed predictor key: the family plus its resolved config.
 
-    ``config`` is ``None`` for families without tunable tokens; for
-    ``llbp`` it is the fully resolved :class:`LLBPConfig` with every
-    token applied, for ``tsl`` the resolved :class:`TslGeometry`, and
-    for ``bimode``/``percep`` the :class:`BiModeConfig` /
-    :class:`PerceptronConfig`.
+    ``config`` is ``None`` for plain keys without tokens; for a
+    parameterised family it is the family's config with every token
+    applied (:class:`LLBPConfig`, :class:`TslGeometry`,
+    :class:`BiModeConfig` or :class:`PerceptronConfig`).
     """
 
     family: str
-    config: Union[LLBPConfig, "TslGeometry", BiModeConfig,
-                  PerceptronConfig, None] = None
+    config: Any = None
+
+    @property
+    def key(self) -> str:
+        """The canonical key of this spec (see module docstring).
+
+        Raises ``ValueError`` if the config deviates from its default in
+        a field no token spells (it cannot round-trip through a key).
+        """
+        if self.config is None:
+            return self.family
+        family = _FAMILIES[self.family]
+        config = self.config
+        if family.normalise is not None:
+            config = family.normalise(config)
+        default = family.config()
+        tokens = []
+        handled = set()
+        for token, (field, value) in family.flags.items():
+            if getattr(config, field) == value != getattr(default, field):
+                tokens.append(token)
+                handled.add(field)
+        for token, (field, _, fmt) in family.params.items():
+            current = getattr(config, field)
+            if field not in handled and current != getattr(default, field):
+                tokens.append(f"{token}={fmt(current)}")
+                handled.add(field)
+        for field in dataclasses.fields(config):
+            if (field.name not in handled and getattr(config, field.name)
+                    != getattr(default, field.name)):
+                raise ValueError(
+                    f"{type(config).__name__}.{field.name} deviates from the "
+                    f"default but has no key token; this config cannot be "
+                    f"expressed as a key")
+        suffix = ",".join(tokens)
+        fallback = f"{self.family}:{suffix}" if suffix else self.family
+        return family.presets.get(suffix, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +161,6 @@ _TSL_NAME_TO_KEY = {
     "Inf TAGE": "inf-tage",
     "Inf TSL": "inf-tsl",
 }
-
-# ---------------------------------------------------------------------------
-# The ``tsl:`` token grammar: TAGE-SC-L geometry off the preset ladder.
-# All parameters default to the 64K TSL baseline, so the empty suffix is
-# the baseline itself and pure power-of-two scales collapse to the named
-# presets (which keeps one canonical key — and one cache file — per
-# geometry).
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,67 +193,6 @@ class TslGeometry:
             raise ValueError("tsl SC index bits (sc=) must be positive")
 
 
-#: token name -> (geometry field, value parser, value formatter)
-_TSL_PARAMS: Tuple[Tuple[str, str, Callable, Callable], ...] = (
-    ("x", "scale", int, str),
-    ("t", "tables", int, str),
-    ("tag", "tag_bits", int, str),
-    ("sc", "sc_index_bits", int, str),
-)
-
-_TSL_PARAM_MAP = {token: (field, parse) for token, field, parse, _ in _TSL_PARAMS}
-
-#: pure power-of-two scale deviations land on the preset ladder.
-_TSL_SCALE_TO_KEY = {1: "tsl64", 2: "tsl128", 4: "tsl256", 8: "tsl512",
-                     16: "tsl1m"}
-
-
-def parse_tsl_spec(spec: str) -> TslGeometry:
-    """Parse a ``tsl`` key suffix (the part after ``tsl:``).
-
-    Same contract as :func:`parse_llbp_spec`: whitespace and empty
-    tokens are ignored, unknown tokens raise ``ValueError``, and so do
-    values :class:`TslGeometry` itself rejects.
-    """
-    changes: Dict[str, int] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
-            raise ValueError(f"unknown TSL token {token!r}")
-        name, value = token.split("=", 1)
-        try:
-            field, parse = _TSL_PARAM_MAP[name]
-        except KeyError:
-            raise ValueError(f"unknown TSL parameter {name!r}") from None
-        changes[field] = parse(value)
-    return TslGeometry(**changes)
-
-
-def tsl_key_suffix(geometry: TslGeometry) -> str:
-    """Canonical token list for ``geometry`` (inverse of :func:`parse_tsl_spec`)."""
-    default = TslGeometry()
-    tokens = []
-    for token, field, _, fmt in _TSL_PARAMS:
-        current = getattr(geometry, field)
-        if current != getattr(default, field):
-            tokens.append(f"{token}={fmt(current)}")
-    return ",".join(tokens)
-
-
-def tsl_canonical_key(geometry: TslGeometry) -> str:
-    """Canonical key for ``geometry``: a preset name where one matches."""
-    suffix = tsl_key_suffix(geometry)
-    if not suffix:
-        return "tsl64"
-    if suffix == f"x={geometry.scale}":
-        preset = _TSL_SCALE_TO_KEY.get(geometry.scale)
-        if preset is not None:
-            return preset
-    return f"tsl:{suffix}"
-
-
 def tsl_history_lengths(tables: int) -> Tuple[int, ...]:
     """``tables`` lengths subsampled from the baseline 21-length ladder.
 
@@ -244,7 +211,7 @@ def tsl_history_lengths(tables: int) -> Tuple[int, ...]:
 
 
 def _make_tsl(geometry: TslGeometry) -> TageScL:
-    canonical = tsl_canonical_key(geometry)
+    canonical = PredictorSpec("tsl", geometry).key
     if canonical in _SIMPLE_FACTORIES:
         # A geometry that IS a preset must build the preset, so caches,
         # display names and key_of cannot tell the two spellings apart.
@@ -264,239 +231,136 @@ def _make_tsl(geometry: TslGeometry) -> TageScL:
     )
     return TageScL(config)
 
+
+def _drop_default_theta(config: PerceptronConfig) -> PerceptronConfig:
+    """An explicit ``theta=`` equal to the classic fit for the config's
+    history length is the default: ``percep:theta=122`` and ``percep``
+    are the same predictor, so they must share one key (and one cache
+    file)."""
+    if config.threshold == default_threshold(config.history_bits):
+        return dataclasses.replace(config, threshold=None)
+    return config
+
+
 # ---------------------------------------------------------------------------
-# The ``bimode:`` and ``percep:`` token grammars.  Both follow the tsl
-# pattern: every parameter defaults to the family's standard geometry,
-# so the empty suffix collapses to the plain key.
-
-#: token name -> (BiModeConfig field, value parser, value formatter)
-_BIMODE_PARAMS: Tuple[Tuple[str, str, Callable, Callable], ...] = (
-    ("c", "choice_bits", int, str),
-    ("d", "direction_bits", int, str),
-    ("h", "history_bits", int, str),
-)
-
-_BIMODE_PARAM_MAP = {token: (field, parse)
-                     for token, field, parse, _ in _BIMODE_PARAMS}
-
-#: token name -> (PerceptronConfig field, value parser, value formatter)
-_PERCEP_PARAMS: Tuple[Tuple[str, str, Callable, Callable], ...] = (
-    ("t", "tables", int, str),
-    ("r", "row_bits", int, str),
-    ("w", "weight_bits", int, str),
-    ("h", "history_bits", int, str),
-    ("theta", "threshold", int, str),
-)
-
-_PERCEP_PARAM_MAP = {token: (field, parse)
-                     for token, field, parse, _ in _PERCEP_PARAMS}
+# The token grammar of every parameterised family, declaratively.
 
 
-def _parse_param_spec(spec: str, param_map: Dict, family: str) -> Dict:
-    """Shared ``name=value`` token parser for the bimode/percep grammars."""
-    changes: Dict[str, int] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
-            raise ValueError(f"unknown {family} token {token!r}")
-        name, value = token.split("=", 1)
-        try:
-            field, parse = param_map[name]
-        except KeyError:
-            raise ValueError(f"unknown {family} parameter {name!r}") from None
-        changes[field] = parse(value)
-    return changes
+@dataclasses.dataclass(frozen=True)
+class _Family:
+    """One parameterised family's grammar.
 
-
-def parse_bimode_spec(spec: str) -> BiModeConfig:
-    """Parse a ``bimode`` key suffix (the part after ``bimode:``)."""
-    return BiModeConfig(**_parse_param_spec(spec, _BIMODE_PARAM_MAP, "bimode"))
-
-
-def bimode_key_suffix(config: BiModeConfig) -> str:
-    """Canonical token list for ``config`` (defaults omitted)."""
-    default = BiModeConfig()
-    tokens = []
-    for token, field, _, fmt in _BIMODE_PARAMS:
-        current = getattr(config, field)
-        if current != getattr(default, field):
-            tokens.append(f"{token}={fmt(current)}")
-    return ",".join(tokens)
-
-
-def bimode_canonical_key(config: BiModeConfig) -> str:
-    suffix = bimode_key_suffix(config)
-    return f"bimode:{suffix}" if suffix else "bimode"
-
-
-def parse_percep_spec(spec: str) -> PerceptronConfig:
-    """Parse a ``percep`` key suffix (the part after ``percep:``)."""
-    return PerceptronConfig(**_parse_param_spec(spec, _PERCEP_PARAM_MAP,
-                                                "percep"))
-
-
-def percep_key_suffix(config: PerceptronConfig) -> str:
-    """Canonical token list for ``config`` (defaults omitted).
-
-    An explicit ``theta=`` equal to the classic fit for the config's
-    history length is dropped: ``percep:theta=122`` and ``percep`` are
-    the same predictor, so they must share one key (and one cache file).
+    ``flags`` maps a bare token to the (config field, pinned value) it
+    sets; ``params`` maps a ``name=value`` token to its (config field,
+    value parser, value formatter).  The canonical spelling emits flags,
+    then parameters, each in declaration order, omitting defaults.
+    ``presets`` maps a canonical suffix to the plain key it collapses
+    to; a family whose default (empty suffix) is a preset has no bare
+    key.  ``normalise`` rewrites a config to the equivalent one that
+    spells canonically.
     """
-    if (config.threshold is not None
-            and config.threshold == default_threshold(config.history_bits)):
-        config = dataclasses.replace(config, threshold=None)
-    default = PerceptronConfig()
-    tokens = []
-    for token, field, _, fmt in _PERCEP_PARAMS:
-        current = getattr(config, field)
-        if current != getattr(default, field):
-            tokens.append(f"{token}={fmt(current)}")
-    return ",".join(tokens)
+
+    config: Callable[..., Any]
+    build: Callable[[Any], BranchPredictor]
+    params: Mapping[str, Tuple[str, Callable[[str], Any], Callable[[Any], str]]]
+    flags: Mapping[str, Tuple[str, Any]] = dataclasses.field(
+        default_factory=dict)
+    presets: Mapping[str, str] = dataclasses.field(default_factory=dict)
+    normalise: Optional[Callable[[Any], Any]] = None
 
 
-def percep_canonical_key(config: PerceptronConfig) -> str:
-    suffix = percep_key_suffix(config)
-    return f"percep:{suffix}" if suffix else "percep"
+_SOURCES = {source.value: source for source in ContextSource}
 
-
-# ---------------------------------------------------------------------------
-# The LLBP token grammar, declaratively.  A flag token pins one config
-# field to one value; a parameter token parses ``name=value`` into one
-# field.  Order matters for :func:`key_of`: the canonical key emits flags
-# first, in declaration order, then parameters.
-
-#: token -> (config field, pinned value)
-_LLBP_FLAGS: Tuple[Tuple[str, str, object], ...] = (
-    ("lat0", "simulate_timing", False),
-    # §V-A's future-work variant: pattern sets live in the L2 rather than
-    # a dedicated array, so fetches pay an L2-like latency instead of the
-    # 6-cycle dedicated-array access.
-    ("virt", "prefetch_latency_cycles", 16),
-    ("unbucketed", "bucketed", False),
-    ("lru", "cd_replacement", "lru"),
-    ("exclusive", "exclusive_provider_training", True),
-    ("frontend", "model_frontend_redirects", True),
-    ("noguard", "weak_override_guard", False),
-)
-
-_SOURCES = {
-    "uncond": ContextSource.UNCONDITIONAL,
-    "callret": ContextSource.CALL_RET,
-    "all": ContextSource.ALL,
+_FAMILIES: Dict[str, _Family] = {
+    "llbp": _Family(
+        LLBPConfig, LLBPTageScL,
+        flags={
+            "lat0": ("simulate_timing", False),
+            # §V-A's future-work variant: pattern sets live in the L2
+            # rather than a dedicated array, so fetches pay an L2-like
+            # latency instead of the 6-cycle dedicated-array access.
+            "virt": ("prefetch_latency_cycles", 16),
+            "unbucketed": ("bucketed", False),
+            "lru": ("cd_replacement", "lru"),
+            "exclusive": ("exclusive_provider_training", True),
+            "noguard": ("weak_override_guard", False),
+        },
+        params={
+            "w": ("context_window", int, str),
+            "d": ("prefetch_distance", int, str),
+            "src": ("context_source", _SOURCES.__getitem__,
+                    lambda source: source.value),
+            "cd_bits": ("cd_set_bits", int, str),
+            "ps": ("patterns_per_set", int, str),
+            "pb": ("pb_entries", int, str),
+            "lat": ("prefetch_latency_cycles", int, str),
+        }),
+    # Every parameter defaults to the 64K TSL baseline, so pure
+    # power-of-two scales collapse onto the preset ladder (one canonical
+    # key — and one cache file — per geometry).
+    "tsl": _Family(
+        TslGeometry, _make_tsl,
+        params={
+            "x": ("scale", int, str),
+            "t": ("tables", int, str),
+            "tag": ("tag_bits", int, str),
+            "sc": ("sc_index_bits", int, str),
+        },
+        presets={"": "tsl64", "x=2": "tsl128", "x=4": "tsl256",
+                 "x=8": "tsl512", "x=16": "tsl1m"}),
+    "bimode": _Family(
+        BiModeConfig, BiMode,
+        params={
+            "c": ("choice_bits", int, str),
+            "d": ("direction_bits", int, str),
+            "h": ("history_bits", int, str),
+        }),
+    "percep": _Family(
+        PerceptronConfig, HashedPerceptron,
+        params={
+            "t": ("tables", int, str),
+            "r": ("row_bits", int, str),
+            "w": ("weight_bits", int, str),
+            "h": ("history_bits", int, str),
+            "theta": ("threshold", int, str),
+        },
+        normalise=_drop_default_theta),
 }
-
-
-def _parse_source(value: str) -> ContextSource:
-    return _SOURCES[value]
-
-
-#: token name -> (config field, value parser, value formatter)
-_LLBP_PARAMS: Tuple[Tuple[str, str, Callable, Callable], ...] = (
-    ("w", "context_window", int, str),
-    ("d", "prefetch_distance", int, str),
-    ("src", "context_source", _parse_source, lambda v: v.value),
-    ("cd_bits", "cd_set_bits", int, str),
-    ("ps", "patterns_per_set", int, str),
-    ("pb", "pb_entries", int, str),
-    ("lat", "prefetch_latency_cycles", int, str),
-)
-
-_LLBP_FLAG_MAP = {token: (field, value) for token, field, value in _LLBP_FLAGS}
-_LLBP_PARAM_MAP = {token: (field, parse) for token, field, parse, _ in _LLBP_PARAMS}
-
-
-def parse_llbp_spec(spec: str) -> LLBPConfig:
-    """Parse an ``llbp`` key suffix (the part after ``llbp:``).
-
-    Whitespace around tokens and empty tokens are ignored.  Raises
-    ``ValueError`` for unknown tokens/parameters and for token
-    combinations :class:`LLBPConfig` itself rejects (e.g. ``ps=48``
-    without ``unbucketed``).
-    """
-    config = LLBPConfig()
-    if not spec:
-        return config
-    changes: Dict[str, object] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in _LLBP_FLAG_MAP:
-            field, value = _LLBP_FLAG_MAP[token]
-            changes[field] = value
-        elif "=" in token:
-            name, value = token.split("=", 1)
-            try:
-                field, parse = _LLBP_PARAM_MAP[name]
-            except KeyError:
-                raise ValueError(f"unknown LLBP parameter {name!r}") from None
-            changes[field] = parse(value)
-        else:
-            raise ValueError(f"unknown LLBP token {token!r}")
-    return dataclasses.replace(config, **changes)
-
-
-def llbp_key_suffix(config: LLBPConfig) -> str:
-    """Canonical token list for ``config`` (inverse of :func:`parse_llbp_spec`).
-
-    Raises ``ValueError`` if some field deviating from the default has no
-    token spelling (such a config cannot round-trip through a key).
-    """
-    default = LLBPConfig()
-    handled = set()
-    tokens = []
-    for token, field, value in _LLBP_FLAGS:
-        if field in handled:
-            continue
-        if getattr(config, field) == value != getattr(default, field):
-            tokens.append(token)
-            handled.add(field)
-    for token, field, _, fmt in _LLBP_PARAMS:
-        if field in handled:
-            continue
-        current = getattr(config, field)
-        if current != getattr(default, field):
-            tokens.append(f"{token}={fmt(current)}")
-            handled.add(field)
-    for field in dataclasses.fields(config):
-        if field.name in handled:
-            continue
-        if getattr(config, field.name) != getattr(default, field.name):
-            raise ValueError(
-                f"LLBPConfig.{field.name} deviates from the default but has "
-                f"no key token; this config cannot be expressed as a key")
-    return ",".join(tokens)
 
 
 def parse_key(key: str) -> PredictorSpec:
     """Parse ``key`` into a :class:`PredictorSpec` without building tables.
 
     Raises ``KeyError`` for unknown plain keys and ``ValueError`` for a
-    malformed ``llbp`` suffix.
+    malformed token suffix, including token combinations the config
+    itself rejects (e.g. ``llbp:ps=48`` without ``unbucketed``).
+    Whitespace around tokens and empty tokens are ignored.
     """
     if key in _SIMPLE_FACTORIES:
-        return PredictorSpec(family=key)
-    if key == "llbp":
-        return PredictorSpec(family="llbp", config=LLBPConfig())
-    if key.startswith("llbp:"):
-        return PredictorSpec(family="llbp",
-                             config=parse_llbp_spec(key[len("llbp:"):]))
-    if key.startswith("tsl:"):
-        return PredictorSpec(family="tsl",
-                             config=parse_tsl_spec(key[len("tsl:"):]))
-    if key == "bimode":
-        return PredictorSpec(family="bimode", config=BiModeConfig())
-    if key.startswith("bimode:"):
-        return PredictorSpec(family="bimode",
-                             config=parse_bimode_spec(key[len("bimode:"):]))
-    if key == "percep":
-        return PredictorSpec(family="percep", config=PerceptronConfig())
-    if key.startswith("percep:"):
-        return PredictorSpec(family="percep",
-                             config=parse_percep_spec(key[len("percep:"):]))
-    raise KeyError(f"unknown predictor key {key!r}")
+        return PredictorSpec(key)
+    name, colon, suffix = key.partition(":")
+    family = _FAMILIES.get(name)
+    if family is None or (not colon and "" in family.presets):
+        raise KeyError(f"unknown predictor key {key!r}")
+    changes: Dict[str, Any] = {}
+    for token in suffix.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if token in family.flags:
+            field, value = family.flags[token]
+        elif "=" in token:
+            token, value = token.split("=", 1)
+            try:
+                field, parse, _ = family.params[token]
+            except KeyError:
+                raise ValueError(
+                    f"unknown {name.upper()} parameter {token!r}") from None
+            value = parse(value)
+        else:
+            raise ValueError(f"unknown {name.upper()} token {token!r}")
+        changes[field] = value
+    return PredictorSpec(name, dataclasses.replace(family.config(), **changes))
 
 
 def canonical_key(key: str) -> str:
@@ -506,31 +370,15 @@ def canonical_key(key: str) -> str:
     ``canonical_key(k) == key_of(make_predictor(k))`` for every key the
     registry can instantiate.  Same errors as :func:`parse_key`.
     """
-    spec = parse_key(key)
-    if spec.family == "llbp":
-        suffix = llbp_key_suffix(spec.config)
-        return f"llbp:{suffix}" if suffix else "llbp"
-    if spec.family == "tsl":
-        return tsl_canonical_key(spec.config)
-    if spec.family == "bimode":
-        return bimode_canonical_key(spec.config)
-    if spec.family == "percep":
-        return percep_canonical_key(spec.config)
-    return spec.family
+    return parse_key(key).key
 
 
 def make_predictor(key: str) -> BranchPredictor:
     """Instantiate the predictor named by ``key`` (see module docstring)."""
     spec = parse_key(key)
-    if spec.family == "llbp":
-        return LLBPTageScL(spec.config)
-    if spec.family == "tsl":
-        return _make_tsl(spec.config)
-    if spec.family == "bimode":
-        return BiMode(spec.config)
-    if spec.family == "percep":
-        return HashedPerceptron(spec.config)
-    return _SIMPLE_FACTORIES[spec.family]()
+    if spec.config is None:
+        return _SIMPLE_FACTORIES[spec.family]()
+    return _FAMILIES[spec.family].build(spec.config)
 
 
 def key_of(predictor: BranchPredictor) -> str:
@@ -540,9 +388,6 @@ def key_of(predictor: BranchPredictor) -> str:
     ``parse_key(key_of(p))`` resolves to the same family and config.
     Raises ``ValueError`` for predictors the registry cannot express.
     """
-    if isinstance(predictor, LLBPTageScL):
-        suffix = llbp_key_suffix(predictor.config)
-        return f"llbp:{suffix}" if suffix else "llbp"
     if isinstance(predictor, TageScL):
         name = predictor.config.name
         if name.startswith("tsl:"):
@@ -554,24 +399,24 @@ def key_of(predictor: BranchPredictor) -> str:
         except KeyError:
             raise ValueError(
                 f"no registry key for TageScL preset named {name!r}") from None
-    if type(predictor) is BiMode:
-        return bimode_canonical_key(predictor.config)
-    if type(predictor) is HashedPerceptron:
-        return percep_canonical_key(predictor.config)
-    if type(predictor) is Bimodal:
-        return "bimodal"
-    if type(predictor) is GShare:
-        return "gshare"
-    if type(predictor) is PerfectPredictor:
-        return "perfect"
+    # Exact-type matches: a builder or factory that is a class names the
+    # predictor type it builds (a subclass may behave differently).
+    for name, family in _FAMILIES.items():
+        if type(predictor) is family.build:
+            return PredictorSpec(name, predictor.config).key
+    for key, factory in _SIMPLE_FACTORIES.items():
+        if type(predictor) is factory:
+            return key
     raise ValueError(f"no registry key for {type(predictor).__name__}")
 
 
 def known_keys() -> Tuple[str, ...]:
     """Every plain key the registry accepts (some take a suffix too)."""
-    return tuple(_SIMPLE_FACTORIES) + ("llbp", "bimode", "percep")
+    return tuple(_SIMPLE_FACTORIES) + tuple(
+        name for name, family in _FAMILIES.items()
+        if "" not in family.presets)
 
 
 def parameterized_families() -> Tuple[str, ...]:
     """Families that accept a ``:``-separated token suffix."""
-    return ("llbp", "tsl", "bimode", "percep")
+    return tuple(_FAMILIES)

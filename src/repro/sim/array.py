@@ -70,8 +70,6 @@ def unsupported_reason(predictor: BranchPredictor) -> Optional[str]:
     if type(predictor) is TageScL:
         return _tsl_reason(predictor, (Tage, InfiniteTage))
     if type(predictor) is LLBPTageScL:
-        if predictor.btb is not None:
-            return "front-end redirect modelling is not fused"
         if type(predictor.tsl) is not TageScL:
             return "baseline is not a plain TageScL"
         return _tsl_reason(predictor.tsl, (Tage,))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bitops import FoldedHistory, HistoryBuffer, fold_bits, mix_pc
+from repro.common.bitops import FoldedHistory, HistoryBuffer, fold_bits
 
 
 class TestFoldBits:
@@ -103,7 +103,3 @@ class TestFoldedHistory:
         with pytest.raises(ValueError):
             FoldedHistory(8, 0)
 
-
-def test_mix_pc_drops_alignment():
-    assert mix_pc(0x1000) == mix_pc(0x1000)
-    assert mix_pc(0x1000) != mix_pc(0x2000)

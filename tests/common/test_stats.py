@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.stats import (
-    cumulative_fraction,
     geomean,
-    histogram,
     mean,
     mpki,
     percentile,
@@ -67,25 +65,6 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-
-class TestCumulativeFraction:
-    def test_monotone_and_ends_at_one(self):
-        fractions = cumulative_fraction([5, 3, 2])
-        assert fractions == [0.5, 0.8, 1.0]
-
-    def test_zero_total(self):
-        assert cumulative_fraction([0, 0]) == [0.0, 0.0]
-
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=30))
-    def test_monotone_nondecreasing(self, values):
-        values.sort(reverse=True)
-        fractions = cumulative_fraction(values)
-        assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
-
-
-def test_histogram():
-    assert histogram([1, 1, 2]) == {1: 2, 2: 1}
 
 
 class TestMpki:

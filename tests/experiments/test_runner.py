@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.runner import get_result
-from repro.predictors.registry import make_predictor, parse_llbp_spec
+from repro.predictors.registry import make_predictor, parse_key
 from repro.llbp.config import ContextSource, LLBPConfig
 from repro.llbp.predictor import LLBPTageScL
 from repro.predictors.perfect import PerfectPredictor
@@ -56,6 +56,11 @@ class TestResolve:
             make_predictor("llbp:zz=3")
 
 
+def llbp_config(spec):
+    """The config an ``llbp:`` key suffix resolves to."""
+    return parse_key(f"llbp:{spec}").config
+
+
 class TestParseLLBPKey:
     """Every key-spec token maps to exactly one LLBPConfig field.
 
@@ -64,7 +69,7 @@ class TestParseLLBPKey:
     """
 
     def test_empty_spec_is_default(self):
-        assert parse_llbp_spec("") == LLBPConfig()
+        assert llbp_config("") == LLBPConfig()
 
     @pytest.mark.parametrize("token,field,value", [
         ("lat0", "simulate_timing", False),
@@ -72,7 +77,6 @@ class TestParseLLBPKey:
         ("unbucketed", "bucketed", False),
         ("lru", "cd_replacement", "lru"),
         ("exclusive", "exclusive_provider_training", True),
-        ("frontend", "model_frontend_redirects", True),
         ("noguard", "weak_override_guard", False),
         ("w=24", "context_window", 24),
         ("d=3", "prefetch_distance", 3),
@@ -84,7 +88,7 @@ class TestParseLLBPKey:
         ("lat=9", "prefetch_latency_cycles", 9),
     ])
     def test_single_token(self, token, field, value):
-        config = parse_llbp_spec(token)
+        config = llbp_config(token)
         assert getattr(config, field) == value
         # Only the named field (and nothing else) deviates from default.
         assert dataclasses.replace(config, **{field: getattr(LLBPConfig(), field)}) \
@@ -93,24 +97,24 @@ class TestParseLLBPKey:
     def test_ps_sets_patterns_per_set(self):
         # ``ps`` needs ``unbucketed`` alongside: bucketed configs pin the
         # pattern count to the slot-length list (LLBPConfig validates).
-        assert parse_llbp_spec("unbucketed,ps=48").patterns_per_set == 48
+        assert llbp_config("unbucketed,ps=48").patterns_per_set == 48
         with pytest.raises(ValueError):
-            parse_llbp_spec("ps=48")
+            llbp_config("ps=48")
 
     def test_tokens_compose(self):
-        config = parse_llbp_spec("lat0,unbucketed,cd_bits=10,ps=32")
+        config = llbp_config("lat0,unbucketed,cd_bits=10,ps=32")
         assert not config.simulate_timing
         assert not config.bucketed
         assert config.cd_set_bits == 10
         assert config.patterns_per_set == 32
 
     def test_whitespace_and_empty_tokens_ignored(self):
-        assert parse_llbp_spec(" lat0 , ,w=16") == parse_llbp_spec("lat0,w=16")
+        assert llbp_config(" lat0 , ,w=16") == llbp_config("lat0,w=16")
 
     @pytest.mark.parametrize("spec", ["bogus", "zz=3", "latency=4"])
     def test_unknown_tokens_rejected(self, spec):
         with pytest.raises(ValueError):
-            parse_llbp_spec(spec)
+            llbp_config(spec)
 
 
 class TestCacheRobustness:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.explore.cost import storage_cost_bits
 from repro.llbp.config import LLBPConfig
 from repro.predictors import registry
-from repro.predictors.registry import TslGeometry
+from repro.predictors.registry import PredictorSpec, TslGeometry
 
 scales = st.sampled_from([1, 2, 4, 8, 16])
 
@@ -56,9 +56,17 @@ def llbp_configs() -> st.SearchStrategy[LLBPConfig]:
     )
 
 
+def tsl_key(geometry: TslGeometry) -> str:
+    return PredictorSpec("tsl", geometry).key
+
+
+def llbp_key(config: LLBPConfig) -> str:
+    return PredictorSpec("llbp", config).key
+
+
 @given(tsl_geometries)
 def test_tsl_key_round_trips_through_parse(geometry):
-    key = registry.tsl_canonical_key(geometry)
+    key = tsl_key(geometry)
     spec = registry.parse_key(key)
     if spec.family == "tsl":
         assert spec.config == geometry
@@ -70,8 +78,7 @@ def test_tsl_key_round_trips_through_parse(geometry):
 
 @given(llbp_configs())
 def test_llbp_key_round_trips_through_parse(config):
-    suffix = registry.llbp_key_suffix(config)
-    key = f"llbp:{suffix}" if suffix else "llbp"
+    key = llbp_key(config)
     assert registry.parse_key(key).config == config
     assert registry.canonical_key(key) == key
 
@@ -82,21 +89,20 @@ def test_llbp_key_round_trips_through_parse(config):
                  tables=st.integers(min_value=2, max_value=21),
                  tag_bits=st.integers(min_value=6, max_value=14)))
 def test_tsl_key_of_round_trips_through_a_live_predictor(geometry):
-    key = registry.tsl_canonical_key(geometry)
+    key = tsl_key(geometry)
     assert registry.key_of(registry.make_predictor(key)) == key
 
 
 @settings(max_examples=25)
 @given(llbp_configs())
 def test_llbp_key_of_round_trips_through_a_live_predictor(config):
-    suffix = registry.llbp_key_suffix(config)
-    key = f"llbp:{suffix}" if suffix else "llbp"
+    key = llbp_key(config)
     assert registry.key_of(registry.make_predictor(key)) == key
 
 
 @given(tsl_geometries)
 def test_tsl_storage_cost_is_positive_and_stable(geometry):
-    key = registry.tsl_canonical_key(geometry)
+    key = tsl_key(geometry)
     bits = storage_cost_bits(key)
     assert bits > 0
     assert bits == storage_cost_bits(key)   # pure function of the key
@@ -104,8 +110,7 @@ def test_tsl_storage_cost_is_positive_and_stable(geometry):
 
 @given(llbp_configs())
 def test_llbp_storage_cost_is_positive_and_stable(config):
-    suffix = registry.llbp_key_suffix(config)
-    key = f"llbp:{suffix}" if suffix else "llbp"
+    key = llbp_key(config)
     bits = storage_cost_bits(key)
     assert bits > 0
     assert bits == storage_cost_bits(key)
@@ -117,8 +122,8 @@ def test_llbp_storage_cost_is_positive_and_stable(config):
                  tag_bits=st.integers(min_value=2, max_value=16)))
 def test_tsl_storage_cost_is_monotone_in_tables(geometry):
     bigger = dataclasses.replace(geometry, tables=geometry.tables + 1)
-    assert (storage_cost_bits(registry.tsl_canonical_key(bigger))
-            > storage_cost_bits(registry.tsl_canonical_key(geometry)))
+    assert (storage_cost_bits(tsl_key(bigger))
+            > storage_cost_bits(tsl_key(geometry)))
 
 
 @given(st.builds(TslGeometry,
@@ -126,15 +131,13 @@ def test_tsl_storage_cost_is_monotone_in_tables(geometry):
                  tables=st.integers(min_value=1, max_value=21)))
 def test_tsl_storage_cost_is_monotone_in_scale(geometry):
     bigger = dataclasses.replace(geometry, scale=geometry.scale * 2)
-    assert (storage_cost_bits(registry.tsl_canonical_key(bigger))
-            > storage_cost_bits(registry.tsl_canonical_key(geometry)))
+    assert (storage_cost_bits(tsl_key(bigger))
+            > storage_cost_bits(tsl_key(geometry)))
 
 
 @given(llbp_configs())
 def test_llbp_storage_cost_is_monotone_in_directory_size(config):
     bigger = dataclasses.replace(config,
                                  cd_set_bits=config.cd_set_bits + 1)
-    def key(c):
-        suffix = registry.llbp_key_suffix(c)
-        return f"llbp:{suffix}" if suffix else "llbp"
-    assert storage_cost_bits(key(bigger)) > storage_cost_bits(key(config))
+    assert (storage_cost_bits(llbp_key(bigger))
+            > storage_cost_bits(llbp_key(config)))

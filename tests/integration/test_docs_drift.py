@@ -8,8 +8,8 @@ workload stressor kind must appear in the user-facing reference docs
 knob without a doc line fails here, in CI, not in a user's terminal.
 
 The pins run both ways where the inventory is closed: a ``REPRO_*``
-variable or a CLI flag the docs still describe after its code is gone
-fails too.
+variable, a CLI flag or a predictor-key token the docs still describe
+after its code is gone fails too.
 """
 
 from __future__ import annotations
@@ -56,17 +56,23 @@ def test_every_documented_env_var_is_read_by_the_code():
 _FLAG = re.compile(r"(?<![\w-])--?[a-z][a-z0-9-]*")
 
 
-def _common_flags_table() -> set:
-    """Flags named in the first column of EXPERIMENTS.md's flag table."""
-    text = (REPO / "EXPERIMENTS.md").read_text()
-    lines = text[text.index("Common flags"):].splitlines()
+def _first_column(doc: str, anchor: str) -> list:
+    """First-column cells of the first table after ``anchor`` in ``doc``."""
+    text = (REPO / doc).read_text()
+    lines = text[text.index(anchor):].splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
-    flags = set()
+    cells = []
     for line in lines[start + 2:]:  # past the header and |---| rows
         if not line.startswith("|"):
             break
-        flags.update(_FLAG.findall(line.split("|")[1]))
-    return flags
+        cells.append(line.split("|")[1])
+    return cells
+
+
+def _common_flags_table() -> set:
+    """Flags named in the first column of EXPERIMENTS.md's flag table."""
+    return {flag for cell in _first_column("EXPERIMENTS.md", "Common flags")
+            for flag in _FLAG.findall(cell)}
 
 
 def test_flag_table_matches_the_experiments_parser():
@@ -96,6 +102,20 @@ def test_every_predictor_family_is_documented():
                 if f"{family}:" not in text]
     assert not missing, (
         f"registry keys/families absent from {REFERENCE_DOCS}: {missing}")
+
+
+def test_token_tables_match_the_registry():
+    """Each parameterised family's token table in docs/API.md lists
+    exactly the registry's flag and parameter tokens, both ways."""
+    from repro.predictors import registry
+
+    for name, family in registry._FAMILIES.items():
+        documented = {cell.strip().strip("`").split("=")[0]
+                      for cell in _first_column("docs/API.md",
+                                                f"`{name}:<t1>")}
+        assert documented == {*family.flags, *family.params}, (
+            f"docs/API.md's `{name}:` token table drifted from the "
+            f"registry")
 
 
 def test_every_stressor_kind_is_documented():

@@ -112,13 +112,36 @@ class TestRaiseFault:
 
 class TestWorkerKill:
     def test_dead_worker_detected_pool_rebuilt(self, events, monkeypatch):
-        """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch."""
-        faults.install("kill@1")
+        """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch.
+
+        The kill repeats: a break with another task in flight charges
+        nobody, so it takes the rerun of the killed task, alone, to be
+        charged a ``worker_lost`` retry."""
+        faults.install("kill@1x2")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         assert events("parallel.pool_rebuild")
         kinds = {e["error"] for e in events("parallel.retry")}
         assert "worker_lost" in kinds
+        _assert_matches_clean_serial(by_job, monkeypatch)
+
+    @pytest.mark.parametrize("plan,kafka_charges", [
+        ("kill@0", 0), ("kill@0x2", 1)])
+    def test_only_the_killing_task_is_charged(self, events, monkeypatch,
+                                              plan, kafka_charges):
+        """A broken pool fails every task in flight, but only the task
+        whose worker died may burn an attempt.  NodeApp hangs, so it is
+        in flight when Kafka's worker dies; rebuilding the pool kills
+        its worker before the hang ends."""
+        faults.install(f"{plan},hang@1")
+        by_job = parallel.run_jobs(
+            parallel.make_jobs([("Kafka", "gshare"), ("NodeApp", "gshare")],
+                               instructions=20_000),
+            max_workers=2, policy=RetryPolicy(**FAST))
+        charged = [e["workload"] for e in events("parallel.retry")]
+        assert charged == ["Kafka"] * kafka_charges
+        assert {e["workload"] for e in events("parallel.worker_lost")} == {
+            "Kafka", "NodeApp"}
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_irrecoverable_pool_degrades_to_serial(self, events, monkeypatch):

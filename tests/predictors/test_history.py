@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bitops import fold_bits
-from repro.predictors.history import (
-    GlobalHistory,
-    HistorySet,
-    HistorySpec,
-    geometric_lengths,
-)
+from repro.predictors.history import GlobalHistory, HistorySet, HistorySpec
 
 
 class TestHistorySpec:
@@ -84,16 +79,3 @@ class TestHistorySet:
         assert a.index_fold(0) == b.index_fold(0)
         assert a.tag_fold(0) == b.tag_fold(0)
 
-
-class TestGeometricLengths:
-    def test_monotone_unique(self):
-        lengths = geometric_lengths(4, 3000, 21)
-        assert lengths == sorted(set(lengths))
-        assert lengths[0] == 4
-        assert lengths[-1] == 3000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            geometric_lengths(4, 3000, 1)
-        with pytest.raises(ValueError):
-            geometric_lengths(10, 5, 4)

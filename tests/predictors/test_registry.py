@@ -88,14 +88,14 @@ class TestKeyOf:
     def test_suffix_round_trips_through_config(self):
         for spec in ("lat0", "unbucketed,ps=48", "src=all,cd_bits=10",
                      "exclusive,lru", "d=0", "pb=32"):
-            config = registry.parse_llbp_spec(spec)
-            suffix = registry.llbp_key_suffix(config)
-            assert registry.parse_llbp_spec(suffix) == config
+            config = registry.parse_key(f"llbp:{spec}").config
+            key = registry.key_of(LLBPTageScL(config))
+            assert registry.parse_key(key).config == config
 
     def test_inexpressible_config_is_valueerror(self):
         config = LLBPConfig(counter_bits=1 + LLBPConfig().counter_bits)
         with pytest.raises(ValueError, match="no key token"):
-            registry.llbp_key_suffix(config)
+            registry.key_of(LLBPTageScL(config))
 
     def test_unknown_predictor_is_valueerror(self):
         class Mystery(BranchPredictor):

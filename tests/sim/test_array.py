@@ -23,6 +23,7 @@ import pytest
 
 from repro import telemetry
 from repro.analysis.working_set import traced_inf_tage
+from repro.predictors import registry
 from repro.predictors.base import BranchPredictor
 from repro.predictors.registry import make_predictor
 from repro.sim import array
@@ -150,15 +151,45 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch, key):
     _assert_state_equal(oracle, subject)
 
 
+#: One valid spelling per parameter token of each parameterised family.
+PARAM_SAMPLES = {
+    ("llbp", "w"): "llbp:w=16",
+    ("llbp", "d"): "llbp:d=2",
+    ("llbp", "src"): "llbp:src=callret",
+    ("llbp", "cd_bits"): "llbp:cd_bits=8",
+    ("llbp", "ps"): "llbp:unbucketed,ps=8",
+    ("llbp", "pb"): "llbp:pb=32",
+    ("llbp", "lat"): "llbp:lat=9",
+    ("tsl", "x"): "tsl:x=2",
+    ("tsl", "t"): "tsl:t=11",
+    ("tsl", "tag"): "tsl:tag=10",
+    ("tsl", "sc"): "tsl:sc=9",
+    ("bimode", "c"): "bimode:c=12",
+    ("bimode", "d"): "bimode:d=12",
+    ("bimode", "h"): "bimode:h=10",
+    ("percep", "t"): "percep:t=5",
+    ("percep", "r"): "percep:r=9",
+    ("percep", "w"): "percep:w=6",
+    ("percep", "h"): "percep:h=28",
+    ("percep", "theta"): "percep:theta=40",
+}
+
+
 def test_supported_families():
-    for key in KEYS + ("perfect",):
-        assert array.unsupported_reason(make_predictor(key)) is None
-        assert array.supports(make_predictor(key))
+    """Every key the registry grammar can spell runs fused: each plain
+    key, each ``llbp:`` flag and one spelling per parameter token."""
+    families = registry._FAMILIES
+    keys = list(registry.known_keys())
+    keys += [f"llbp:{flag}" for flag in families["llbp"].flags]
+    keys += [PARAM_SAMPLES[name, token]
+             for name, family in families.items() for token in family.params]
+    for key in keys:
+        predictor = make_predictor(key)
+        assert array.unsupported_reason(predictor) is None, key
+        assert array.supports(predictor)
     assert array.supports(traced())
     assert not array.supports(Unfused())
     assert array.unsupported_reason(Unfused()) is not None
-    # The one registry key left on the reference loop.
-    assert not array.supports(make_predictor("llbp:frontend"))
     # LLBP's fused loop inlines a finite TAGE only.
     llbp = make_predictor("llbp")
     llbp.tsl = make_predictor("inf-tage")
