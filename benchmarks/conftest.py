@@ -40,8 +40,6 @@ def prewarm_result_cache():
                        fig12, fig13, fig14, fig15):
             pairs.extend(module.jobs())
         parallel.run_jobs(parallel.make_jobs(pairs), max_workers=workers)
-    yield
-    parallel.shutdown()
 
 
 @pytest.fixture

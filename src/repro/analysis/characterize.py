@@ -22,7 +22,7 @@ One pass over a workload's conditional branches computes, per workload:
 All entropies are in bits per conditional branch.  The pipeline then
 asks the cached runner (:mod:`repro.experiments.runner`) for each
 predictor family's measured MPKI — the ``run_many`` batch API fans the
-sweep across the process pool (``REPRO_JOBS``) — and pins a
+sweep across child processes (``REPRO_JOBS``) — and pins a
 ``predicted_winner`` derived *only from the metrics* next to the
 ``measured_winner`` derived from MPKI.  The prediction rule is deliberately simple (see
 :func:`predicted_winner`); its hit rate over the catalog is asserted in

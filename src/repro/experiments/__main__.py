@@ -7,8 +7,9 @@ Usage::
                                 [--resume] [--retries N] [--job-timeout S]
 
 With no experiment names every experiment runs (simulation results are
-cached, so reruns are cheap).  ``--jobs`` controls how many worker
-processes prewarm the result cache before the (serial) formatting pass;
+cached, so reruns are cheap).  ``--jobs`` controls how many child
+processes at a time prewarm the result cache before the (serial)
+formatting pass;
 it defaults to the CPU count, or REPRO_JOBS when set.  Honours
 REPRO_WORKLOADS / REPRO_INSTRUCTIONS.
 
@@ -18,12 +19,12 @@ Python engine and several times faster for the TAGE-SC-L/LLBP families.
 Python engine, the oracle.
 
 The run is fault-tolerant: failed simulations retry with backoff
-(``--retries`` / REPRO_RETRIES), hung workers are killed after
-``--job-timeout`` seconds (REPRO_JOB_TIMEOUT) and their pool rebuilt,
-and completed jobs are checkpointed to a journal next to the result
-cache.  After a crash or Ctrl-C, ``--resume`` re-executes only the
-unfinished jobs — and re-runs any cached result whose bytes no longer
-match the digest the journal recorded.
+(``--retries`` / REPRO_RETRIES), a hung simulation's child is killed
+after ``--job-timeout`` seconds per job (REPRO_JOB_TIMEOUT) and only its
+task retried, and completed jobs are checkpointed to a journal next to
+the result cache.  After a crash or Ctrl-C, ``--resume`` re-executes
+only the unfinished jobs — and re-runs any cached result whose bytes no
+longer match the digest the journal recorded.
 
 ``--telemetry [DIR]`` (or ``REPRO_TELEMETRY=DIR``) records structured
 events — per-figure timings, simulation phases, cache hits, worker
@@ -124,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("names", nargs="*", metavar="experiment",
                         help="experiments to run (default: all)")
     parser.add_argument("-j", "--jobs", type=int, default=None,
-                        help="worker processes for the simulation prewarm "
-                             "(default: REPRO_JOBS or the CPU count; "
-                             "1 disables the pool)")
+                        help="child processes at a time for the simulation "
+                             "prewarm (default: REPRO_JOBS or the CPU count; "
+                             "1 runs it in this process)")
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         default=None, metavar="DIR",
                         help="record structured run telemetry as JSONL "
@@ -216,7 +217,6 @@ def main(argv) -> int:
               f"{journal.path};\nresume with: python -m repro.experiments "
               f"--resume " + " ".join(args.names), file=sys.stderr)
     finally:
-        parallel.shutdown()
         journal.close()
         if args.telemetry is not None:
             print(f"\n[telemetry] events in {args.telemetry}/ — summarize "

@@ -119,8 +119,8 @@ def main(argv) -> int:
                         help="diff this search's artifact bytes against "
                              "FILE and exit non-zero on any mismatch")
     parser.add_argument("-j", "--jobs", type=int, default=None,
-                        help="worker processes (default: REPRO_JOBS or the "
-                             "CPU count; 1 disables the pool)")
+                        help="child processes at a time (default: REPRO_JOBS "
+                             "or the CPU count; 1 runs in this process)")
     parser.add_argument("--engine", choices=engine_mod.ENGINES, default=None,
                         help="simulation engine (default: REPRO_ENGINE or "
                              "array; engines are bit-identical)")
@@ -179,7 +179,6 @@ def main(argv) -> int:
               f"--resume " + " ".join(argv), file=sys.stderr)
         return 130
     finally:
-        parallel.shutdown()
         journal.close()
 
     artifact = pareto.build_artifact(outcome, search_space.name)

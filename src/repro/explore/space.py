@@ -7,7 +7,7 @@ registry key strings and canonicalised through
 :func:`repro.predictors.registry.canonical_key`.  Working in key space
 (rather than config objects) is what lets the explore driver reuse the
 whole execution stack unchanged: the result cache, the journal and
-the process pool all already speak keys.
+the parallel executor all already speak keys.
 
 Axis values are raw token *fragments* of the family's suffix grammar,
 so one axis value may pin several tokens at once (``"unbucketed,ps=8"``

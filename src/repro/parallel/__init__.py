@@ -1,22 +1,22 @@
 """Parallel experiment execution.
 
-Fans simulation jobs across a local process pool with cache-aware
+Fans simulation jobs across local child processes with cache-aware
 dispatch: duplicate jobs run once, jobs whose results are already
-cached never reach the pool, and completed results land in both the
-on-disk result cache and the calling process's in-memory cache.  Jobs
-sharing a (workload, instructions) pair are grouped into one batched
-task that decodes the trace once for all of them.
+cached start no child, and completed results land in both the on-disk
+result cache and the calling process's in-memory cache.  Jobs sharing a
+(workload, instructions) pair are grouped into one batched task that
+decodes the trace once for all of them, and each attempt of a task runs
+in a child process of its own.
 
-The scheduler is fault-tolerant: failed attempts retry with bounded
-jittered backoff (:mod:`repro.parallel.retry`), hung workers are timed
-out and their pool rebuilt, dead workers are detected and the stranded
-tasks re-dispatched, and an irrecoverable pool degrades to serial
-in-process execution.  Every failure path can be forced
-deterministically via :mod:`repro.parallel.faults` (``REPRO_FAULTS``).
+The scheduler is fault-tolerant: a failed attempt — one that raises,
+loses its child or misses its deadline — is charged to its task alone
+and retried with bounded jittered backoff (:mod:`repro.parallel.retry`);
+if no child can be started, the batch finishes in-process.  Every
+failure path can be forced deterministically via
+:mod:`repro.parallel.faults` (``REPRO_FAULTS``).
 """
 
 from repro.parallel import faults
-from repro.parallel.backend.local import shutdown
 from repro.parallel.executor import (
     SimJob,
     default_jobs,
@@ -33,5 +33,4 @@ __all__ = [
     "faults",
     "make_jobs",
     "run_jobs",
-    "shutdown",
 ]

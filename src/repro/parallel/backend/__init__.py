@@ -1,6 +1,6 @@
-"""The executor's process pool.
+"""Where the executor's task attempts run.
 
-:mod:`repro.parallel.backend.local` owns the pool, and
-:func:`repro.parallel.executor.run_jobs` reaches it only through
-:class:`~repro.parallel.backend.local.LocalBackend`.
+:mod:`repro.parallel.backend.local` starts one child process per task
+attempt, and :func:`repro.parallel.executor.run_jobs` reaches children
+only through :class:`~repro.parallel.backend.local.LocalBackend`.
 """

@@ -22,18 +22,21 @@ exhausts the retry budget.  Modes:
 * ``raise`` — the attempt raises :class:`FaultInjected`;
 * ``hang``  — the attempt stalls for ``REPRO_FAULT_HANG_SECONDS``
   (default 3600) before proceeding, standing in for a hung worker: the
-  executor's task timeout must fire and the hung worker be killed;
-* ``kill``  — the worker process dies via SIGKILL, standing in for an
-  OOM-kill or segfault: the executor must detect the broken pool,
-  rebuild it, and retry.
+  executor's task timeout must fire and kill that attempt's child;
+* ``kill``  — the attempt's child process dies via SIGKILL, standing in
+  for an OOM-kill or segfault: the executor must see the death, charge
+  it to that task alone, and retry.
+
+Each attempt runs in a child of its own, so a fault touches only the
+task it was planned for: no other task is charged, retried or killed.
 
 Faults are *assigned in the parent* (the dispatch counter lives here,
-in parent module state) and shipped to workers as an explicit argument,
-so the plan stays deterministic regardless of which worker runs which
-task.  When the faulted attempt runs in the parent process itself (the
-serial path, or after degradation to serial), every mode but ``raise``
-downgrades to ``raise`` — chaos must not take down the main process or
-stall the run it is testing.
+in parent module state) and handed to each attempt's child as an
+explicit argument, so the plan stays deterministic whatever order the
+children run in.  When the faulted attempt runs in the parent process
+itself (the serial path, or after degradation to serial), every mode
+but ``raise`` downgrades to ``raise`` — chaos must not take down the
+main process or stall the run it is testing.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Retry policy: bounded exponential backoff with deterministic jitter.
 
 The policy object carries every fault-tolerance knob the executor needs
-— attempt budget, backoff shape, per-job timeout, pool-rebuild budget —
-and :func:`backoff_delay` turns (attempt, policy) into a concrete sleep.
+— attempt budget, backoff shape, per-job timeout — and
+:func:`backoff_delay` turns (attempt, policy) into a concrete sleep.
+Every failed attempt, whether it raised, lost its child or missed its
+deadline, is charged to its own task and spends one of its attempts.
 
 Two properties are load-bearing and property-tested:
 
@@ -46,10 +48,9 @@ class RetryPolicy:
     max_delay: float = 30.0
     #: Multiplicative jitter fraction, clamped to [0, 1].
     jitter: float = 0.5
-    #: Per-job wall-clock timeout in seconds; ``None`` disables.
+    #: Per-job wall-clock timeout in seconds; ``None`` disables.  A task
+    #: that misses it has its child killed and is charged one attempt.
     timeout: Optional[float] = None
-    #: Pool re-creations tolerated before degrading to serial execution.
-    max_pool_rebuilds: int = 3
 
     @classmethod
     def from_env(cls) -> "RetryPolicy":

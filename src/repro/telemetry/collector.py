@@ -128,7 +128,7 @@ def configure(directory: os.PathLike) -> None:
     """Enable telemetry for this process *and its children*.
 
     Setting the environment variable (rather than module state) is what
-    lets pool workers inherit the setting.
+    lets child processes inherit the setting.
     """
     os.environ[ENV_VAR] = str(directory)
 

@@ -1,8 +1,8 @@
 """Turn a telemetry event stream into a run report.
 
 The read side of ``repro.telemetry``: :func:`load_events` merges the
-per-process ``events-*.jsonl`` files a run produced (parent + pool
-workers) into one timestamp-ordered stream, :func:`summarize` reduces
+per-process ``events-*.jsonl`` files a run produced (parent + child
+processes) into one timestamp-ordered stream, :func:`summarize` reduces
 it to the aggregate numbers a human or CI gate cares about — per-phase
 simulation timings, result/trace cache hit rates, parallel worker
 utilization, LLBP structure counters, per-figure wall clock — and
@@ -129,8 +129,8 @@ def _summarize_parallel(events: List[Event]) -> Dict[str, Any]:
         w["busy_seconds"] += float(e.get("seconds", 0.0))
     for w in workers.values():
         w["busy_seconds"] = round(w["busy_seconds"], 4)
-    # Utilization: worker busy time over the pool's capacity during the
-    # dispatched batches (workers x batch wall clock).
+    # Utilization: worker busy time over the batches' capacity (workers x
+    # batch wall clock).
     capacity = sum(int(e.get("workers", 0)) * float(e.get("seconds", 0.0))
                    for e in batches)
     busy = sum(w["busy_seconds"] for w in workers.values())
@@ -171,7 +171,7 @@ def _summarize_llbp(events: List[Event]) -> Dict[str, Any]:
 
 
 def _summarize_robustness(events: List[Event]) -> Dict[str, Any]:
-    """Fault-tolerance accounting: retries, timeouts, rebuilds, resume.
+    """Fault-tolerance accounting: retries by kind, timeouts, resume.
 
     A clean run reports all-zero counts; anything non-zero is the
     executor's recovery machinery at work (or the fault-injection hook
@@ -190,10 +190,6 @@ def _summarize_robustness(events: List[Event]) -> Dict[str, Any]:
             sum(float(e.get("delay", 0.0)) for e in retries), 4),
         "timeouts": len([e for e in events
                          if e["event"] == "parallel.timeout"]),
-        "workers_lost": len([e for e in events
-                             if e["event"] == "parallel.worker_lost"]),
-        "pool_rebuilds": len([e for e in events
-                              if e["event"] == "parallel.pool_rebuild"]),
         "degraded_to_serial": len([e for e in events
                                    if e["event"] == "parallel.degraded"]),
         "exhausted": len([e for e in events
@@ -283,9 +279,9 @@ def format_summary(summary: Dict[str, Any]) -> str:
 
     robust = summary.get("robustness", {})
     eventful = any(robust.get(k) for k in
-                   ("retries", "timeouts", "workers_lost", "pool_rebuilds",
-                    "degraded_to_serial", "exhausted", "faults_injected",
-                    "cache_corrupt", "interrupted")) or robust.get("resume")
+                   ("retries", "timeouts", "degraded_to_serial", "exhausted",
+                    "faults_injected", "cache_corrupt", "interrupted")
+                   ) or robust.get("resume")
     if eventful:
         kinds = ", ".join(f"{kind} x{count}" for kind, count
                           in sorted(robust["retry_errors"].items()))
@@ -293,9 +289,7 @@ def format_summary(summary: Dict[str, Any]) -> str:
                      f"{'y' if robust['retries'] == 1 else 'ies'}"
                      f"{f' ({kinds})' if kinds else ''}, "
                      f"{robust['backoff_seconds']:.2f}s backing off; "
-                     f"{robust['timeouts']} timeout(s), "
-                     f"{robust['workers_lost']} worker(s) lost, "
-                     f"{robust['pool_rebuilds']} pool rebuild(s)")
+                     f"{robust['timeouts']} timeout(s)")
         if robust["faults_injected"]:
             lines.append(f"  {robust['faults_injected']} fault(s) injected "
                          f"(REPRO_FAULTS chaos hook)")
@@ -304,8 +298,8 @@ def format_summary(summary: Dict[str, Any]) -> str:
                          f"entr{'y' if robust['cache_corrupt'] == 1 else 'ies'}"
                          f" detected and re-run")
         if robust["degraded_to_serial"]:
-            lines.append("  pool irrecoverable — degraded to serial "
-                         "execution")
+            lines.append("  no child process could be started — "
+                         "finished in-process")
         if robust["exhausted"]:
             lines.append(f"  {robust['exhausted']} job(s) failed after "
                          f"exhausting retries")

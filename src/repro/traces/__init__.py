@@ -1,4 +1,4 @@
-"""Branch-trace substrate: record model, container, file I/O, statistics.
+"""Branch-trace substrate: record model, container, trace store, statistics.
 
 The simulator is trace-driven, like the paper's artifact: a trace is a
 sequence of retired branch records, each carrying the branch PC, its type
@@ -9,7 +9,6 @@ previous branch (so MPKI and the timing model have an instruction base).
 
 from repro.traces.types import BranchType, BranchRecord, is_unconditional, is_call, is_return
 from repro.traces.trace import Trace, TraceBuilder
-from repro.traces.io import save_trace, load_trace
 from repro.traces.stats import TraceStats, compute_stats
 from repro.traces.store import (
     TraceStore,
@@ -27,8 +26,6 @@ __all__ = [
     "is_return",
     "Trace",
     "TraceBuilder",
-    "save_trace",
-    "load_trace",
     "TraceStats",
     "compute_stats",
     "TraceStore",

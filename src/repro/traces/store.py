@@ -1,14 +1,10 @@
 """Packed-binary trace store: one decode-ready file per generated trace.
 
-The ``.npz`` cache (:mod:`repro.traces.io`) is a portable interchange
-format, but it is the wrong shape for the batched simulation path: every
-load pays zlib decompression and materialises five freshly allocated
-arrays *per process*, so a pool of workers simulating the same workload
-holds as many private copies of the trace as there are workers.
-
-The store keeps each trace as a flat packed-binary file instead — a
-fixed header, the five column arrays laid out raw (struct-of-arrays, no
-pickle anywhere), and a trailing SHA-256 digest:
+Generation is deterministic but not free, so every generated trace is
+kept on disk, in the shape the simulation path reads: a flat
+packed-binary file — a fixed header, the five column arrays laid out raw
+(struct-of-arrays, no compression, no pickle anywhere), and a trailing
+SHA-256 digest:
 
     magic "RPTB" | version u16 | name_len u16 | n_records u64
     | name utf-8 | pad to 16 | pcs u64[n] | targets u64[n]

@@ -15,7 +15,6 @@ from repro.experiments.runner import RESULTS_VERSION
 @pytest.fixture(autouse=True)
 def _teardown():
     yield
-    parallel.shutdown()
     telemetry.reset()
 
 
@@ -160,7 +159,6 @@ class TestResumeCLI:
 
         # "Crash": drop all in-memory state, keep disk (cache + journal).
         runner.clear_memory_cache()
-        parallel.shutdown()
         telemetry.reset()
 
         assert main(["fig09", "-j", "2", "--resume",
@@ -194,7 +192,6 @@ class TestResumeCLI:
         data["mispredictions"] += 50
         path.write_text(json.dumps(data))
         runner.clear_memory_cache()
-        parallel.shutdown()
 
         assert main(["fig09", "-j", "1", "--resume"]) == 0
         resumed = capsys.readouterr().out

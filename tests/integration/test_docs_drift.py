@@ -56,17 +56,22 @@ def test_every_documented_env_var_is_read_by_the_code():
 _FLAG = re.compile(r"(?<![\w-])--?[a-z][a-z0-9-]*")
 
 
-def _first_column(doc: str, anchor: str) -> list:
-    """First-column cells of the first table after ``anchor`` in ``doc``."""
+def _table_rows(doc: str, anchor: str) -> list:
+    """Cell lists of the rows of the first table after ``anchor`` in ``doc``."""
     text = (REPO / doc).read_text()
     lines = text[text.index(anchor):].splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
-    cells = []
+    rows = []
     for line in lines[start + 2:]:  # past the header and |---| rows
         if not line.startswith("|"):
             break
-        cells.append(line.split("|")[1])
-    return cells
+        rows.append(line.split("|")[1:-1])
+    return rows
+
+
+def _first_column(doc: str, anchor: str) -> list:
+    """First-column cells of the first table after ``anchor`` in ``doc``."""
+    return [row[0] for row in _table_rows(doc, anchor)]
 
 
 def _common_flags_table() -> set:
@@ -130,3 +135,50 @@ def test_every_stressor_kind_is_documented():
 def test_workloads_doc_is_linked_from_readme():
     readme = (REPO / "README.md").read_text()
     assert "docs/WORKLOADS.md" in readme
+
+
+
+#: A `figNN`–`figMM` range in the package map stands for every figure
+#: module numbered between the two.
+_FIGURE_RANGE = re.compile(r"`fig(\d\d)`\s*–\s*`fig(\d\d)`")
+
+
+def _without_parentheticals(cell: str) -> str:
+    while True:
+        stripped = re.sub(r"\([^()]*\)", "", cell)
+        if stripped == cell:
+            return cell
+        cell = stripped
+
+
+def _tree_modules(package: Path) -> set:
+    """Dotted names of every module under ``package``, ``__init__`` aside."""
+    return {".".join(path.relative_to(package).with_suffix("").parts)
+            for path in package.rglob("*.py") if path.name != "__init__.py"}
+
+
+def test_package_map_matches_the_tree():
+    """docs/ARCHITECTURE.md's package table names exactly the packages
+    under src/repro/ and, per package, exactly its modules: each
+    backticked name outside parentheses in the Modules column."""
+    root = REPO / "src" / "repro"
+    rows = {package.strip().strip("`").removeprefix("repro."):
+            _without_parentheticals(modules)
+            for package, _, modules in _table_rows("docs/ARCHITECTURE.md",
+                                                   "## Package map")}
+    assert set(rows) == {path.parent.name
+                         for path in root.glob("*/__init__.py")}
+    for name, cell in rows.items():
+        documented = set(re.findall(r"`([^`]+)`", cell))
+        figures = [range(int(low), int(high) + 1)
+                   for low, high in _FIGURE_RANGE.findall(cell)]
+        tree = _tree_modules(root / name)
+        in_range = {module for module in tree
+                    if re.fullmatch(r"fig\d\d", module)
+                    and any(int(module[3:]) in span for span in figures)}
+        assert not documented - tree, (
+            f"repro.{name}: the package map names modules the tree lacks: "
+            f"{sorted(documented - tree)}")
+        assert not tree - in_range - documented, (
+            f"repro.{name}: modules missing from the package map: "
+            f"{sorted(tree - in_range - documented)}")

@@ -13,18 +13,13 @@ import pytest
 
 from repro import parallel
 from repro.experiments import runner
+from repro.parallel.backend import local
 
 KEYS = ("bimodal", "gshare", "tsl64")
 
 #: Distinct workloads, so jobs that must each be their own task (one
 #: per (workload, instructions) pair) can get one apiece.
 SOLO_WORKLOADS = ("Kafka", "NodeApp", "Tomcat", "PHPWiki", "TPCC", "HTTP")
-
-
-@pytest.fixture(autouse=True)
-def teardown_pool():
-    yield
-    parallel.shutdown()
 
 
 class TestJobConstruction:
@@ -125,61 +120,37 @@ class TestRunJobs:
 class TestScheduling:
     def test_in_flight_never_exceeds_workers(self, isolated_caches,
                                              monkeypatch):
-        """Per-job deadlines start at submission, so submission must
-        mean a worker picks the job up immediately: with more pending
-        jobs than workers, the executor may never queue more futures
-        than the pool has workers, or queued (healthy) jobs would burn
-        their timeout budget waiting for a slot."""
-        import threading
-
-        from repro.parallel.backend import local
-
+        """Per-task deadlines start at submission, so submission must
+        mean the task starts running: with more pending tasks than
+        workers, the executor may never have more children running
+        than it has workers, or queued (healthy) tasks would burn their
+        timeout budget waiting for a slot."""
         # Six one-job tasks, one per workload: two workloads would
         # group the six jobs into two tasks, leaving the slot bound
         # nothing to push against.
-        lock = threading.Lock()
-        outstanding = set()
+        running = set()
         peaks = []
-        real_get_pool = local._get_pool
+        real_submit = local.LocalBackend.submit
+        real_wait = local.LocalBackend.wait
 
-        class TrackingPool:
-            def __init__(self, pool):
-                self._pool = pool
+        def submit(self, task, fault):
+            future = real_submit(self, task, fault)
+            running.add(future)
+            peaks.append(len(running))
+            return future
 
-            def submit(self, fn, *args, **kwargs):
-                future = self._pool.submit(fn, *args, **kwargs)
-                with lock:
-                    outstanding.add(future)
-                    peaks.append(len(outstanding))
+        def wait(self, timeout):
+            settled = real_wait(self, timeout)
+            running.difference_update(settled)
+            return settled
 
-                def done(f):
-                    with lock:
-                        outstanding.discard(f)
-
-                future.add_done_callback(done)
-                return future
-
-        monkeypatch.setattr(
-            local, "_get_pool",
-            lambda workers: TrackingPool(real_get_pool(workers)))
+        monkeypatch.setattr(local.LocalBackend, "submit", submit)
+        monkeypatch.setattr(local.LocalBackend, "wait", wait)
         jobs = parallel.make_jobs(list(zip(SOLO_WORKLOADS, KEYS * 2)))
         by_job = parallel.run_jobs(jobs, max_workers=2)
         assert set(by_job) == set(jobs)
-        assert peaks and max(peaks) <= 2
-
-    def test_pool_grows_for_larger_batches(self, isolated_caches):
-        """A first small batch must not pin the pool size: once its
-        futures drain, a later larger batch gets a larger pool."""
-        from repro.parallel.backend import local
-
-        small = parallel.make_jobs([("Kafka", "bimodal"),
-                                    ("Kafka", "gshare")])
-        parallel.run_jobs(small, max_workers=2)
-        assert local._pool_workers == 2
-
-        big = parallel.make_jobs([("NodeApp", key) for key in KEYS])
-        parallel.run_jobs(big, max_workers=3)
-        assert local._pool_workers == 3
+        assert len(peaks) == len(SOLO_WORKLOADS)
+        assert max(peaks) == 2
 
 
 class TestBatching:

@@ -9,17 +9,23 @@ asserts the two promises the fault-tolerance layer makes:
    clean serial run (recovery changes where/when a simulation runs,
    never what it computes);
 2. telemetry accounts for every recovery (``parallel.retry`` /
-   ``.timeout`` / ``.pool_rebuild`` / ``.degraded`` events), so a bumpy
-   run is visible in ``scripts/report.py`` output.
+   ``.timeout`` / ``.degraded`` events), each charged to the one task
+   whose attempt failed, so a bumpy run is visible in
+   ``scripts/report.py`` output.
 """
 
 from __future__ import annotations
+
+import errno
+import multiprocessing
+from collections import Counter
 
 import pytest
 
 from repro import parallel, telemetry
 from repro.experiments import runner
 from repro.parallel import faults
+from repro.parallel.backend import local
 from repro.parallel.retry import RetryPolicy
 
 KEYS = ("bimodal", "gshare", "tsl64")
@@ -37,11 +43,11 @@ FAST = dict(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
 
 @pytest.fixture(autouse=True)
 def chaos_env(isolated_caches, tmp_path, monkeypatch):
-    """Telemetry on, hangs bounded, plan/pool state reset around each test.
+    """Telemetry on, hangs bounded, plan state reset around each test.
 
     Yields the telemetry directory: events must be read back from the
     merged per-process JSONL files, because fault and per-job events are
-    emitted inside pool workers, not the parent.
+    emitted inside child processes, not the parent.
     """
     directory = tmp_path / "telemetry"
     monkeypatch.setenv("REPRO_TELEMETRY", str(directory))
@@ -49,7 +55,6 @@ def chaos_env(isolated_caches, tmp_path, monkeypatch):
     faults.reset()
     yield directory
     faults.reset()
-    parallel.shutdown()
     telemetry.reset()
 
 
@@ -73,7 +78,7 @@ def _batched_jobs(keys=KEYS):
 
 
 def _assert_matches_clean_serial(by_job, monkeypatch):
-    """Recompute serially with caching off; nothing a worker (or a
+    """Recompute serially with caching off; nothing a child (or a
     faulty attempt) wrote may leak into the comparison baseline."""
     monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
     runner.clear_memory_cache()
@@ -93,7 +98,7 @@ class TestRaiseFault:
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_serial_path_retries_too(self, events, monkeypatch):
-        """-j 1 (no pool) runs the same retry policy in-process."""
+        """-j 1 (no child) runs the same retry policy in-process."""
         faults.install("raise@1")
         by_job = parallel.run_jobs(_jobs(), max_workers=1,
                                    policy=RetryPolicy(**FAST))
@@ -112,57 +117,80 @@ class TestRaiseFault:
 
 class TestWorkerKill:
     def test_dead_worker_detected_pool_rebuilt(self, events, monkeypatch):
-        """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch.
-
-        The kill repeats: a break with another task in flight charges
-        nobody, so it takes the rerun of the killed task, alone, to be
-        charged a ``worker_lost`` retry."""
-        faults.install("kill@1x2")
+        """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch:
+        the dead child's task alone is charged a ``worker_lost`` retry."""
+        faults.install("kill@1")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
-        assert events("parallel.pool_rebuild")
-        kinds = {e["error"] for e in events("parallel.retry")}
-        assert "worker_lost" in kinds
+        charged = [(e["workload"], e["error"])
+                   for e in events("parallel.retry")]
+        assert charged == [(SOLO_WORKLOADS[1], "worker_lost")]
         _assert_matches_clean_serial(by_job, monkeypatch)
 
-    @pytest.mark.parametrize("plan,kafka_charges", [
-        ("kill@0", 0), ("kill@0x2", 1)])
-    def test_only_the_killing_task_is_charged(self, events, monkeypatch,
-                                              plan, kafka_charges):
-        """A broken pool fails every task in flight, but only the task
-        whose worker died may burn an attempt.  NodeApp hangs, so it is
-        in flight when Kafka's worker dies; rebuilding the pool kills
-        its worker before the hang ends."""
-        faults.install(f"{plan},hang@1")
+    def test_kill_resubmits_and_charges_only_its_task(self, events,
+                                                      monkeypatch):
+        """A dead child is its own task's failure and no other's.
+        NodeApp's larger budget keeps it running when Kafka's child is
+        killed: it runs once and is never charged, while Kafka is
+        submitted again and charged once."""
+        submitted = []
+        real_submit = local.LocalBackend.submit
+
+        def counting(self, task, fault):
+            submitted.append(task.workload)
+            return real_submit(self, task, fault)
+
+        monkeypatch.setattr(local.LocalBackend, "submit", counting)
+        faults.install("kill@0")
         by_job = parallel.run_jobs(
-            parallel.make_jobs([("Kafka", "gshare"), ("NodeApp", "gshare")],
-                               instructions=20_000),
+            [parallel.SimJob("Kafka", "gshare", 20_000),
+             parallel.SimJob("NodeApp", "gshare", 400_000)],
             max_workers=2, policy=RetryPolicy(**FAST))
-        charged = [e["workload"] for e in events("parallel.retry")]
-        assert charged == ["Kafka"] * kafka_charges
-        assert {e["workload"] for e in events("parallel.worker_lost")} == {
-            "Kafka", "NodeApp"}
+        assert submitted.count("Kafka") == 2
+        assert submitted.count("NodeApp") == 1
+        charged = [(e["workload"], e["error"])
+                   for e in events("parallel.retry")]
+        assert charged == [("Kafka", "worker_lost")]
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_irrecoverable_pool_degrades_to_serial(self, events, monkeypatch):
-        """Past the rebuild budget the batch finishes in-process."""
-        faults.install("kill@0")
-        by_job = parallel.run_jobs(
-            _jobs(), max_workers=2,
-            policy=RetryPolicy(max_pool_rebuilds=0, **FAST))
+        """When no child can be started the batch finishes in-process.
+
+        The first child starts and the second cannot, so the running
+        child is killed too and all three tasks run here, uncharged."""
+        real_start = multiprocessing.Process.start
+        starts = []
+
+        def start_once(self):
+            starts.append(self)
+            if len(starts) > 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start_once)
+        by_job = parallel.run_jobs(_jobs(), max_workers=2,
+                                   policy=RetryPolicy(**FAST))
         (degraded,) = events("parallel.degraded")
-        assert degraded["remaining"] >= 1
+        assert degraded["remaining"] == len(SOLO_WORKLOADS)
+        assert not events("parallel.retry")
+        assert multiprocessing.active_children() == []
         _assert_matches_clean_serial(by_job, monkeypatch)
 
 
 class TestHungWorker:
     def test_timeout_kills_hung_worker_and_retries(self, events, monkeypatch):
+        """The deadline kills the hung task's child alone: the other
+        tasks run once, and only the hung one is charged."""
         faults.install("hang@0")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(timeout=3.0, **FAST))
         (timeout,) = events("parallel.timeout")
         assert timeout["timeout"] == 3.0
-        assert events("parallel.pool_rebuild")
+        charged = [(e["workload"], e["error"])
+                   for e in events("parallel.retry")]
+        assert charged == [(SOLO_WORKLOADS[0], "timeout")]
+        ran = sorted(e["workload"] for e in events("parallel.job"))
+        assert ran == sorted(SOLO_WORKLOADS)
         _assert_matches_clean_serial(by_job, monkeypatch)
 
 
@@ -187,7 +215,9 @@ class TestBatchedChaos:
                                 for workload in ("Kafka", "NodeApp")
                                 for key in ("bimodal", "gshare")]),
             max_workers=2, policy=RetryPolicy(**FAST))
-        assert events("parallel.pool_rebuild")
+        charged = [(e["workload"], e["error"])
+                   for e in events("parallel.retry")]
+        assert charged == [("Kafka", "worker_lost")]
         assert len(by_job) == 4
         _assert_matches_clean_serial(by_job, monkeypatch)
 
@@ -202,31 +232,33 @@ class TestBatchedChaos:
 
 class TestFig09StyleChaosRun:
     def test_raise_hang_and_kill_across_one_figure_run(self, events, monkeypatch):
-        """The acceptance scenario: a fig09-style batch absorbs one of
-        each fault kind and still reproduces the clean figure exactly."""
+        """The acceptance scenario, with CI's fault plan: a fig09-style
+        batch absorbs one of each fault kind, charges each to the task
+        it hit, and still reproduces the clean figure exactly."""
         from repro.experiments import fig09
 
         # Four workloads, so four tasks for the plan's indices to hit.
-        # kill first (index 0) so its pool rebuild cannot retroactively
-        # swallow the others; the raise and the hang repeat (x2) so they
-        # survive a collateral rebuild — a fault is consumed at
-        # submission, and the kill can break the pool before a sibling
-        # worker applies its share — and deterministically fire.  Each
-        # task runs Fig 9's four configurations, so its deadline is
-        # 4 x the per-job timeout: 4 s, far under the 45 s hang.
+        # Each task runs Fig 9's four configurations, so its deadline is
+        # 4 x the per-job timeout: 4 s, far under the 45 s hang and
+        # several times a healthy task's run at this budget on either
+        # engine.
         monkeypatch.setenv("REPRO_WORKLOADS", FIG09_WORKLOADS)
-        faults.install("kill@0,raise@1x2,hang@3x2")
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", "20000")
+        faults.install("kill@0,raise@1,hang@3x2")
         jobs = parallel.make_jobs(fig09.jobs())
         by_job = parallel.run_jobs(
             jobs, max_workers=2,
-            policy=RetryPolicy(timeout=1.0, max_attempts=4,
-                               base_delay=0.01, max_delay=0.05))
+            policy=RetryPolicy(timeout=1.0, base_delay=0.01, max_delay=0.05))
 
-        injected = {e["mode"] for e in events("parallel.fault")}
-        assert injected == {"raise", "hang", "kill"}
-        assert events("parallel.timeout"), "hang never hit the timeout"
-        assert events("parallel.pool_rebuild")
-        assert len(events("parallel.retry")) >= 3
+        assert Counter(e["mode"] for e in events("parallel.fault")) == {
+            "kill": 1, "raise": 1, "hang": 2}
+        assert len(events("parallel.timeout")) == 2
+        charged = Counter((e["workload"], e["error"])
+                          for e in events("parallel.retry"))
+        workloads = FIG09_WORKLOADS.split(",")
+        assert charged == {(workloads[0], "worker_lost"): 1,
+                           (workloads[1], "FaultInjected"): 1,
+                           (workloads[3], "timeout"): 2}
         _assert_matches_clean_serial(by_job, monkeypatch)
 
         # The recovered batch must also format to the exact clean figure.

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.traces.io import load_trace, save_trace
 from repro.traces.store import (
     TraceStore,
     TraceStoreError,
@@ -60,12 +59,16 @@ class TestRoundTrip:
         _assert_traces_equal(read_packed(path), mixed_trace)
 
     def test_agrees_with_npz_reference(self, tiny_workload_trace, tmp_path):
-        """The packed format and the legacy ``.npz`` interchange format
-        must describe the same trace byte for byte, column for column."""
-        save_trace(tiny_workload_trace, tmp_path / "ref.npz")
-        write_packed(tiny_workload_trace, tmp_path / "t.rpt")
-        _assert_traces_equal(read_packed(tmp_path / "t.rpt"),
-                             load_trace(tmp_path / "ref.npz"))
+        """The packed format and a plain numpy ``.npz`` bundle of the
+        same trace must describe it column for column, dtype for dtype."""
+        trace = tiny_workload_trace
+        np.savez_compressed(tmp_path / "ref.npz", name=np.array([trace.name]),
+                            **{c: getattr(trace, c) for c in COLUMNS})
+        with np.load(tmp_path / "ref.npz", allow_pickle=False) as data:
+            reference = Trace(*(data[c] for c in COLUMNS),
+                              name=str(data["name"][0]))
+        write_packed(trace, tmp_path / "t.rpt")
+        _assert_traces_equal(read_packed(tmp_path / "t.rpt"), reference)
 
     def test_empty_trace(self, tmp_path):
         empty = Trace(np.array([], dtype=np.uint64),
