@@ -1,6 +1,7 @@
 """Workload characterization: metrics that explain the family ranking.
 
-One pass over a workload's conditional branches computes, per workload:
+A numpy pass over a workload's conditional branches computes, per
+workload:
 
 * ``taken_rate`` — fraction of conditional executions taken;
 * ``branch_entropy`` — execution-weighted mean of the per-PC outcome
@@ -14,10 +15,11 @@ One pass over a workload's conditional branches computes, per workload:
   last-L global outcomes)`` for several ``L``: the ceiling on what an
   ``L``-bit global-history predictor (gshare and friends) can learn;
 * ``context_entropy`` — conditional entropy ``H(outcome | pc, CCID)``
-  where the CCID is LLBP's rolling context signature
-  (:class:`repro.llbp.rcr.RollingContextRegister` at the default
-  :class:`~repro.llbp.config.LLBPConfig`): the ceiling on what a
-  context-keyed pattern store can learn *without* history.
+  where the CCID is LLBP's rolling context signature at the default
+  :class:`~repro.llbp.config.LLBPConfig` (the CID column of
+  :func:`repro.sim.columns.cid_columns`, which the fused LLBP loop reads
+  too): the ceiling on what a context-keyed pattern store can learn
+  *without* history.
 
 All entropies are in bits per conditional branch.  The pipeline then
 asks the cached runner (:mod:`repro.experiments.runner`) for each
@@ -48,6 +50,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro import telemetry
 from repro.llbp.config import LLBPConfig
@@ -88,72 +92,76 @@ def _conditional_entropy(buckets: Iterable[List[int]]) -> float:
     return weighted / total if total else 0.0
 
 
+def _buckets(pc_ids: np.ndarray, keys: np.ndarray,
+             takens: np.ndarray) -> Iterable[List[int]]:
+    """``[not-taken, taken]`` counts per distinct ``(pc, key)`` bucket,
+    in the order the trace first reaches each bucket."""
+    packed = pc_ids * (int(keys.max()) + 1) + keys.astype(np.int64)
+    _, first, inverse = np.unique(packed, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    execs = np.bincount(inverse, minlength=len(first))[order]
+    taken = np.bincount(inverse[takens], minlength=len(first))[order]
+    return zip((execs - taken).tolist(), taken.tolist())
+
+
 def characterize_trace(trace: Trace) -> Dict[str, object]:
-    """The single-pass metric computation (pure, engine-independent)."""
-    cond = int(BranchType.COND)
-    exec_counts: Dict[int, int] = {}
-    taken_counts: Dict[int, int] = {}
-    prev_outcome: Dict[int, int] = {}
-    transitions: Dict[tuple, List[int]] = {}
-    masks = [(1 << length) - 1 for length in HISTORY_LENGTHS]
-    history_buckets: List[Dict[tuple, List[int]]] = [{} for _ in HISTORY_LENGTHS]
-    context_buckets: Dict[tuple, List[int]] = {}
-    rcr = RollingContextRegister(LLBPConfig())
-    history = 0
+    """The metric computation (pure, engine-independent).
 
-    for pc, branch_type, taken, _target, _gap in trace.iter_tuples():
-        if branch_type == cond:
-            exec_counts[pc] = exec_counts.get(pc, 0) + 1
-            if taken:
-                taken_counts[pc] = taken_counts.get(pc, 0) + 1
+    Each metric buckets the conditional branches by ``(pc, key)`` with
+    ``np.unique``; the float sums then run over the buckets in the
+    order the trace first reaches them, so they equal a per-branch
+    pass bit for bit.  The CCID of each branch comes from LLBP's CID
+    column (:func:`repro.sim.columns.cid_columns`).
+    """
+    # Imported here: every figure CLI imports this module, and only a
+    # characterization needs the column code.
+    from repro.sim.columns import cid_columns, cond_history_lanes, context_pushes
 
-            key = (pc, prev_outcome.get(pc, 0))
-            bucket = transitions.get(key)
-            if bucket is None:
-                bucket = transitions[key] = [0, 0]
-            bucket[taken] += 1
-            prev_outcome[pc] = taken
-
-            for buckets, mask in zip(history_buckets, masks):
-                key = (pc, history & mask)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = [0, 0]
-                bucket[taken] += 1
-
-            key = (pc, rcr.ccid)
-            bucket = context_buckets.get(key)
-            if bucket is None:
-                bucket = context_buckets[key] = [0, 0]
-            bucket[taken] += 1
-
-            history = (history << 1) | taken
-        if rcr.qualifies(branch_type):
-            rcr.push(pc)
-
-    total = sum(exec_counts.values())
+    cond = trace.types == int(BranchType.COND)
+    total = int(np.count_nonzero(cond))
     if total == 0:
         raise ValueError(f"trace {trace.name!r} has no conditional branches")
-    taken_total = sum(taken_counts.values())
+    pcs, history = cond_history_lanes(trace, HISTORY_LENGTHS[-1])
+    takens = trace.takens[cond].astype(bool)
+    uniq, first, pc_ids, exec_counts = np.unique(
+        pcs, return_index=True, return_inverse=True, return_counts=True)
+    taken_counts = np.bincount(pc_ids[takens], minlength=len(uniq))
+    order = np.argsort(first)
     branch_entropy = 0.0
     taken_skew = 0.0
-    for pc, execs in exec_counts.items():
-        p = taken_counts.get(pc, 0) / execs
+    for execs, taken in zip(exec_counts[order].tolist(),
+                            taken_counts[order].tolist()):
+        p = taken / execs
         branch_entropy += execs * _entropy(p)
         taken_skew += execs * abs(2.0 * p - 1.0)
 
+    # The previous outcome of the same PC (0 at its first execution).
+    by_pc = np.argsort(pc_ids, kind="stable")
+    prev = np.zeros(total, dtype=np.uint8)
+    repeat = pc_ids[by_pc[1:]] == pc_ids[by_pc[:-1]]
+    prev[by_pc[1:][repeat]] = takens[by_pc[:-1][repeat]]
+
+    rcr = RollingContextRegister(LLBPConfig())
+    pushes = context_pushes(trace, rcr)
+    before = np.cumsum(pushes) - pushes
+    ccids = cid_columns(trace, rcr)[before[cond]]
+
     return {
         "cond_branches": total,
-        "static_branches": len(exec_counts),
-        "taken_rate": taken_total / total,
+        "static_branches": len(uniq),
+        "taken_rate": int(np.count_nonzero(takens)) / total,
         "branch_entropy": branch_entropy / total,
         "taken_skew": taken_skew / total,
-        "transition_entropy": _conditional_entropy(transitions.values()),
+        "transition_entropy": _conditional_entropy(
+            _buckets(pc_ids, prev, takens)),
         "history_entropy": {
-            str(length): _conditional_entropy(buckets.values())
-            for length, buckets in zip(HISTORY_LENGTHS, history_buckets)
+            str(length): _conditional_entropy(_buckets(
+                pc_ids, history & np.uint64((1 << length) - 1), takens))
+            for length in HISTORY_LENGTHS
         },
-        "context_entropy": _conditional_entropy(context_buckets.values()),
+        "context_entropy": _conditional_entropy(
+            _buckets(pc_ids, ccids, takens)),
     }
 
 

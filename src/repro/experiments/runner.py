@@ -106,8 +106,10 @@ def _write_cache(path: Path, result: SimulationResult) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        # One json.dumps call takes the C encoder; json.dump streams
+        # through the pure-Python one for the same bytes.
         with open(tmp, "w") as fh:
-            json.dump(_to_json(result), fh)
+            fh.write(json.dumps(_to_json(result)))
         os.replace(tmp, path)
     except OSError:
         # Caching is best-effort; never fail the simulation over it.

@@ -2,12 +2,13 @@
 
 The Python engine in :mod:`repro.sim.engine` pays per-branch method
 dispatch (predict/train/update_history), per-branch metadata objects
-(TageResult/TslResult/LLBPMeta) and per-branch folded-history pushes.
-This engine removes all three:
+(TageResult/TslResult/LLBPMeta) and per-branch folded-history and
+context-register pushes.  This engine removes all three:
 
-* every hash the predictor computes per branch is precomputed once per
-  trace into flat integer columns (:mod:`repro.sim.columns`), memoised
-  on the trace;
+* every hash the predictor computes per branch, and every context ID
+  LLBP's rolling context register takes, is precomputed once per trace
+  into flat integer columns (:mod:`repro.sim.columns`), memoised on the
+  trace;
 * one specialised ``_sim`` function per predictor *instance* is
   generated, inlining lookup and training into a single loop body with
   bank sizes, masks and saturation bounds baked in as constants and the
@@ -33,6 +34,7 @@ from itertools import chain
 from typing import Dict, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import telemetry
 from repro.llbp.predictor import LLBPTageScL
@@ -72,6 +74,8 @@ def unsupported_reason(predictor: BranchPredictor) -> Optional[str]:
     if type(predictor) is LLBPTageScL:
         if type(predictor.tsl) is not TageScL:
             return "baseline is not a plain TageScL"
+        if 3 * predictor.config.cid_bits > 64:
+            return "CIDs too wide for the closed-form CID column"
         return _tsl_reason(predictor.tsl, (Tage,))
     return f"no fused loop for {type(predictor).__name__}"
 
@@ -602,12 +606,18 @@ def _compile_perceptron(p: HashedPerceptron):
 
 
 def _compile_llbp(p: LLBPTageScL):
-    """Generate ``_sim(pcs, types, takens, gaps, rows, split, per_pc_misp)``.
+    """Generate ``_sim(pcs, types, takens, gaps, rows, cids, split,
+    per_pc_misp)``.
 
     Iterates *all* records (the prefetch clock advances per record and
-    context-forming branches push the RCR); ``rows`` yields one combined
-    column row per conditional branch — TAGE indices/tags, SC indices,
-    then the 16 LLBP slot tags starting at ``SBASE``.
+    context-forming branches issue prefetches); ``rows`` yields one
+    combined column row per conditional branch — TAGE indices/tags, SC
+    indices, then the 16 LLBP slot tags starting at ``slot_base`` — and
+    ``cids`` one row ``[cid_at(0), ..., cid_at(D)]`` of the RCR per push,
+    the first for its contents before the run (a bare CID when ``D = 0``;
+    :func:`repro.sim.columns.cid_columns`).  The register itself is never
+    touched: :func:`run_simulation_array` restores it, and counts the
+    CCID changes, from the trace afterwards.
     """
     tsl = p.tsl
     tage, sc, loop = tsl.tage, tsl.sc, tsl.loop
@@ -622,11 +632,16 @@ def _compile_llbp(p: LLBPTageScL):
     ps_hi = (1 << (p.config.counter_bits - 1)) - 1
     ps_lo = -(1 << (p.config.counter_bits - 1))
 
-    shift = p.config.position_shift
-    out_shift = p.rcr._out_shift
-    cid_bits = p.config.cid_bits
-    cid_mask = p.rcr._mask
     distance = p.config.prefetch_distance
+    # One local per CID of a push row: cid_at(0) is the CCID, cid_at(D)
+    # the prefetch CID; only a squash reads the ones in between.
+    if distance:
+        cid_names = (["ccid"] + [f"cid{d}" for d in range(1, distance)]
+                     + ["pf_cid"])
+        take_cids = ", ".join(cid_names) + " = next_cids()"
+    else:
+        cid_names = ["ccid"]
+        take_cids = "ccid = pf_cid = next_cids()"
     # issue() can only be flattened when the directory probe is
     # side-effect free (LRU reorders on lookup) and delivery is
     # deferred (zero latency delivers inline via _deliver).
@@ -635,13 +650,12 @@ def _compile_llbp(p: LLBPTageScL):
 
     lines = []
     add = lines.append
-    add("def _sim(pcs, types, takens, gaps, rows, split, per_pc_misp):")
+    add("def _sim(pcs, types, takens, gaps, rows, cids, split,"
+        " per_pc_misp):")
     lines.extend(_TSL_SCALAR_PREAMBLE)
     add("    now = P._now")
-    add("    acc_pf = RCR._acc_pf")
-    add("    acc_cur = RCR._acc_cur")
-    add("    ccid = RCR.ccid")
-    add("    pf_cid = RCR.prefetch_cid")
+    add("    next_cids = cids.__next__")
+    add("    " + take_cids)
     add("    misp_all = 0")
     add("    measured_misp = 0")
     add("    misp_get = per_pc_misp.get")
@@ -654,7 +668,6 @@ def _compile_llbp(p: LLBPTageScL):
     add("    c_bad = 0")
     add("    c_both_correct = 0")
     add("    c_both_wrong = 0")
-    add("    cd_acc = 0")
     add("    pf_issued = 0")
     add("    pf_dmiss = 0")
     add("    pf_squash = 0")
@@ -743,17 +756,11 @@ def _compile_llbp(p: LLBPTageScL):
           " llbp_rank if overrode else provider + 1, now)")
         if timing:
             # Final misprediction: squash and re-run the prefetch
-            # pipeline.  cid_at(0) is the CCID and cid_at(D) the
-            # prefetch CID — both already live in locals, so only the
-            # intermediate distances pay the full window rehash.
+            # pipeline, re-issuing cid_at(0..D) from the push row.
             a("if pred != taken:")
             a("    pf_squash += len(INFLIGHT)")
             a("    INFLIGHT.clear()")
-            reissue = ["ccid"]
-            reissue += [f"cid_at({d})" for d in range(1, distance)]
-            if distance:
-                reissue.append("pf_cid")
-            for cid_expr in reissue:
+            for cid_expr in cid_names:
                 if inline_issue:
                     a(f"    cid = {cid_expr}")
                     a(f"    if cid not in PB_SETS[cid % {pb_sets}]:")
@@ -781,35 +788,13 @@ def _compile_llbp(p: LLBPTageScL):
         out.append("                drain(now)")
         out.append("            if btype == 0:")
         out.extend(cond_body(measuring))
-        # update_history tail: RCR.push inlined (history folds are never
-        # advanced — the columns already hold their values), then the
-        # prefetch issue with PrefetchEngine.issue's buffer-hit fast
-        # path hoisted out of the call.
+        # update_history tail: the push takes the RCR's next CIDs from
+        # the column (history folds are never advanced either — the
+        # columns already hold their values), then the prefetch issue
+        # with PrefetchEngine.issue's buffer-hit fast path hoisted out
+        # of the call.
         out.append("            if QUAL[btype]:")
-        out.append("                value = acc_pf = ("
-                   f"(acc_pf << {shift})"
-                   f" ^ ((RPCS[{distance}] >> 2) << {out_shift})"
-                   " ^ (pc >> 2))")
-        out.append("                pf_cid = (value ^ (value"
-                   f" >> {cid_bits}) ^ (value >> {2 * cid_bits}))"
-                   f" & {cid_mask}")
-        if distance:
-            out.append("                old_ccid = ccid")
-            out.append("                value = acc_cur = ("
-                       f"(acc_cur << {shift})"
-                       f" ^ ((RPCS[0] >> 2) << {out_shift})"
-                       f" ^ (RPCS[-{distance}] >> 2))")
-            out.append("                ccid = (value ^ (value"
-                       f" >> {cid_bits}) ^ (value >> {2 * cid_bits}))"
-                       f" & {cid_mask}")
-            out.append("                if ccid != old_ccid:")
-            out.append("                    cd_acc += 1")
-        else:
-            out.append("                if pf_cid != ccid:")
-            out.append("                    cd_acc += 1")
-            out.append("                ccid = pf_cid")
-        out.append("                RPCS.append(pc)")
-        out.append("                del RPCS[0]")
+        out.append("                " + take_cids)
         out.append(f"                if pf_cid not in PB_SETS[pf_cid % {pb_sets}]:")
         if inline_issue:
             # PrefetchEngine.issue flattened: the directory probe is a
@@ -828,12 +813,7 @@ def _compile_llbp(p: LLBPTageScL):
     lines.extend(record_lines(False, "split"))
     lines.extend(record_lines(True, "n"))
     lines.extend(_TSL_SCALAR_EPILOGUE)
-    add("    RCR._acc_pf = acc_pf")
-    add("    RCR._acc_cur = acc_cur")
-    add("    RCR.ccid = ccid")
-    add("    RCR.prefetch_cid = pf_cid")
     add("    P._now = now")
-    add("    P._cd_accesses += cd_acc")
     add("    BUF.hits += pb_hits")
     add("    BUF.misses += pb_misses")
     add("    PF.issued += pf_issued")
@@ -855,12 +835,8 @@ def _compile_llbp(p: LLBPTageScL):
         "BUF": p.buffer,
         "PB_SETS": p.buffer._sets,
         "CD_SETS": p.directory._sets,
-        "RCR": p.rcr,
-        "RPCS": p.rcr._pcs,
         "PF": p.prefetcher,
-        "cid_at": p.rcr.cid_at,
         "issue": p.prefetcher.issue,
-        "squash": p.prefetcher.squash,
         "drain": p.prefetcher.drain,
         "INFLIGHT": p.prefetcher._inflight,
         "llbp_alloc": p._allocate_parts,
@@ -906,6 +882,23 @@ def _restore_sc_history(sc, takens_cond: np.ndarray) -> None:
     for taken in takens_cond[-64:].tolist():
         history = ((history << 1) | taken)
     sc.history = history & ((1 << 64) - 1)
+
+
+def _restore_rcr(p: LLBPTageScL, trace: Trace, cids: np.ndarray) -> None:
+    """Leave LLBP's context register as per-branch pushes would have.
+
+    The fused loop reads its CIDs from the column and never pushes, so
+    the register takes the last ``W + D`` context-forming PCs here (its
+    rolling hashes are rebuilt from them), and every push that changed
+    the CCID (``cids[k] != cids[k - 1]``) counts a directory access.
+    """
+    rcr = p.rcr
+    pushes = len(cids) - 1 - p.config.prefetch_distance
+    p._cd_accesses += int(np.count_nonzero(
+        cids[1:pushes + 1] != cids[:pushes]))
+    depth = len(rcr.snapshot())
+    pushed = trace.pcs[columns_mod.context_pushes(trace, rcr)]
+    rcr.restore((rcr.snapshot() + pushed[-depth:].tolist())[-depth:])
 
 
 def _per_pc_executions(pcs_measured: np.ndarray) -> Dict[int, int]:
@@ -1013,7 +1006,7 @@ def run_simulation_array(
             pcs_cond, takens_cond, cols, csplit, per_pc_misp)
         _restore_sc_history(predictor.sc, takens_cond)
     else:
-        tsl_cols, slot_cols = columns_mod.llbp_columns(trace, predictor)
+        tsl_cols, slot_cols, cids = columns_mod.llbp_columns(trace, predictor)
         # The fused loop wants one row per branch; memoise the combined
         # matrix next to its two parts.
         combined_key = ("rows/" + columns_mod.tsl_key(predictor.tsl) + "+"
@@ -1023,11 +1016,15 @@ def run_simulation_array(
             cols = np.concatenate([tsl_cols, slot_cols], axis=1)
             trace.aux[combined_key] = cols
         sim = _compile_llbp(predictor)
+        distance = predictor.config.prefetch_distance
+        cid_rows = (sliding_window_view(cids, distance + 1) if distance
+                    else cids)
         measured_misp, misp_all = sim(
             trace.pcs, trace.types, trace.takens, trace.gaps,
-            _iter_rows(cols), split, per_pc_misp)
+            _iter_rows(cols), _iter_rows(cid_rows), split, per_pc_misp)
         predictor.counts["predictions"] += n_cond
         _restore_sc_history(predictor.tsl.sc, takens_cond)
+        _restore_rcr(predictor, trace, cids)
 
     # Per-branch stats the fused loops account for in bulk.
     predictor.stats.lookups += n_cond

@@ -11,6 +11,10 @@ predictor or stepping through the trace.  The fused simulation loops
 then consume these as flat integer rows and never touch the
 folded-history machinery at all.
 
+LLBP's context IDs are closed form too: a CID hashes the last ``W``
+context-forming PCs, so :func:`cid_column` computes the IDs the
+rolling context register holds after every push of the trace at once.
+
 Columns are memoised on ``Trace.aux`` (keyed by a digest of the
 geometry), so every predictor of one geometry in a batch over the trace
 shares them.  They never reach disk: the closed form rebuilds a matrix
@@ -20,9 +24,10 @@ in a fraction of a second at the default budget, and the packed store
 The scalar references these columns must match are the predictors' own
 hashes: the indices and tags ``Tage.lookup`` and
 ``StatisticalCorrector.lookup`` compute, and LLBP's
-``compute_slot_tags``.  The property tests in
+``compute_slot_tags``, and for the CID column
+:class:`~repro.llbp.rcr.RollingContextRegister`.  The property tests in
 ``tests/sim/test_columns.py`` pin that equivalence against live,
-training predictors.
+training predictors and a live register.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ def llbp_key(predictor) -> str:
         predictor.config.pattern_tag_bits)
 
 
+def cid_key(rcr) -> str:
+    """Aux key of the CID column for ``rcr``'s hashing and contents."""
+    cfg = rcr.config
+    return "cols/cid:" + _digest(
+        cfg.context_window, cfg.prefetch_distance, cfg.position_shift,
+        cfg.cid_bits, cfg.context_source.value, tuple(rcr.snapshot()))
+
+
 def gshare_key(predictor) -> str:
     return f"cols/gshare:{predictor.index_bits}:{predictor.history_bits}"
 
@@ -90,13 +103,13 @@ def gshare_index_column(trace: Trace, index_bits: int,
     copy of the taken column.  Equivalent to replaying
     ``GShare._index`` / ``update_history`` per branch.
     """
-    pcs, hist = _cond_history_lanes(trace, history_bits)
+    pcs, hist = cond_history_lanes(trace, history_bits)
     idx = ((pcs >> np.uint64(2)) ^ hist) & np.uint64((1 << index_bits) - 1)
     return idx.astype(np.uint32)
 
 
-def _cond_history_lanes(trace: Trace,
-                        history_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+def cond_history_lanes(trace: Trace,
+                       history_bits: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(pcs, hist)`` per conditional branch for outcome-shift histories.
 
     ``hist[i]`` is the global history register (conditional outcomes
@@ -121,7 +134,7 @@ def bimode_index_columns(trace: Trace, config) -> np.ndarray:
     Equivalent to replaying ``BiMode._indices`` / ``update_history``
     per branch.
     """
-    pcs, hist = _cond_history_lanes(trace, config.history_bits)
+    pcs, hist = cond_history_lanes(trace, config.history_bits)
     pcx = pcs >> np.uint64(2)
     out = np.empty((len(pcs), 2), dtype=np.uint32)
     out[:, 0] = (pcx & np.uint64((1 << config.choice_bits) - 1)).astype(np.uint32)
@@ -137,7 +150,7 @@ def percep_index_columns(trace: Trace, config) -> np.ndarray:
     segment ``t - 1`` into the PC, exactly as
     ``HashedPerceptron._indices`` does scalar-wise.
     """
-    pcs, hist = _cond_history_lanes(trace, config.history_bits)
+    pcs, hist = cond_history_lanes(trace, config.history_bits)
     rmask = np.uint64((1 << config.row_bits) - 1)
     seg_bits = config.segment_bits
     seg_mask = np.uint64((1 << seg_bits) - 1)
@@ -152,6 +165,47 @@ def percep_index_columns(trace: Trace, config) -> np.ndarray:
             seg = seg >> np.uint64(config.row_bits)
         out[:, t] = ((base ^ folded) & rmask).astype(np.uint32)
     return out
+
+
+def context_pushes(trace: Trace, rcr) -> np.ndarray:
+    """Mask of the records that push into ``rcr`` (``rcr.qualifies``)."""
+    return np.array([rcr.qualifies(t) for t in range(256)])[trace.types]
+
+
+def cid_column(pcs: np.ndarray, config, initial) -> np.ndarray:
+    """Every CID an RCR holds while ``pcs`` are pushed, in closed form.
+
+    ``initial`` is the register's contents before the first push
+    (oldest first, ``W + D`` PCs).  With ``P = len(pcs)``, ``out[k +
+    d]`` is ``cid_at(d)`` once the first ``k`` of ``pcs`` are pushed,
+    for ``0 <= k <= P`` and ``0 <= d <= D``: ``cid_at(d)`` after ``k``
+    pushes hashes the ``W`` PCs of ``initial + pcs`` ending at position
+    ``k + W - 1 + d``, so one vector of ``P + D + 1`` window hashes
+    holds them all, and ``out[k]`` is the CCID after ``k`` pushes.
+
+    The fold reads only the low ``3 * cid_bits`` bits of the window's
+    XOR, so a PC shifted that far contributes nothing and is skipped;
+    every shift used is then below 64, where uint64 arithmetic keeps
+    those low bits exact.  Wider CIDs are refused.
+    """
+    window, bits = config.context_window, config.cid_bits
+    if 3 * bits > 64:
+        raise ValueError(f"{bits}-bit CIDs fold more than 64 window bits")
+    stream = np.concatenate([np.asarray(initial, dtype=np.uint64),
+                             pcs.astype(np.uint64)]) >> np.uint64(2)
+    count = len(stream) - window + 1
+    raw = np.zeros(count, dtype=np.uint64)
+    for position in range(window):
+        shift = config.position_shift * position
+        if shift >= 3 * bits:
+            break
+        start = window - 1 - position
+        raw ^= stream[start:start + count] << np.uint64(shift)
+    folded = raw >> np.uint64(bits)
+    folded ^= raw
+    folded ^= raw >> np.uint64(2 * bits)
+    folded &= np.uint64((1 << bits) - 1)
+    return folded.astype(_column_dtype(bits))
 
 
 class HistoryFolds:
@@ -278,7 +332,7 @@ def _tsl_matrix(trace: Trace, tsl_config, pcx: np.ndarray,
                     dtype=dtype)
 
     # The corrector's own 64-bit history shifts in conditional outcomes.
-    _, sc_hist = _cond_history_lanes(trace, min(64, max(sc_lengths)))
+    _, sc_hist = cond_history_lanes(trace, min(64, max(sc_lengths)))
     for c, length in enumerate(sc_lengths):
         h = sc_hist & np.uint64((1 << min(64, length)) - 1)
         h ^= h >> np.uint64(sc_bits)
@@ -360,8 +414,17 @@ def tsl_columns(trace: Trace, predictor) -> np.ndarray:
                  lambda: _hash_columns(trace, predictor.config)[0])
 
 
-def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
-    """``(tsl_columns, slot_tag_columns)`` for an LLBP predictor.
+def cid_columns(trace: Trace, rcr) -> np.ndarray:
+    """:func:`cid_column` of ``rcr`` over ``trace``'s context-forming
+    branches, starting from the register's current contents."""
+    return _memo(trace, cid_key(rcr), lambda: cid_column(
+        trace.pcs[context_pushes(trace, rcr)], rcr.config, rcr.snapshot()))
+
+
+def llbp_columns(trace: Trace,
+                 predictor) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tsl_columns, slot_tag_columns, cid_columns)`` for an LLBP
+    predictor.
 
     When neither matrix is memoised yet, both come from one shared pass
     over the history stream.
@@ -378,4 +441,4 @@ def llbp_columns(trace: Trace, predictor) -> Tuple[np.ndarray, np.ndarray]:
 
     slot_cols = _memo(trace, llbp_key(predictor), slot_tags)
     return (_memo(trace, t_key, lambda: _hash_columns(trace, tsl.config)[0]),
-            slot_cols)
+            slot_cols, cid_columns(trace, predictor.rcr))

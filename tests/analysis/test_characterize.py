@@ -6,7 +6,9 @@ Three layers:
   metrics are order-free (invariant under any record permutation), all
   entropies are bounded, the history ladder is monotone (a longer
   window never loses information), and the whole metric dict is a pure
-  function of the trace;
+  function of the trace that equals, float for float, a per-branch
+  scalar pass with a live ``RollingContextRegister`` (the oracle here,
+  also run over the catalog and the adversarial stressors);
 * **artifact byte-determinism** — the same workloads + budget render
   the same bytes whichever engine computed the MPKI column, and the
   pinned metrics-only artifact hashes to its committed sha256;
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Dict, List
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +30,8 @@ from hypothesis import strategies as st
 from repro.analysis.characterize import (
     FAMILIES,
     HISTORY_LENGTHS,
+    _conditional_entropy,
+    _entropy,
     artifact_json,
     characterize,
     characterize_trace,
@@ -35,8 +40,11 @@ from repro.analysis.characterize import (
     predicted_winner,
     render_table,
 )
-from repro.traces.trace import TraceBuilder
+from repro.llbp.config import LLBPConfig
+from repro.llbp.rcr import RollingContextRegister
+from repro.traces.trace import Trace, TraceBuilder
 from repro.traces.types import BranchType
+from repro.workloads.catalog import generate_workload, workload_names
 
 #: Budget for the full-catalog winner assertion.  Small budgets are too
 #: cold for LLBP's prefetch machinery (the tsl64/llbp gap is decided by
@@ -66,6 +74,68 @@ def _build(records):
     for record in records:
         builder.append(*record)
     return builder.build()
+
+
+def characterize_scalar(trace: Trace) -> Dict[str, object]:
+    """The oracle: one pass over the branches with dict buckets and a live
+    RCR, summing floats in the order the buckets first appear."""
+    cond = int(BranchType.COND)
+    exec_counts: Dict[int, int] = {}
+    taken_counts: Dict[int, int] = {}
+    prev_outcome: Dict[int, int] = {}
+    transitions: Dict[tuple, List[int]] = {}
+    masks = [(1 << length) - 1 for length in HISTORY_LENGTHS]
+    history_buckets: List[Dict[tuple, List[int]]] = [{} for _ in HISTORY_LENGTHS]
+    context_buckets: Dict[tuple, List[int]] = {}
+    rcr = RollingContextRegister(LLBPConfig())
+    history = 0
+
+    def count(buckets, key, taken):
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = [0, 0]
+        bucket[taken] += 1
+
+    for pc, branch_type, taken, _target, _gap in trace.iter_tuples():
+        if branch_type == cond:
+            exec_counts[pc] = exec_counts.get(pc, 0) + 1
+            if taken:
+                taken_counts[pc] = taken_counts.get(pc, 0) + 1
+            count(transitions, (pc, prev_outcome.get(pc, 0)), taken)
+            prev_outcome[pc] = taken
+            for buckets, mask in zip(history_buckets, masks):
+                count(buckets, (pc, history & mask), taken)
+            count(context_buckets, (pc, rcr.ccid), taken)
+            history = (history << 1) | taken
+        if rcr.qualifies(branch_type):
+            rcr.push(pc)
+
+    total = sum(exec_counts.values())
+    branch_entropy = 0.0
+    taken_skew = 0.0
+    for pc, execs in exec_counts.items():
+        p = taken_counts.get(pc, 0) / execs
+        branch_entropy += execs * _entropy(p)
+        taken_skew += execs * abs(2.0 * p - 1.0)
+    return {
+        "cond_branches": total,
+        "static_branches": len(exec_counts),
+        "taken_rate": sum(taken_counts.values()) / total,
+        "branch_entropy": branch_entropy / total,
+        "taken_skew": taken_skew / total,
+        "transition_entropy": _conditional_entropy(transitions.values()),
+        "history_entropy": {
+            str(length): _conditional_entropy(buckets.values())
+            for length, buckets in zip(HISTORY_LENGTHS, history_buckets)
+        },
+        "context_entropy": _conditional_entropy(context_buckets.values()),
+    }
+
+
+def assert_same_floats(got, want):
+    """Equal dicts whose floats repr the same (no ulp of slack)."""
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 steps_strategy = st.lists(
@@ -124,11 +194,33 @@ class TestMetricProperties:
         trace = _build(records)
         assert characterize_trace(trace) == characterize_trace(trace)
 
+    @given(steps_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scalar_oracle(self, steps):
+        records = _records(steps)
+        assume(any(r[1] == BranchType.COND for r in records))
+        trace = _build(records)
+        assert_same_floats(characterize_trace(trace),
+                           characterize_scalar(trace))
+
     def test_rejects_trace_without_conditionals(self):
         builder = TraceBuilder("no-cond")
         builder.append(0x100, BranchType.JUMP, True, 0x200, 2)
         with pytest.raises(ValueError, match="no conditional"):
             characterize_trace(builder.build())
+
+
+ORACLE_WORKLOADS = tuple(workload_names()) + ("adv:hist", "adv:alias",
+                                               "adv:xor")
+
+
+@pytest.mark.parametrize("instructions", (40_000, 200_000))
+def test_workloads_match_the_scalar_oracle(instructions):
+    """Every catalog workload and stressor, float for float."""
+    for workload in ORACLE_WORKLOADS:
+        trace = generate_workload(workload, instructions, use_cache=False)
+        assert_same_floats(characterize_trace(trace),
+                           characterize_scalar(trace))
 
 
 class TestPredictedWinner:

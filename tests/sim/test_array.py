@@ -128,6 +128,24 @@ def test_traced_useful_events_match_across_engines(monkeypatch):
         assert cond_pcs[ordinal] == pc
 
 
+#: LLBP context geometries the catalog run does not reach: a window whose
+#: terms land past bit 63, a one-PC window, no prefetch distance,
+#: conditional branches pushing, and a deep distance over calls/returns.
+CONTEXT_KEYS = ("llbp:w=40", "llbp:w=1", "llbp:d=0", "llbp:src=all",
+                "llbp:src=callret,d=8")
+
+
+@pytest.mark.parametrize("workload", ("Kafka", "adv:xor"))
+@pytest.mark.parametrize("key", CONTEXT_KEYS)
+def test_bit_identity_context_geometries(workload, key):
+    """adv:xor mispredicts often, so its runs drive the squash path that
+    re-issues every CID of the prefetch pipeline."""
+    trace = generate_workload(workload, INSTRUCTIONS)
+    oracle, subject, ref, res = _run_both(trace, key)
+    _assert_identical(ref, res)
+    _assert_state_equal(oracle, subject)
+
+
 #: A small odd chunk, so chunk boundaries fall everywhere.
 ODD_CHUNK = 97
 

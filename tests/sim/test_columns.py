@@ -16,6 +16,9 @@ table contents, predictions and training.  These properties pin that:
   geometries;
 * ditto for the LLBP slot-tag matrix, wherever the live predictor
   computes slot tags at all;
+* the closed-form CID column equals a live ``RollingContextRegister``'s
+  ``cid_at(d)`` after every push, at every distance, for any window,
+  distance, context source and starting contents;
 * the column call's peak memory stays a small multiple of what it
   returns.
 """
@@ -34,6 +37,8 @@ except ImportError:  # pragma: no cover - hypothesis is a dev extra
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.common.bitops import FoldedHistory, fold_bits
+from repro.llbp.config import ContextSource, LLBPConfig
+from repro.llbp.rcr import RollingContextRegister
 from repro.predictors.gshare import GShare
 from repro.predictors.registry import make_predictor
 from repro.sim import columns
@@ -192,7 +197,7 @@ def test_llbp_slot_tags_match_live_simulation(key, workload):
     live.compute_slot_tags = spy_slot_tags
     run_simulation(trace, live, engine="python")
 
-    tsl_cols, slot_cols = columns.llbp_columns(trace, make_predictor(key))
+    tsl_cols, slot_cols, _ = columns.llbp_columns(trace, make_predictor(key))
     assert tsl_cols.tolist() == recorded
     assert len(slot_cols) == state["row"] + 1
     assert row_of_call, "no pattern-buffer hit ever computed slot tags"
@@ -212,12 +217,17 @@ def _zero_cond_trace():
                          ids=("empty", "no-conditional"))
 @pytest.mark.parametrize("key", ("tsl64", "llbp"))
 def test_traces_without_conditional_branches(key, make_trace):
-    """No conditional branch: zero rows, the usual width and dtype."""
+    """No conditional branch: zero rows, the usual width and dtype.  The
+    CID column counts pushes instead: ``D + 1`` CIDs plus one per push,
+    and every record here is a pushing JUMP."""
     reference = build_trace([(0, BranchType.COND, True)])
     trace = make_trace()
     if key == "llbp":
-        got = columns.llbp_columns(trace, make_predictor(key))
-        want = columns.llbp_columns(reference, make_predictor(key))
+        predictor = make_predictor(key)
+        *got, cids = columns.llbp_columns(trace, predictor)
+        *want, _ = columns.llbp_columns(reference, make_predictor(key))
+        assert len(cids) == (len(trace) + 1
+                             + predictor.config.prefetch_distance)
     else:
         got = (columns.tsl_columns(trace, make_predictor(key)),)
         want = (columns.tsl_columns(reference, make_predictor(key)),)
@@ -272,6 +282,67 @@ def test_array_runs_leave_the_store_file_untouched(tmp_path):
     assert columns.tsl_key(make_predictor("tsl64")) in trace.aux
     assert path.read_bytes() == packed == pack_trace(trace)
     assert list(path.parent.iterdir()) == [path]
+
+
+#: (pc, branch type) records: full 64-bit PCs put window terms past bit
+#: 63, and every branch type lets each context source pick its own pushes.
+context_records = st.lists(
+    st.tuples(st.integers(0, (1 << 64) - 1), st.sampled_from(list(BranchType))),
+    max_size=60)
+
+
+@given(window=st.integers(1, 48), distance=st.integers(0, 8),
+       source=st.sampled_from(list(ContextSource)),
+       shift=st.integers(0, 7), cid_bits=st.integers(1, 21),
+       warm=st.lists(st.integers(0, (1 << 64) - 1), max_size=60),
+       records=context_records)
+@example(8, 4, ContextSource.UNCONDITIONAL, 2, 14, [], [])
+@example(8, 4, ContextSource.UNCONDITIONAL, 2, 14, [0x1234, 0xFFFF0],
+         [(0x4000, BranchType.COND), (0x4010, BranchType.COND)])
+@example(48, 8, ContextSource.CALL_RET, 2, 14, [(1 << 64) - 1] * 3,
+         [(0x4000, BranchType.JUMP), ((1 << 64) - 5, BranchType.CALL)])
+@settings(max_examples=80)
+def test_cid_column_matches_live_register(window, distance, source, shift,
+                                          cid_bits, warm, records):
+    """Row ``k`` of the column (``cids[k:k + D + 1]``) is ``cid_at(0..D)``
+    after the trace's first ``k`` pushes, from a register that ``warm``
+    already filled; a trace that never pushes has only row 0."""
+    config = LLBPConfig(context_window=window, prefetch_distance=distance,
+                        context_source=source, position_shift=shift,
+                        cid_bits=cid_bits)
+    rcr = RollingContextRegister(config)
+    for pc in warm:
+        rcr.push(pc)
+    builder = TraceBuilder("cid")
+    for pc, btype in records:
+        builder.append(pc, btype, True, 0x100, 1)
+    trace = builder.build()
+    cids = columns.cid_columns(trace, rcr)
+
+    rows = [[rcr.cid_at(d) for d in range(distance + 1)]]
+    for pc, btype in records:
+        if rcr.qualifies(int(btype)):
+            rcr.push(pc)
+            rows.append([rcr.cid_at(d) for d in range(distance + 1)])
+            assert rows[-1][0] == rcr.ccid
+            assert rows[-1][-1] == rcr.prefetch_cid
+    assert len(cids) == len(rows) + distance
+    assert [cids[k:k + distance + 1].tolist()
+            for k in range(len(rows))] == rows
+
+
+def test_cid_column_refuses_folds_wider_than_64_bits():
+    """With ``3 * cid_bits > 64`` the fold would read window bits a uint64
+    cannot hold: the column refuses, and LLBP falls back to the Python
+    engine."""
+    from repro.llbp.predictor import LLBPTageScL
+    from repro.sim.array import unsupported_reason
+
+    pcs = np.zeros(3, dtype=np.uint64)
+    with pytest.raises(ValueError, match="22-bit CIDs"):
+        columns.cid_column(pcs, LLBPConfig(cid_bits=22), [0] * 12)
+    assert "CID" in unsupported_reason(LLBPTageScL(LLBPConfig(cid_bits=22)))
+    assert len(columns.cid_column(pcs, LLBPConfig(cid_bits=21), [0] * 12)) == 8
 
 
 def test_column_dtype_stays_compact():
