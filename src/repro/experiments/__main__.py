@@ -37,50 +37,61 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 import time
 
 from repro import parallel, telemetry
 from repro.sim import engine as engine_mod
-from repro.experiments import (
-    fig01, fig02, fig03, fig05, fig09, fig10, fig11, fig12, fig13, fig14,
-    fig15, fig16, tables,
-)
 from repro.experiments.journal import RunJournal
 from repro.parallel.retry import RetryPolicy
 
+
+def _module(name: str):
+    """``repro.experiments.<name>``, imported on first use, so a run
+    loads only the experiments it names."""
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _table(number: int):
+    """The runner of Table ``number``: ``format_tableN(tableN())`` from
+    :mod:`repro.experiments.tables`."""
+    def run():
+        tables = _module("tables")
+        return getattr(tables, f"format_table{number}")(
+            getattr(tables, f"table{number}")())
+    return run
+
+
+def _figure(name: str):
+    """``(runner, manifest)`` of figure module ``name``."""
+    return (lambda: _module(name).format_rows(_module(name).run()),
+            lambda: _module(name).jobs())
+
+
+#: Experiment name -> ``(title, runner, manifest)``.  The runner returns
+#: the printed body; the manifest (None for the tables, which simulate
+#: nothing) lists the ``(workload, key)`` jobs to prewarm.  Calling it
+#: imports the figure's module before the first ``run_jobs``, so the
+#: prewarm's child processes inherit it.
 _EXPERIMENTS = {
-    "table1": ("Table I — workloads",
-               lambda: tables.format_table1(tables.table1()), None),
-    "table2": ("Table II — simulated core",
-               lambda: tables.format_table2(tables.table2()), None),
-    "table3": ("Table III — latency/energy",
-               lambda: tables.format_table3(tables.table3()), None),
-    "fig01": ("Fig 1 — wasted cycles",
-              lambda: fig01.format_rows(fig01.run()), fig01.jobs),
-    "fig02": ("Fig 2 — TAGE in the limit",
-              lambda: fig02.format_rows(fig02.run()), fig02.jobs),
-    "fig03": ("Fig 3 — working set (Tomcat)",
-              lambda: fig03.format_rows(fig03.run()), fig03.jobs),
-    "fig05": ("Fig 5 — context locality",
-              lambda: fig05.format_rows(fig05.run()), fig05.jobs),
-    "fig09": ("Fig 9 — MPKI reduction",
-              lambda: fig09.format_rows(fig09.run()), fig09.jobs),
-    "fig10": ("Fig 10 — speedup",
-              lambda: fig10.format_rows(fig10.run()), fig10.jobs),
-    "fig11": ("Fig 11 — bandwidth",
-              lambda: fig11.format_rows(fig11.run()), fig11.jobs),
-    "fig12": ("Fig 12 — energy",
-              lambda: fig12.format_rows(fig12.run()), fig12.jobs),
-    "fig13": ("Fig 13 — CID sensitivity",
-              lambda: fig13.format_rows(fig13.run()), fig13.jobs),
-    "fig14": ("Fig 14 — pattern sets",
-              lambda: fig14.format_rows(fig14.run()), fig14.jobs),
-    "fig15": ("Fig 15 — LLBP effectiveness",
-              lambda: fig15.format_rows(fig15.run()), fig15.jobs),
+    "table1": ("Table I — workloads", _table(1), None),
+    "table2": ("Table II — simulated core", _table(2), None),
+    "table3": ("Table III — latency/energy", _table(3), None),
+    "fig01": ("Fig 1 — wasted cycles", *_figure("fig01")),
+    "fig02": ("Fig 2 — TAGE in the limit", *_figure("fig02")),
+    "fig03": ("Fig 3 — working set (Tomcat)", *_figure("fig03")),
+    "fig05": ("Fig 5 — context locality", *_figure("fig05")),
+    "fig09": ("Fig 9 — MPKI reduction", *_figure("fig09")),
+    "fig10": ("Fig 10 — speedup", *_figure("fig10")),
+    "fig11": ("Fig 11 — bandwidth", *_figure("fig11")),
+    "fig12": ("Fig 12 — energy", *_figure("fig12")),
+    "fig13": ("Fig 13 — CID sensitivity", *_figure("fig13")),
+    "fig14": ("Fig 14 — pattern sets", *_figure("fig14")),
+    "fig15": ("Fig 15 — LLBP effectiveness", *_figure("fig15")),
     "fig16": ("Fig 16 — scenario characterization grid (extension)",
-              lambda: fig16.format_rows(fig16.run()), fig16.jobs),
+              *_figure("fig16")),
 }
 
 

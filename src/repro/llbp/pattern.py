@@ -104,8 +104,12 @@ class PatternSet:
 
         The victim is the least-confident pattern in the slot region
         allowed to hold this history length (the bucket, or the whole set
-        when unbucketed); invalid slots are preferred.  The region is then
-        re-sorted by history length.  Returns the slot written.
+        when unbucketed); invalid slots are preferred.  The new pattern
+        then moves to where a stable sort of the region by hash slot puts
+        it: after every other valid pattern of a shorter hash slot and
+        after those of its own hash slot that sat below the victim, with
+        the invalid slots keeping their order at the back.  Returns the
+        slot that holds the new pattern.
         """
         if self.bucket_size == self.size:
             lo, hi = 0, self.size
@@ -114,10 +118,11 @@ class PatternSet:
             lo = bucket * self.bucket_size
             hi = lo + self.bucket_size
 
+        valid, hslots = self.valid, self.hslots
         victim = -1
         victim_conf = None
         for i in range(lo, hi):
-            if not self.valid[i]:
+            if not valid[i]:
                 victim = i
                 break
             conf = abs(2 * self.ctrs[i] + 1)
@@ -125,32 +130,26 @@ class PatternSet:
                 victim = i
                 victim_conf = conf
 
-        self.valid[victim] = True
-        self.tags[victim] = tag
-        self.ctrs[victim] = 0 if taken else -1
-        self.hslots[victim] = hash_slot
-        self.dirty = True
-        self._sort_region(lo, hi)
-        self.vdesc = [i for i in range(self.size - 1, -1, -1) if self.valid[i]]
-        # After sorting, locate the slot that now holds the new pattern.
+        # The region is sorted, so the patterns that precede the new one
+        # form a prefix of it once the victim is taken out.
+        slot = lo
         for i in range(lo, hi):
-            if self.valid[i] and self.tags[i] == tag and self.hslots[i] == hash_slot:
-                return i
-        return victim  # pragma: no cover - defensive
-
-    def _sort_region(self, lo: int, hi: int) -> None:
-        """Keep valid patterns sorted by hash slot (== history length)."""
-        region = sorted(
-            range(lo, hi),
-            key=lambda i: (not self.valid[i], self.hslots[i] if self.valid[i] else 0),
-        )
-        self.valid[lo:hi] = [self.valid[i] for i in region]
-        self.tags[lo:hi] = [self.tags[i] for i in region]
-        self.ctrs[lo:hi] = [self.ctrs[i] for i in region]
-        self.hslots[lo:hi] = [self.hslots[i] for i in region]
-        # Invalid slots sort to the back of each region; with buckets the
-        # global order across buckets holds because bucket b only contains
-        # hash slots [b*size, (b+1)*size).
+            if i == victim:
+                continue
+            if (not valid[i] or hslots[i] > hash_slot
+                    or (hslots[i] == hash_slot and i > victim)):
+                break
+            slot += 1
+        gained = not valid[victim]
+        for column, value in ((valid, True), (self.tags, tag),
+                              (self.ctrs, 0 if taken else -1),
+                              (hslots, hash_slot)):
+            del column[victim]
+            column.insert(slot, value)
+        self.dirty = True
+        if gained:
+            self.vdesc = [i for i in range(self.size - 1, -1, -1) if valid[i]]
+        return slot
 
     # -- replacement metadata ------------------------------------------------------
 

@@ -328,15 +328,14 @@ class LLBPTageScL(BranchPredictor):
                 tags.append(ps.tags)
                 ctrs.append(ps.ctrs)
                 hslots.append(ps.hslots)
+        # Explicit row widths: an empty directory has no rows to infer
+        # them from.
+        shape = (len(cd_rows), self.config.patterns_per_set)
         arrays["cd/entries"] = np.array(cd_rows, dtype=np.int64).reshape(-1, 3)
-        arrays["cd/valid"] = np.array(valid, dtype=np.int8).reshape(
-            len(cd_rows), -1)
-        arrays["cd/tags"] = np.array(tags, dtype=np.int64).reshape(
-            len(cd_rows), -1)
-        arrays["cd/ctrs"] = np.array(ctrs, dtype=np.int16).reshape(
-            len(cd_rows), -1)
-        arrays["cd/hslots"] = np.array(hslots, dtype=np.int16).reshape(
-            len(cd_rows), -1)
+        arrays["cd/valid"] = np.array(valid, dtype=np.int8).reshape(shape)
+        arrays["cd/tags"] = np.array(tags, dtype=np.int64).reshape(shape)
+        arrays["cd/ctrs"] = np.array(ctrs, dtype=np.int16).reshape(shape)
+        arrays["cd/hslots"] = np.array(hslots, dtype=np.int16).reshape(shape)
         arrays["pb/entries"] = np.array(
             [(set_index, cid)
              for set_index, entries in enumerate(self.buffer._sets)

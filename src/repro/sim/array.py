@@ -12,7 +12,10 @@ context-register pushes.  This engine removes all three:
 * one specialised ``_sim`` function per predictor *instance* is
   generated, inlining lookup and training into a single loop body with
   bank sizes, masks and saturation bounds baked in as constants and the
-  table arrays bound by identity;
+  table arrays bound by identity.  Every family's body sits in one loop
+  skeleton (:func:`_sim_source`), emitted once: warmup and measured rows
+  run through the same lines, and a ``measuring`` flag decides only
+  whether a misprediction is also charged to the measured region;
 * hot scalar state (use-alt, tick, SC threshold, loop bias, clocks,
   counters) lives in locals for the duration of the run and is written
   back in an epilogue.
@@ -88,18 +91,14 @@ def _tsl_reason(tsl: TageScL, tage_types) -> Optional[str]:
     return None
 
 
-def supports(predictor: BranchPredictor) -> bool:
-    return unsupported_reason(predictor) is None
-
-
 # -- fused loop body emitters ------------------------------------------------
 #
 # Each helper appends unindented source lines for one stage of the
-# per-conditional-branch body; the compilers below stitch them together
-# and indent them into the chunked trace loops.  The bodies are the
-# predictors' own lookup/train methods with metadata objects replaced by
-# locals and per-branch hashes replaced by ``row[...]`` subscripts
-# (constant where possible).
+# per-conditional-branch body; the compilers below stitch them into one
+# body, which _sim_source indents into the chunked trace loop.  The
+# bodies are the predictors' own lookup/train methods with metadata
+# objects replaced by locals and per-branch hashes replaced by
+# ``row[...]`` subscripts (constant where possible).
 
 def _emit_tage_lookup(a, tage) -> None:
     num_tables = tage.config.num_tables
@@ -194,12 +193,12 @@ def _emit_loop_lookup(a, loop) -> None:
     a("    pred = l_pred")
 
 
-def _emit_count(a, measuring, miss="pred != taken") -> None:
+def _emit_count(a, miss="pred != taken") -> None:
     a(f"if {miss}:")
     a("    misp_all += 1")
-    if measuring:
-        a("    measured_misp += 1")
-        a("    per_pc_misp[pc] = misp_get(pc, 0) + 1")
+    a("    if measuring:")
+    a("        measured_misp += 1")
+    a("        per_pc_misp[pc] = misp_get(pc, 0) + 1")
 
 
 def _emit_loop_train(a, loop) -> None:
@@ -432,42 +431,54 @@ _TSL_SCALAR_EPILOGUE = (
 )
 
 
-def _cond_sim(arg, row, body, head=(), setup=(), tail=(), ordinals=False):
-    """Source of ``_sim(pcs, takens, <arg>, csplit, per_pc_misp)``, one
-    fused loop over the conditional branches returning
-    ``(measured_misp, misp_all)``.
+#: The row variables every conditional-branch loop binds first.
+_COND_ROW = (("pc", "pcs"), ("taken", "takens"))
 
-    The indented body lines ``head`` come first, then the misprediction
-    counters and ``setup``; then the warmup rows ``[0, csplit)`` and the
-    measured rows ``[csplit, n)`` run in chunks of ``_CHUNK``, and
-    ``tail`` precedes the return.  Each row binds ``pc``, ``taken`` and
-    one variable per ``(name, column)`` pair in ``row``, preceded by its
-    ordinal ``m`` with ``ordinals``; ``body(measuring)`` returns the
-    unindented per-row lines.
+
+def _sim_source(params, row, body, head=(), tail=(), ordinals=False):
+    """Source of ``_sim(<params>, split, per_pc_misp)`` returning
+    ``(measured_misp, misp_all)``: the one loop skeleton of every fused
+    predictor.
+
+    The indented lines ``head`` come first, then the misprediction
+    counters.  Rows ``[0, n)`` of ``pcs`` (the first parameter) then run
+    in chunks of ``_CHUNK`` inside ``for measuring, begin, end in
+    ((False, 0, split), (True, split, n))``, so warmup and measured rows
+    run through the one copy of ``body``, whose unindented lines read the
+    ``measuring`` flag only where :func:`_emit_count` counts a
+    misprediction.  Each row binds one variable per ``(name, column)``
+    pair in ``row``, preceded by its ordinal ``m`` with ``ordinals``;
+    ``tail`` precedes the return.
     """
-    lines = [f"def _sim(pcs, takens, {arg}, csplit, per_pc_misp):"]
-    lines.extend(head)
-    lines.extend(("    misp_all = 0", "    measured_misp = 0",
-                  "    misp_get = per_pc_misp.get", "    n = len(pcs)"))
-    lines.extend(setup)
-    lines.append(f"    CH = {_CHUNK}")
-    names = ["pc", "taken"] + [name for name, _ in row]
-    chunks = [f"{column}[lo:hi].tolist()"
-              for column in ["pcs", "takens"] + [column for _, column in row]]
+    names = [name for name, _ in row]
+    chunks = [f"{column}[lo:hi].tolist()" for _, column in row]
     if ordinals:
         names.insert(0, "m")
         chunks.insert(0, "range(lo, hi)")
-    for measuring, lo_expr, stop in ((False, "0, csplit", "csplit"),
-                                     (True, "csplit, n", "n")):
-        lines.append(f"    for lo in range({lo_expr}, CH):")
-        lines.append("        hi = lo + CH")
-        lines.append(f"        if hi > {stop}: hi = {stop}")
-        lines.append(f"        for {', '.join(names)} in zip("
-                     f"{', '.join(chunks)}):")
-        lines.extend("            " + x for x in body(measuring))
+    lines = [f"def _sim({params}, split, per_pc_misp):"]
+    lines.extend(head)
+    lines.extend((
+        "    misp_all = 0",
+        "    measured_misp = 0",
+        "    misp_get = per_pc_misp.get",
+        "    n = len(pcs)",
+        f"    CH = {_CHUNK}",
+        "    for measuring, begin, end in ((False, 0, split),"
+        " (True, split, n)):",
+        "        for lo in range(begin, end, CH):",
+        "            hi = lo + CH",
+        "            if hi > end: hi = end",
+        f"            for {', '.join(names)} in zip({', '.join(chunks)}):",
+    ))
+    lines.extend("                " + x for x in body)
     lines.extend(tail)
     lines.append("    return measured_misp, misp_all")
     return lines
+
+
+def _nested(a):
+    """An appender that writes its lines one block deeper than ``a``."""
+    return lambda line: a("    " + line)
 
 
 def _exec_sim(lines, name: str, namespace: dict):
@@ -477,132 +488,139 @@ def _exec_sim(lines, name: str, namespace: dict):
 
 
 def _compile_tsl(p: TageScL):
-    """Generate ``_sim(pcs, takens, cols, csplit, per_pc_misp)`` for ``p``.
+    """Generate ``_sim(pcs, takens, cols, split, per_pc_misp)`` for ``p``.
 
-    Inputs are the conditional-branch-only pc/taken columns and the
-    precomputed hash matrix; returns ``(measured_misp, misp_all)``.  An
-    :class:`InfiniteTage` hashes exactly like a ``Tage``, so it reads the
-    same matrix; only its probe, update and allocation differ.
+    Inputs are the conditional-branch-only pc/taken columns, the
+    precomputed hash matrix and the first measured conditional branch;
+    returns ``(measured_misp, misp_all)``.  An :class:`InfiniteTage`
+    hashes exactly like a ``Tage``, so it reads the same matrix; only its
+    probe, update and allocation differ.
     """
     tage, sc, loop = p.tage, p.sc, p.loop
     num_tables = tage.config.num_tables
     infinite = type(tage) is InfiniteTage
 
-    def body(measuring):
-        b = []
-        a = b.append
-        _emit_tage_lookup(a, tage)
-        a("base_pred = t_pred")
-        _emit_sc_lookup(a, sc, num_tables)
-        _emit_loop_lookup(a, loop)
-        _emit_count(a, measuring)
-        _emit_loop_train(a, loop)
-        _emit_sc_train(a, sc, num_tables)
-        if infinite:
-            _emit_inf_tage_update(a, tage)
-        else:
-            _emit_tage_update(a, tage, guarded=False)
-        return b
+    body = []
+    a = body.append
+    _emit_tage_lookup(a, tage)
+    a("base_pred = t_pred")
+    _emit_sc_lookup(a, sc, num_tables)
+    _emit_loop_lookup(a, loop)
+    _emit_count(a)
+    _emit_loop_train(a, loop)
+    _emit_sc_train(a, sc, num_tables)
+    if infinite:
+        _emit_inf_tage_update(a, tage)
+    else:
+        _emit_tage_update(a, tage, guarded=False)
 
     head, tail = _TSL_SCALAR_PREAMBLE, _TSL_SCALAR_EPILOGUE
     if infinite:
         head += ("    ord0 = tage.updates",)
         tail += ("    tage.updates = ord0 + n",)
     # Only a traced InfiniteTage needs each row's ordinal ``m``.
-    lines = _cond_sim("cols", [("row", "cols")], body, head=head, tail=tail,
-                      ordinals=infinite and tage.trace_useful)
+    lines = _sim_source("pcs, takens, cols", _COND_ROW + (("row", "cols"),),
+                        body, head, tail,
+                        ordinals=infinite and tage.trace_useful)
     return _exec_sim(lines, "tsl", _tsl_namespace(p))
 
 
 def _compile_gshare(p):
-    """Generate ``_sim(pcs, takens, idx, csplit, per_pc_misp)`` for one
+    """Generate ``_sim(pcs, takens, idx, split, per_pc_misp)`` for one
     table of 2-bit counters: gshare, or bimodal over its PC index."""
-
-    def body(measuring):
-        b = []
-        a = b.append
-        a("v = TBL[i]")
-        _emit_count(a, measuring, "(v >= 0) != taken")
-        a("if taken:")
-        a("    if v < 1: TBL[i] = v + 1")
-        a("elif v > -2: TBL[i] = v - 1")
-        return b
-
-    return _exec_sim(_cond_sim("idx", [("i", "idx")], body), "gshare",
-                     {"TBL": p.table})
+    body = []
+    a = body.append
+    a("v = TBL[i]")
+    _emit_count(a, "(v >= 0) != taken")
+    a("if taken:")
+    a("    if v < 1: TBL[i] = v + 1")
+    a("elif v > -2: TBL[i] = v - 1")
+    lines = _sim_source("pcs, takens, idx", _COND_ROW + (("i", "idx"),), body)
+    return _exec_sim(lines, "gshare", {"TBL": p.table})
 
 
 def _compile_bimode(p: BiMode):
-    """Generate ``_sim(pcs, takens, cols, csplit, per_pc_misp)`` for bimode.
+    """Generate ``_sim(pcs, takens, cols, split, per_pc_misp)`` for bimode.
 
     ``cols`` holds ``[choice_index, direction_index]`` per conditional
     branch (:func:`repro.sim.columns.bimode_columns`); the body is
     ``BiMode.predict`` + ``train`` with the bank selected into a local.
     """
-
-    def body(measuring):
-        b = []
-        a = b.append
-        a("cv = CHOICE[ci]")
-        a("ct = cv >= 0")
-        a("B = TB if ct else NB")
-        a("v = B[di]")
-        _emit_count(a, measuring, "(v >= 0) != taken")
-        # Choice trains toward the outcome unless it missed but the
-        # selected bank covered for it (BiMode.train).
-        a("if not (ct != taken and (v >= 0) == taken):")
-        a("    if taken:")
-        a("        if cv < 1: CHOICE[ci] = cv + 1")
-        a("    elif cv > -2: CHOICE[ci] = cv - 1")
-        a("if taken:")
-        a("    if v < 1: B[di] = v + 1")
-        a("elif v > -2: B[di] = v - 1")
-        return b
-
-    lines = _cond_sim("cols", [("ci", "ci_col"), ("di", "di_col")], body,
-                      setup=("    ci_col = cols[:, 0]",
-                             "    di_col = cols[:, 1]"))
+    body = []
+    a = body.append
+    a("cv = CHOICE[ci]")
+    a("ct = cv >= 0")
+    a("B = TB if ct else NB")
+    a("v = B[di]")
+    _emit_count(a, "(v >= 0) != taken")
+    # Choice trains toward the outcome unless it missed but the
+    # selected bank covered for it (BiMode.train).
+    a("if not (ct != taken and (v >= 0) == taken):")
+    a("    if taken:")
+    a("        if cv < 1: CHOICE[ci] = cv + 1")
+    a("    elif cv > -2: CHOICE[ci] = cv - 1")
+    a("if taken:")
+    a("    if v < 1: B[di] = v + 1")
+    a("elif v > -2: B[di] = v - 1")
+    lines = _sim_source("pcs, takens, cols",
+                        _COND_ROW + (("ci", "ci_col"), ("di", "di_col")),
+                        body, head=("    ci_col = cols[:, 0]",
+                                    "    di_col = cols[:, 1]"))
     return _exec_sim(lines, "bimode", {"CHOICE": p.choice,
                                        "TB": p.taken_bank,
                                        "NB": p.nottaken_bank})
 
 
 def _compile_perceptron(p: HashedPerceptron):
-    """Generate ``_sim(pcs, takens, cols, csplit, per_pc_misp)``.
+    """Generate ``_sim(pcs, takens, cols, split, per_pc_misp)``.
 
     ``cols`` holds one table index per column
     (:func:`repro.sim.columns.percep_columns`); the dot product, the
     threshold test and the per-table saturating updates are unrolled
     with the weight lists bound by identity.
     """
-    num_tables = p.config.tables
+    tables = range(p.config.tables)
     theta = p._theta
     wmin, wmax = p._wmin, p._wmax
 
-    def body(measuring):
-        b = []
-        a = b.append
-        a("total = " + " + ".join(
-            f"W{t}[i{t}]" for t in range(num_tables)))
-        _emit_count(a, measuring, "(total >= 0) != taken")
-        # Threshold training: update on a miss or a weak (|sum|<=theta)
-        # hit; +1 steps can only violate the upper clamp, -1 the lower.
-        a(f"if (total >= 0) != taken or {-theta} <= total <= {theta}:")
-        a("    if taken:")
-        for t in range(num_tables):
-            a(f"        w = W{t}[i{t}] + 1")
-            a(f"        if w <= {wmax}: W{t}[i{t}] = w")
-        a("    else:")
-        for t in range(num_tables):
-            a(f"        w = W{t}[i{t}] - 1")
-            a(f"        if w >= {wmin}: W{t}[i{t}] = w")
-        return b
-
-    tables = range(num_tables)
-    lines = _cond_sim("cols", [(f"i{t}", f"c{t}") for t in tables], body,
-                      setup=[f"    c{t} = cols[:, {t}]" for t in tables])
+    body = []
+    a = body.append
+    a("total = " + " + ".join(f"W{t}[i{t}]" for t in tables))
+    _emit_count(a, "(total >= 0) != taken")
+    # Threshold training: update on a miss or a weak (|sum|<=theta)
+    # hit; +1 steps can only violate the upper clamp, -1 the lower.
+    a(f"if (total >= 0) != taken or {-theta} <= total <= {theta}:")
+    a("    if taken:")
+    for t in tables:
+        a(f"        w = W{t}[i{t}] + 1")
+        a(f"        if w <= {wmax}: W{t}[i{t}] = w")
+    a("    else:")
+    for t in tables:
+        a(f"        w = W{t}[i{t}] - 1")
+        a(f"        if w >= {wmin}: W{t}[i{t}] = w")
+    lines = _sim_source("pcs, takens, cols",
+                        _COND_ROW + tuple((f"i{t}", f"c{t}") for t in tables),
+                        body, head=[f"    c{t} = cols[:, {t}]" for t in tables])
     return _exec_sim(lines, "percep",
                      {f"W{t}": p.tables[t] for t in tables})
+
+
+#: LLBP's run counters: the fused loop's local, and the attribute or
+#: ``counts`` entry its epilogue adds the local to.
+_LLBP_COUNTERS = (
+    ("pb_hits", "BUF.hits"),
+    ("pb_misses", "BUF.misses"),
+    ("pf_issued", "PF.issued"),
+    ("pf_dmiss", "PF.directory_misses"),
+    ("pf_squash", "PF.squashed"),
+    ("llbp_provided", "counts['llbp_provided']"),
+    ("no_override", "counts['no_override']"),
+    ("c_good", "counts['override_good']"),
+    ("c_bad", "counts['override_bad']"),
+    ("c_both_correct", "counts['override_both_correct']"),
+    ("c_both_wrong", "counts['override_both_wrong']"),
+    ("pb_miss_ctx", "counts['pb_miss_with_context']"),
+)
 
 
 def _compile_llbp(p: LLBPTageScL):
@@ -648,186 +666,136 @@ def _compile_llbp(p: LLBPTageScL):
     inline_issue = (p.prefetcher.latency != 0
                     and p.config.cd_replacement != "lru")
 
-    lines = []
-    add = lines.append
-    add("def _sim(pcs, types, takens, gaps, rows, cids, split,"
-        " per_pc_misp):")
-    lines.extend(_TSL_SCALAR_PREAMBLE)
-    add("    now = P._now")
-    add("    next_cids = cids.__next__")
-    add("    " + take_cids)
-    add("    misp_all = 0")
-    add("    measured_misp = 0")
-    add("    misp_get = per_pc_misp.get")
-    add("    pb_hits = 0")
-    add("    pb_misses = 0")
-    add("    pb_miss_ctx = 0")
-    add("    llbp_provided = 0")
-    add("    no_override = 0")
-    add("    c_good = 0")
-    add("    c_bad = 0")
-    add("    c_both_correct = 0")
-    add("    c_both_wrong = 0")
-    add("    pf_issued = 0")
-    add("    pf_dmiss = 0")
-    add("    pf_squash = 0")
-    add("    next_row = rows.__next__")
-    add("    n = len(pcs)")
-    add(f"    CH = {_CHUNK}")
-
-    def cond_body(measuring):
-        b = []
-        a = b.append
-        a("row = next_row()")
-        # -- pattern buffer probe (PatternBuffer.get + miss accounting) --
-        a(f"pbs = PB_SETS[ccid % {pb_sets}]")
-        a("ps = pbs.get(ccid)")
-        a("slot = -1")
-        a("if ps is None:")
-        a("    pb_misses += 1")
-        a(f"    if ccid in CD_SETS[ccid % {cd_sets}]:")
-        a("        pb_miss_ctx += 1")
-        a("else:")
-        a("    pb_hits += 1")
-        a("    del pbs[ccid]")
-        a("    pbs[ccid] = ps")
-        # PatternSet.find_longest against the precomputed slot tags —
-        # only the valid slots (ps.vdesc) are scanned.
-        a("    ps_tags = ps.tags")
-        a("    ps_hsl = ps.hslots")
-        a("    for i in ps.vdesc:")
-        a(f"        if ps_tags[i] == row[{slot_base} + ps_hsl[i]]:")
-        a("            slot = i")
-        a("            break")
-        _emit_tage_lookup(a, tage)
-        # -- override arbitration (LLBPTageScL.predict) --
-        a("overrode = False")
-        a("llbp_rank = 0")
-        a("if slot >= 0:")
-        a("    ps_ctrs = ps.ctrs")
-        a("    llbp_ctr = ps_ctrs[slot]")
-        a("    llbp_pred = llbp_ctr >= 0")
-        a("    llbp_rank = SRANK[ps_hsl[slot]]")
-        a("    llbp_provided += 1")
-        a("    overrode = llbp_rank >= provider + 1")
-        if weak_guard:
-            a("    if overrode and (llbp_ctr == 0 or llbp_ctr == -1)"
-              " and provider >= 0 and not provider_weak:")
-            a("        overrode = False")
-        a("    if not overrode:")
-        a("        no_override += 1")
-        a("if overrode:")
-        a("    base_pred = llbp_pred")
-        a("    sc_ctr = llbp_ctr")
-        a("    sc_valid = True")
-        a("else:")
-        a("    base_pred = t_pred")
-        a("    sc_ctr = provider_ctr")
-        a("    sc_valid = provider_valid")
-        _emit_sc_lookup(a, sc, num_tables, ctr="sc_ctr", valid="sc_valid")
-        _emit_loop_lookup(a, loop)
-        _emit_count(a, measuring)
-        # -- training (LLBPTageScL.train) --
-        a("if slot >= 0:")
-        a("    if overrode:")
-        a("        if llbp_pred == taken:")
-        a("            if t_pred == taken: c_both_correct += 1")
-        a("            else: c_good += 1")
-        a("        elif t_pred != taken: c_both_wrong += 1")
-        a("        else: c_bad += 1")
-        # PatternSet.update_counter: under exclusive provider training
-        # only the overriding pattern trains, so the block nests inside
-        # the `if overrode:` branch above.
-        ui = "        " if exclusive else "    "
-        a(ui + "c = ps_ctrs[slot]")
-        a(ui + "if taken:")
-        a(ui + f"    if c < {ps_hi}:")
-        a(ui + "        ps_ctrs[slot] = c + 1")
-        a(ui + "        ps.dirty = True")
-        a(ui + f"elif c > {ps_lo}:")
-        a(ui + "    ps_ctrs[slot] = c - 1")
-        a(ui + "    ps.dirty = True")
-        _emit_loop_train(a, loop)
-        _emit_sc_train(a, sc, num_tables)
-        _emit_tage_update(a, tage, guarded=exclusive)
-        # -- pattern allocation on base (provider) misprediction --
-        a("if base_pred != taken:")
-        a(f"    llbp_alloc(pc, taken, ccid, ps, row[{slot_base}:],"
-          " llbp_rank if overrode else provider + 1, now)")
-        if timing:
-            # Final misprediction: squash and re-run the prefetch
-            # pipeline, re-issuing cid_at(0..D) from the push row.
-            a("if pred != taken:")
-            a("    pf_squash += len(INFLIGHT)")
-            a("    INFLIGHT.clear()")
-            for cid_expr in cid_names:
-                if inline_issue:
-                    a(f"    cid = {cid_expr}")
-                    a(f"    if cid not in PB_SETS[cid % {pb_sets}]:")
-                    a(f"        if cid in CD_SETS[cid % {cd_sets}]:")
-                    a("            pf_issued += 1")
-                    a(f"            INFLIGHT.append((now + {p.prefetcher.latency}, cid))")
-                    a("        else:")
-                    a("            pf_dmiss += 1")
-                else:
-                    a(f"    issue({cid_expr}, now)")
-        return ["                " + x for x in b]
-
-    def record_lines(measuring, stop):
-        out = []
-        out.append(f"    for lo in range(" +
-                   ("0, split, CH):" if not measuring else "split, n, CH):"))
-        out.append("        hi = lo + CH")
-        out.append(f"        if hi > {stop}: hi = {stop}")
-        out.append("        for pc, btype, taken, gap in zip("
-                   "pcs[lo:hi].tolist(), types[lo:hi].tolist(),"
-                   " takens[lo:hi].tolist(), gaps[lo:hi].tolist()):")
-        # LLBPTageScL.advance: clock + prefetch arrivals.
-        out.append("            now += gap")
-        out.append("            if INFLIGHT and INFLIGHT[0][0] <= now:")
-        out.append("                drain(now)")
-        out.append("            if btype == 0:")
-        out.extend(cond_body(measuring))
-        # update_history tail: the push takes the RCR's next CIDs from
-        # the column (history folds are never advanced either — the
-        # columns already hold their values), then the prefetch issue
-        # with PrefetchEngine.issue's buffer-hit fast path hoisted out
-        # of the call.
-        out.append("            if QUAL[btype]:")
-        out.append("                " + take_cids)
-        out.append(f"                if pf_cid not in PB_SETS[pf_cid % {pb_sets}]:")
+    def emit_issue(a, cid):
+        # PrefetchEngine.issue with its buffer-hit fast path hoisted out
+        # of the call.  Flattened, the directory probe is a plain
+        # membership test (confidence replacement never reorders on
+        # lookup) and the arrival append is the only side effect;
+        # counters batch into the epilogue.
+        a(f"if {cid} not in PB_SETS[{cid} % {pb_sets}]:")
         if inline_issue:
-            # PrefetchEngine.issue flattened: the directory probe is a
-            # plain membership test (confidence replacement never
-            # reorders on lookup) and the arrival append is the only
-            # side effect; counters batch into the epilogue.
-            out.append(f"                    if pf_cid in CD_SETS[pf_cid % {cd_sets}]:")
-            out.append("                        pf_issued += 1")
-            out.append(f"                        INFLIGHT.append((now + {p.prefetcher.latency}, pf_cid))")
-            out.append("                    else:")
-            out.append("                        pf_dmiss += 1")
+            a(f"    if {cid} in CD_SETS[{cid} % {cd_sets}]:")
+            a("        pf_issued += 1")
+            a(f"        INFLIGHT.append((now + {p.prefetcher.latency}, {cid}))")
+            a("    else:")
+            a("        pf_dmiss += 1")
         else:
-            out.append("                    issue(pf_cid, now)")
-        return out
+            a(f"    issue({cid}, now)")
 
-    lines.extend(record_lines(False, "split"))
-    lines.extend(record_lines(True, "n"))
-    lines.extend(_TSL_SCALAR_EPILOGUE)
-    add("    P._now = now")
-    add("    BUF.hits += pb_hits")
-    add("    BUF.misses += pb_misses")
-    add("    PF.issued += pf_issued")
-    add("    PF.directory_misses += pf_dmiss")
-    add("    PF.squashed += pf_squash")
-    add("    counts = P.counts")
-    add("    counts['llbp_provided'] += llbp_provided")
-    add("    counts['no_override'] += no_override")
-    add("    counts['override_good'] += c_good")
-    add("    counts['override_bad'] += c_bad")
-    add("    counts['override_both_correct'] += c_both_correct")
-    add("    counts['override_both_wrong'] += c_both_wrong")
-    add("    counts['pb_miss_with_context'] += pb_miss_ctx")
-    add("    return measured_misp, misp_all")
+    body = []
+    add = body.append
+    # LLBPTageScL.advance: clock + prefetch arrivals.
+    add("now += gap")
+    add("if INFLIGHT and INFLIGHT[0][0] <= now:")
+    add("    drain(now)")
+    add("if btype == 0:")
+    a = _nested(add)
+    a("row = next_row()")
+    # -- pattern buffer probe (PatternBuffer.get + miss accounting) --
+    a(f"pbs = PB_SETS[ccid % {pb_sets}]")
+    a("ps = pbs.get(ccid)")
+    a("slot = -1")
+    a("if ps is None:")
+    a("    pb_misses += 1")
+    a(f"    if ccid in CD_SETS[ccid % {cd_sets}]:")
+    a("        pb_miss_ctx += 1")
+    a("else:")
+    a("    pb_hits += 1")
+    a("    del pbs[ccid]")
+    a("    pbs[ccid] = ps")
+    # PatternSet.find_longest against the precomputed slot tags —
+    # only the valid slots (ps.vdesc) are scanned.
+    a("    ps_tags = ps.tags")
+    a("    ps_hsl = ps.hslots")
+    a("    for i in ps.vdesc:")
+    a(f"        if ps_tags[i] == row[{slot_base} + ps_hsl[i]]:")
+    a("            slot = i")
+    a("            break")
+    _emit_tage_lookup(a, tage)
+    # -- override arbitration (LLBPTageScL.predict) --
+    a("overrode = False")
+    a("llbp_rank = 0")
+    a("if slot >= 0:")
+    a("    ps_ctrs = ps.ctrs")
+    a("    llbp_ctr = ps_ctrs[slot]")
+    a("    llbp_pred = llbp_ctr >= 0")
+    a("    llbp_rank = SRANK[ps_hsl[slot]]")
+    a("    llbp_provided += 1")
+    a("    overrode = llbp_rank >= provider + 1")
+    if weak_guard:
+        a("    if overrode and (llbp_ctr == 0 or llbp_ctr == -1)"
+          " and provider >= 0 and not provider_weak:")
+        a("        overrode = False")
+    a("    if not overrode:")
+    a("        no_override += 1")
+    a("if overrode:")
+    a("    base_pred = llbp_pred")
+    a("    sc_ctr = llbp_ctr")
+    a("    sc_valid = True")
+    a("else:")
+    a("    base_pred = t_pred")
+    a("    sc_ctr = provider_ctr")
+    a("    sc_valid = provider_valid")
+    _emit_sc_lookup(a, sc, num_tables, ctr="sc_ctr", valid="sc_valid")
+    _emit_loop_lookup(a, loop)
+    _emit_count(a)
+    # -- training (LLBPTageScL.train) --
+    a("if slot >= 0:")
+    a("    if overrode:")
+    a("        if llbp_pred == taken:")
+    a("            if t_pred == taken: c_both_correct += 1")
+    a("            else: c_good += 1")
+    a("        elif t_pred != taken: c_both_wrong += 1")
+    a("        else: c_bad += 1")
+    # PatternSet.update_counter: under exclusive provider training
+    # only the overriding pattern trains, so the block nests inside
+    # the `if overrode:` branch above.
+    ui = "        " if exclusive else "    "
+    a(ui + "c = ps_ctrs[slot]")
+    a(ui + "if taken:")
+    a(ui + f"    if c < {ps_hi}:")
+    a(ui + "        ps_ctrs[slot] = c + 1")
+    a(ui + "        ps.dirty = True")
+    a(ui + f"elif c > {ps_lo}:")
+    a(ui + "    ps_ctrs[slot] = c - 1")
+    a(ui + "    ps.dirty = True")
+    _emit_loop_train(a, loop)
+    _emit_sc_train(a, sc, num_tables)
+    _emit_tage_update(a, tage, guarded=exclusive)
+    # -- pattern allocation on base (provider) misprediction --
+    a("if base_pred != taken:")
+    a(f"    llbp_alloc(pc, taken, ccid, ps, row[{slot_base}:],"
+      " llbp_rank if overrode else provider + 1, now)")
+    if timing:
+        # Final misprediction: squash and re-run the prefetch
+        # pipeline, re-issuing cid_at(0..D) from the push row.
+        a("if pred != taken:")
+        a("    pf_squash += len(INFLIGHT)")
+        a("    INFLIGHT.clear()")
+        for cid in cid_names:
+            emit_issue(_nested(a), cid)
+    # update_history tail: the push takes the RCR's next CIDs from the
+    # column (history folds are never advanced either — the columns
+    # already hold their values), then issues the prefetch.
+    add("if QUAL[btype]:")
+    add("    " + take_cids)
+    emit_issue(_nested(add), "pf_cid")
+
+    head = _TSL_SCALAR_PREAMBLE + (
+        "    now = P._now",
+        "    next_cids = cids.__next__",
+        "    " + take_cids,
+        "    next_row = rows.__next__",
+    ) + tuple(f"    {local} = 0" for local, _ in _LLBP_COUNTERS)
+    tail = _TSL_SCALAR_EPILOGUE + (
+        "    P._now = now",
+        "    counts = P.counts",
+    ) + tuple(f"    {target} += {local}" for local, target in _LLBP_COUNTERS)
+    lines = _sim_source(
+        "pcs, types, takens, gaps, rows, cids",
+        (("pc", "pcs"), ("btype", "types"), ("taken", "takens"),
+         ("gap", "gaps")),
+        body, head, tail)
 
     namespace = _tsl_namespace(tsl)
     namespace.update({
@@ -856,7 +824,9 @@ def _iter_rows(cols: np.ndarray):
 
 def _outcome_history(takens_cond: np.ndarray, history_bits: int,
                      hist_mask: int) -> int:
-    """The global outcome-shift register after the whole trace.
+    """An outcome-shift register after the whole trace: the global
+    history of gshare, bimode and the perceptron, or the statistical
+    corrector's 64-bit one.
 
     The fused loops read history from precomputed columns; rebuild the
     register from the last ``history_bits`` conditional outcomes exactly
@@ -866,22 +836,6 @@ def _outcome_history(takens_cond: np.ndarray, history_bits: int,
     for taken in takens_cond[-history_bits:].tolist():
         history = ((history << 1) | taken) & hist_mask
     return history
-
-
-def _restore_sc_history(sc, takens_cond: np.ndarray) -> None:
-    """Re-derive the corrector's 64-bit outcome history after a run.
-
-    The fused loops never advance it (every value it feeds is
-    precomputed in the columns), but it is part of the predictor's
-    post-run state, so rebuild it from the last 64 conditional outcomes
-    exactly as per-branch shifting would have left it.
-    """
-    if sc is None:
-        return
-    history = 0
-    for taken in takens_cond[-64:].tolist():
-        history = ((history << 1) | taken)
-    sc.history = history & ((1 << 64) - 1)
 
 
 def _restore_rcr(p: LLBPTageScL, trace: Trace, cids: np.ndarray) -> None:
@@ -1004,7 +958,8 @@ def run_simulation_array(
         sim = _compile_tsl(predictor)
         measured_misp, misp_all = sim(
             pcs_cond, takens_cond, cols, csplit, per_pc_misp)
-        _restore_sc_history(predictor.sc, takens_cond)
+        predictor.sc.history = _outcome_history(
+            takens_cond, 64, (1 << 64) - 1)
     else:
         tsl_cols, slot_cols, cids = columns_mod.llbp_columns(trace, predictor)
         # The fused loop wants one row per branch; memoise the combined
@@ -1023,7 +978,8 @@ def run_simulation_array(
             trace.pcs, trace.types, trace.takens, trace.gaps,
             _iter_rows(cols), _iter_rows(cid_rows), split, per_pc_misp)
         predictor.counts["predictions"] += n_cond
-        _restore_sc_history(predictor.tsl.sc, takens_cond)
+        predictor.tsl.sc.history = _outcome_history(
+            takens_cond, 64, (1 << 64) - 1)
         _restore_rcr(predictor, trace, cids)
 
     # Per-branch stats the fused loops account for in bulk.

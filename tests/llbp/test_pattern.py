@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llbp.pattern import PatternSet
+from repro.llbp.pattern import Pattern, PatternSet
 
 
 def make_set(size=16, bucket=4):
@@ -117,6 +117,82 @@ class TestSortedInvariant:
         tags[3] = 0x2
         found = ps.find_longest(tags)
         assert ps.hash_slot(found) == 3
+
+
+def sorted_allocate(ps, hash_slot, tag, taken):
+    """The reference allocation: write the victim, then stable-sort the
+    whole region by hash slot (invalid slots last) and rebuild ``vdesc``.
+
+    ``PatternSet.allocate`` moves only the new pattern; every slot list
+    and ``vdesc`` must come out as this sort leaves them.
+    """
+    if ps.bucket_size == ps.size:
+        lo, hi = 0, ps.size
+    else:
+        lo = hash_slot // ps.bucket_size * ps.bucket_size
+        hi = lo + ps.bucket_size
+    victim = -1
+    victim_conf = None
+    for i in range(lo, hi):
+        if not ps.valid[i]:
+            victim = i
+            break
+        conf = abs(2 * ps.ctrs[i] + 1)
+        if victim_conf is None or conf < victim_conf:
+            victim, victim_conf = i, conf
+    ps.valid[victim] = True
+    ps.tags[victim] = tag
+    ps.ctrs[victim] = 0 if taken else -1
+    ps.hslots[victim] = hash_slot
+    ps.dirty = True
+    region = sorted(range(lo, hi), key=lambda i: (
+        not ps.valid[i], ps.hslots[i] if ps.valid[i] else 0))
+    for column in (ps.valid, ps.tags, ps.ctrs, ps.hslots):
+        column[lo:hi] = [column[i] for i in region]
+    ps.vdesc = [i for i in range(ps.size - 1, -1, -1) if ps.valid[i]]
+
+
+#: (set size, bucket size): the evaluated bucketed design, then
+#: unbucketed sets of the default size, ``ps=8`` and Fig 14's ``ps=32``.
+GEOMETRIES = ((16, 4), (16, 16), (8, 8), (32, 32))
+
+#: Allocations over few tags and all 16 hash slots, so (hash slot, tag)
+#: pairs repeat, mixed with counter training on a slot, so victims are
+#: picked by varied confidences.
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.integers(0, 15),
+                  st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("train"), st.integers(0, 31), st.booleans(),
+                  st.integers(1, 4))),
+    max_size=80)
+
+
+class TestAllocateMatchesSortedReference:
+    @given(st.sampled_from(GEOMETRIES), OPERATIONS)
+    @settings(max_examples=150)
+    def test_same_slots_as_a_full_region_sort(self, geometry, operations):
+        size, bucket = geometry
+        subject = PatternSet(size=size, bucket_size=bucket)
+        reference = PatternSet(size=size, bucket_size=bucket)
+        for op, *args in operations:
+            if op == "allocate":
+                hash_slot, tag, taken = args
+                slot = subject.allocate(hash_slot, tag, taken)
+                sorted_allocate(reference, hash_slot, tag, taken)
+                assert subject.pattern(slot) == Pattern(
+                    valid=True, tag=tag, counter=0 if taken else -1,
+                    hash_slot=hash_slot)
+            else:
+                slot, taken, times = args
+                slot %= size
+                if not subject.valid[slot]:
+                    continue
+                for _ in range(times):
+                    subject.update_counter(slot, taken)
+                    reference.update_counter(slot, taken)
+            for name in ("valid", "tags", "ctrs", "hslots", "vdesc", "dirty"):
+                assert getattr(subject, name) == getattr(reference, name), name
 
 
 class TestCounters:

@@ -35,6 +35,7 @@ from repro.sim.engine import (
     run_simulation_reference,
 )
 from repro.sim.multi import run_simulation_batch
+from repro.traces.trace import Trace
 from repro.workloads.catalog import generate_workload, workload_names
 
 #: The families the array engine supports, by registry key
@@ -72,13 +73,13 @@ def _make(key):
     return traced() if key == "traced" else make_predictor(key)
 
 
-def _run_both(trace, key):
+def _run_both(trace, key, warmup=None):
     """One Python-engine and one array-engine run with fresh predictors."""
     oracle = _make(key)
     subject = _make(key)
-    ref = run_simulation(trace, oracle, collect_per_pc=True,
+    ref = run_simulation(trace, oracle, warmup, collect_per_pc=True,
                          engine="python")
-    res = run_simulation(trace, subject, collect_per_pc=True,
+    res = run_simulation(trace, subject, warmup, collect_per_pc=True,
                          engine="array")
     return oracle, subject, ref, res
 
@@ -130,9 +131,10 @@ def test_traced_useful_events_match_across_engines(monkeypatch):
 
 #: LLBP context geometries the catalog run does not reach: a window whose
 #: terms land past bit 63, a one-PC window, no prefetch distance,
-#: conditional branches pushing, and a deep distance over calls/returns.
+#: conditional branches pushing, and a deep distance over calls/returns;
+#: then an LRU directory, whose prefetch issue is a call, not inlined.
 CONTEXT_KEYS = ("llbp:w=40", "llbp:w=1", "llbp:d=0", "llbp:src=all",
-                "llbp:src=callret,d=8")
+                "llbp:src=callret,d=8", "llbp:lru")
 
 
 @pytest.mark.parametrize("workload", ("Kafka", "adv:xor"))
@@ -169,6 +171,99 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch, key):
     _assert_state_equal(oracle, subject)
 
 
+#: Every fused loop family, each LLBP timing mode and the traced Inf TAGE:
+#: the keys whose warmup/measured split the edge tests below move.
+SPLIT_KEYS = ("tsl64", "llbp", "llbp:lat0", "gshare", "bimodal", "bimode",
+              "percep", "inf-tage", "traced")
+
+#: Short traces suffice: the edges are about where the split falls.
+EDGE_INSTRUCTIONS = 10_000
+
+
+def _assert_engines_agree(trace, key, warmup=None):
+    oracle, subject, ref, res = _run_both(trace, key, warmup)
+    _assert_identical(ref, res)
+    _assert_state_equal(oracle, subject)
+    return res
+
+
+@pytest.mark.parametrize("key", SPLIT_KEYS)
+def test_no_warmup(key):
+    """Every row is measured: the skeleton's warmup pass is empty."""
+    trace = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    res = _assert_engines_agree(trace, key, 0)
+    assert res.warmup_instructions == 0
+    assert res.cond_branches == trace.num_conditional
+
+
+@pytest.mark.parametrize("key", SPLIT_KEYS)
+@pytest.mark.parametrize("past", (0, 1_000))
+def test_warmup_at_or_past_the_trace(key, past):
+    """An empty measured region: both engines warn and measure nothing."""
+    trace = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    warmup = trace.num_instructions + past
+    with pytest.warns(RuntimeWarning) as record:
+        res = _assert_engines_agree(trace, key, warmup)
+    assert sum("consumed the entire" in str(w.message) for w in record) == 2
+    assert (res.branches, res.cond_branches, res.mispredictions) == (0, 0, 0)
+    assert res.per_pc_executions == {}
+
+
+#: A chunk small enough that some record split and its conditional split
+#: both fall exactly on a chunk boundary.
+BOUNDARY_CHUNK = 16
+
+
+@pytest.mark.parametrize("key", SPLIT_KEYS)
+def test_split_on_a_chunk_boundary(monkeypatch, key):
+    """The last warmup row ends a chunk and the first measured row starts
+    one, for the conditional rows and (LLBP) the record rows alike."""
+    monkeypatch.setattr(array, "_CHUNK", BOUNDARY_CHUNK)
+    trace = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    conds = np.concatenate(([0], np.cumsum(trace.types == 0)))
+    aligned = [split for split in range(BOUNDARY_CHUNK, len(trace),
+                                        BOUNDARY_CHUNK)
+               if conds[split] % BOUNDARY_CHUNK == 0]
+    split = aligned[len(aligned) // 2]
+    warmup = int(np.cumsum(trace.gaps, dtype=np.int64)[split - 1])
+    res = _assert_engines_agree(trace, key, warmup)
+    assert res.warmup_instructions == warmup
+    assert res.cond_branches == trace.num_conditional - conds[split]
+
+
+@pytest.mark.parametrize("key", SPLIT_KEYS)
+def test_trace_without_conditional_branches(key):
+    """Only unconditional records: the conditional loops run no row, and
+    LLBP still advances its clock and issues prefetches on every push."""
+    kafka = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    keep = kafka.types != 0
+    trace = Trace(kafka.pcs[keep], kafka.types[keep], kafka.takens[keep],
+                  kafka.targets[keep], kafka.gaps[keep], name="no-cond")
+    assert len(trace) and trace.num_conditional == 0
+    res = _assert_engines_agree(trace, key)
+    assert res.branches and (res.cond_branches, res.mispredictions) == (0, 0)
+
+
+def test_each_body_is_emitted_once(monkeypatch):
+    """Warmup and measured rows share one copy of each family's per-branch
+    body: its misprediction count appears once in the generated source."""
+    sources = []
+    compile_source = array._exec_sim
+
+    def capture(lines, name, namespace):
+        sources.append(("\n".join(lines), name))
+        return compile_source(lines, name, namespace)
+
+    monkeypatch.setattr(array, "_exec_sim", capture)
+    trace = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    for key in KEYS + ("llbp:lat0", "traced"):
+        run_simulation(trace, _make(key), engine="array")
+    assert {name for _, name in sources} == {
+        "tsl", "llbp", "gshare", "bimode", "percep"}
+    for source, name in sources:
+        assert source.count("misp_all += 1") == 1, name
+
+
 #: One valid spelling per parameter token of each parameterised family.
 PARAM_SAMPLES = {
     ("llbp", "w"): "llbp:w=16",
@@ -202,11 +297,8 @@ def test_supported_families():
     keys += [PARAM_SAMPLES[name, token]
              for name, family in families.items() for token in family.params]
     for key in keys:
-        predictor = make_predictor(key)
-        assert array.unsupported_reason(predictor) is None, key
-        assert array.supports(predictor)
-    assert array.supports(traced())
-    assert not array.supports(Unfused())
+        assert array.unsupported_reason(make_predictor(key)) is None, key
+    assert array.unsupported_reason(traced()) is None
     assert array.unsupported_reason(Unfused()) is not None
     # LLBP's fused loop inlines a finite TAGE only.
     llbp = make_predictor("llbp")
