@@ -13,6 +13,7 @@ import sys
 from repro.analysis.working_set import (
     baseline_order,
     top_branch_share,
+    traced_inf_tage,
     useful_patterns_study,
 )
 from repro.predictors import tage_infinite, tsl_64k, tsl_scaled
@@ -50,8 +51,8 @@ def main() -> None:
               f"top-0.8%-branches share={share:5.1%}")
 
     print("\nUseful patterns per branch under infinite capacity (Fig 3b):")
-    study = useful_patterns_study(trace, baseline,
-                                  warmup_instructions=instructions // 3)
+    study = useful_patterns_study(traced_inf_tage(trace).useful_events,
+                                  baseline)
     print(f"  mean = {study.mean:.1f}   "
           f"top-100 most-mispredicted = {study.top_n_mean(100):.1f}")
     print("Paper: mean ~14, top-100 >100 — the skew that motivates "

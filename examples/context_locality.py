@@ -11,6 +11,7 @@ Usage:  python examples/context_locality.py [workload] [instructions]
 import sys
 
 from repro.analysis.contexts import patterns_per_context_study
+from repro.analysis.working_set import traced_inf_tage
 from repro.predictors import tsl_64k
 from repro.sim import run_simulation
 from repro.workloads import generate_workload
@@ -26,10 +27,9 @@ def main() -> None:
 
     print("Tracing useful patterns per context (Inf TAGE)...\n")
     results = patterns_per_context_study(
-        trace, baseline,
+        trace, traced_inf_tage(trace).useful_events, baseline,
         windows=(0, 2, 4, 8, 16, 32),
         top_branches=128,
-        warmup_instructions=instructions // 3,
     )
 
     print(f"{'W':>3} {'contexts':>9} {'p50':>6} {'p95':>6} {'max':>7}")

@@ -14,10 +14,11 @@ result/trace cache hit rates, parallel worker utilization, LLBP
 pattern-buffer and prefetch counters, and per-figure wall clock.
 
 A bumpy run additionally gets a ``robustness`` section: retries by
-error kind (with total backoff time), job timeouts, workers lost, pool
-rebuilds, degradation to serial, injected chaos faults, corrupt cache
-entries re-run, and ``--resume`` accounting (how many simulations the
-checkpoint journal let the run skip).  A clean run omits the section.
+error kind (with total backoff time), job timeouts, workers lost,
+degradation to in-process attempts, injected chaos faults, corrupt cache
+entries re-run, and resume accounting (how many of the run's simulations
+the checkpoint journal already recorded).  A clean run omits the
+section.
 
 ``-o`` additionally writes the machine-readable summary JSON — the
 artifact CI uploads and later runs can diff against.

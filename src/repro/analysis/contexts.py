@@ -15,9 +15,9 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analysis.working_set import baseline_order, traced_inf_tage
+from repro.analysis.working_set import baseline_order
 from repro.common.stats import percentile
-from repro.predictors.infinite import PatternKey
+from repro.predictors.infinite import PatternKey, UsefulEvent
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 from repro.traces.types import BranchType
@@ -60,20 +60,21 @@ def _context_hash(window: Sequence[int], bits: int = 30,
 
 def patterns_per_context_study(
     trace: Trace,
+    events: Sequence[UsefulEvent],
     baseline: SimulationResult,
     windows: Sequence[int] = (0, 2, 4, 8, 16, 32),
     top_branches: int = 128,
-    warmup_instructions: int = 0,
 ) -> List[ContextStudyResult]:
     """Reproduce Fig 5 for ``trace``.
 
-    Runs one Inf-TAGE simulation; every useful-pattern event for a
-    top-``top_branches`` branch is attributed, per requested window depth
-    W, to the context formed by the last W unconditional-branch PCs
-    before it (W=0: a single global context — the paging-scheme view).
+    ``events`` are the ``useful_events`` of a
+    :func:`~repro.analysis.working_set.traced_inf_tage` run over
+    ``trace``; every one for a top-``top_branches`` branch is
+    attributed, per requested window depth W, to the context formed by
+    the last W unconditional-branch PCs before it (W=0: a single global
+    context — the paging-scheme view).
     """
     top: Set[int] = set(baseline_order(baseline)[:top_branches])
-    events = traced_inf_tage(trace, warmup_instructions).useful_events
 
     # One pass over the trace: how many unconditional branches precede
     # each conditional branch, and their PCs behind an all-zero window.

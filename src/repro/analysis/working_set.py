@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.predictors.infinite import InfiniteTage
+from repro.predictors.infinite import (
+    InfiniteTage,
+    UsefulEvent,
+    useful_pattern_counts,
+)
 from repro.predictors.presets import tage_infinite
 from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult
@@ -97,11 +101,11 @@ def traced_inf_tage(trace: Trace,
     return predictor.tage
 
 
-def useful_patterns_study(trace: Trace, baseline: SimulationResult,
-                          warmup_instructions: int = 0) -> UsefulPatternsResult:
-    """Useful patterns per static branch under Inf TAGE (Fig 3b)."""
-    tage = traced_inf_tage(trace, warmup_instructions)
+def useful_patterns_study(events: Sequence[UsefulEvent],
+                          baseline: SimulationResult) -> UsefulPatternsResult:
+    """Useful patterns per static branch under Inf TAGE (Fig 3b), from
+    the ``useful_events`` of a :func:`traced_inf_tage` run."""
     return UsefulPatternsResult(
-        counts_by_pc=tage.useful_pattern_counts(),
+        counts_by_pc=useful_pattern_counts(events),
         order=baseline_order(baseline),
     )

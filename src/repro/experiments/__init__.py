@@ -13,7 +13,7 @@ Environment knobs (all optional):
 * ``REPRO_WORKLOADS``    — comma-separated workload names, or ``all``
   (default: a 6-workload representative subset).
 * ``REPRO_RESULT_CACHE`` — set to ``0`` to disable the result cache.
-* ``REPRO_CACHE_DIR``    — cache directory (traces + results).
+* ``REPRO_CACHE_DIR``    — cache directory (traces, results, journals).
 """
 
 from repro.experiments.common import (

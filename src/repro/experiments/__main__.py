@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments [fig01 fig02 ... table3] [--jobs N]
                                 [--engine NAME] [--telemetry [DIR]]
-                                [--resume] [--retries N] [--job-timeout S]
+                                [--retries N] [--job-timeout S]
 
 With no experiment names every experiment runs (simulation results are
 cached, so reruns are cheap).  ``--jobs`` controls how many child
@@ -22,9 +22,11 @@ The run is fault-tolerant: failed simulations retry with backoff
 (``--retries`` / REPRO_RETRIES), a hung simulation's child is killed
 after ``--job-timeout`` seconds per job (REPRO_JOB_TIMEOUT) and only its
 task retried, and completed jobs are checkpointed to a journal next to
-the result cache.  After a crash or Ctrl-C, ``--resume`` re-executes
-only the unfinished jobs — and re-runs any cached result whose bytes no
-longer match the digest the journal recorded.
+the result cache.  With ``--jobs 1`` simulations run in this process,
+where there is no child for the timeout to kill.  Every run checks the
+cached results it serves against the journal's digests and re-runs any
+whose bytes no longer match, so after a crash or Ctrl-C, rerunning the
+same command re-executes only the unfinished jobs.
 
 ``--telemetry [DIR]`` (or ``REPRO_TELEMETRY=DIR``) records structured
 events — per-figure timings, simulation phases, cache hits, worker
@@ -96,13 +98,13 @@ _EXPERIMENTS = {
 
 
 def _prewarm(names, workers: int, policy: RetryPolicy,
-             journal: RunJournal, resume: bool) -> None:
+             journal: RunJournal) -> None:
     """Fan every named experiment's simulations across worker processes.
 
     The experiments themselves then run serially against a warm cache,
     so their output (and ordering) is unchanged from a serial run.
-    With ``resume``, jobs the journal already records as complete are
-    served from cache (after digest verification) instead of re-run.
+    Jobs the journal already records as complete are served from cache
+    after their digests are checked; the rest are simulated.
     """
     pairs = []
     for name in names:
@@ -111,13 +113,12 @@ def _prewarm(names, workers: int, policy: RetryPolicy,
             pairs.extend(manifest())
     jobs = parallel.make_jobs(pairs)
     unique = list(dict.fromkeys(jobs))
-    if resume:
-        journaled = sum(1 for job in unique if tuple(job) in journal)
+    journaled = sum(1 for job in unique if job in journal)
+    if journaled:
         telemetry.emit("experiment.resume", journaled=journaled,
                        total=len(unique), journal=str(journal.path))
-        if journaled:
-            print(f"[resume] journal {journal.path}: {journaled}/"
-                  f"{len(unique)} simulations already complete")
+        print(f"[resume] journal {journal.path}: {journaled}/"
+              f"{len(unique)} simulations already complete")
     if not unique:
         return
     start = time.time()
@@ -149,19 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "REPRO_ENGINE or array); the array engine "
                              "is bit-identical where supported and falls "
                              "back to python elsewhere")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue an interrupted run: skip every "
-                             "simulation the checkpoint journal records "
-                             "as complete (and whose cached result still "
-                             "matches its digest)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="attempts per simulation before giving up "
                              "(default: REPRO_RETRIES or 3)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="kill and retry any simulation running longer "
-                             "than this (default: REPRO_JOB_TIMEOUT or "
-                             "no timeout)")
+                             "than this in a child process (default: "
+                             "REPRO_JOB_TIMEOUT or no timeout)")
     return parser
 
 
@@ -193,7 +189,7 @@ def main(argv) -> int:
     if overrides:
         policy = dataclasses.replace(policy, **overrides)
 
-    journal = RunJournal.open(resume=args.resume)
+    journal = RunJournal.open()
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     interrupted = False
     try:
@@ -202,7 +198,7 @@ def main(argv) -> int:
         # re-verifies cached results against their journalled digests.
         with telemetry.phase("experiment.prewarm", experiments=names,
                              workers=workers):
-            _prewarm(names, workers, policy, journal, args.resume)
+            _prewarm(names, workers, policy, journal)
 
         run_start = time.time()
         for i, name in enumerate(names):
@@ -225,8 +221,9 @@ def main(argv) -> int:
         telemetry.emit("experiment.interrupted", journaled=len(journal),
                        journal=str(journal.path))
         print(f"\ninterrupted — completed work is journalled in "
-              f"{journal.path};\nresume with: python -m repro.experiments "
-              f"--resume " + " ".join(args.names), file=sys.stderr)
+              f"{journal.path};\nrerun the same command to resume: "
+              f"python -m repro.experiments " + " ".join(argv),
+              file=sys.stderr)
     finally:
         journal.close()
         if args.telemetry is not None:

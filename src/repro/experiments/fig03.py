@@ -17,9 +17,8 @@ from repro.analysis.working_set import (
     top_branch_share,
     useful_patterns_study,
 )
-from repro.experiments.common import experiment_instructions, format_table
-from repro.experiments.runner import get_result
-from repro.workloads.catalog import generate_workload
+from repro.experiments.common import format_table
+from repro.experiments.runner import get_result, useful_events
 
 CONFIGS = ("tsl64", "tsl128", "tsl256", "tsl512", "tsl1m", "inf-tsl")
 DEFAULT_WORKLOAD = "Tomcat"
@@ -55,12 +54,7 @@ def run(workload: str = DEFAULT_WORKLOAD,
         previous_misses = misses
 
     # Fig 3b: useful patterns per branch under infinite capacity.
-    instructions = experiment_instructions()
-    trace = generate_workload(workload, instructions)
-    patterns = useful_patterns_study(
-        trace, baseline,
-        warmup_instructions=int(instructions / 3),
-    )
+    patterns = useful_patterns_study(useful_events(workload), baseline)
 
     return {
         "workload": workload,

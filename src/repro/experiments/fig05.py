@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.contexts import patterns_per_context_study
 from repro.experiments.common import experiment_instructions, format_table
-from repro.experiments.runner import get_result
+from repro.experiments.runner import get_result, useful_events
 from repro.workloads.catalog import generate_workload
 
 DEFAULT_WINDOWS = (0, 2, 4, 8, 16, 32)
@@ -25,10 +25,9 @@ def run(workload: str = DEFAULT_WORKLOAD,
     baseline = get_result(workload, "tsl64")
     trace = generate_workload(workload, instructions)
     results = patterns_per_context_study(
-        trace, baseline,
+        trace, useful_events(workload, instructions), baseline,
         windows=windows,
         top_branches=top_branches,
-        warmup_instructions=int(instructions / 3),
     )
     rows: List[Dict[str, object]] = []
     for res in results:

@@ -3,12 +3,12 @@
 A figure run is a long sweep of (workload, predictor-key, instructions)
 jobs.  The result cache already stores each job's *bytes*; the journal,
 an append-only JSONL file next to the cache, stores the *fact* that the
-job finished and a digest of what it produced.  That small difference is
-what makes crash recovery trustworthy:
+job finished and a digest of what it produced.  Every run opens it with
+what earlier runs recorded, and that is what makes crash recovery
+trustworthy:
 
-* after a crash or SIGINT, ``python -m repro.experiments --resume``
-  re-executes only jobs absent from the journal — finished work
-  survives;
+* after a crash or SIGINT, rerunning the same command re-executes only
+  jobs whose results are not cached — finished work survives;
 * a cache entry that *exists* but whose digest contradicts the journal
   (torn write, disk trouble, stale tooling) is detected and re-run
   instead of silently poisoning a figure.
@@ -20,19 +20,20 @@ results the current code would not reproduce).  Entry lines are flushed
 as they are written, so the journal is always at most one job behind
 reality — the worst a crash can lose is the job in flight.  Unreadable
 or truncated lines are skipped on load, mirroring the result cache's
-corruption tolerance.
+corruption tolerance, and a line torn by a crash is ended before the
+next run appends to the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Dict, Optional, Set, TextIO, Tuple, Union
 
 from repro import telemetry
+from repro.traces.store import cache_root
 
 #: (workload, predictor key, instructions) — matches SimJob's fields.
 JobKey = Tuple[str, str, int]
@@ -51,15 +52,13 @@ def result_digest(result) -> str:
 
 def default_path() -> Path:
     """The journal's on-disk home, next to the result cache."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "repro-llbp"
-    return base / "journal.jsonl"
+    return cache_root() / "journal.jsonl"
 
 
 class RunJournal:
     """Append-only completion journal with digest verification.
 
-    Use :meth:`open` (fresh run truncates, ``resume=True`` loads);
+    Use :meth:`open`, which loads what earlier runs recorded;
     :meth:`record` / :meth:`record_result` append, :meth:`__contains__`
     and :meth:`matches` query.  Safe to pass where no journalling is
     wanted: every consumer treats ``None`` as "off".
@@ -70,21 +69,15 @@ class RunJournal:
         self._digests: Dict[JobKey, str] = {}
         self._fh: Optional[TextIO] = None
         self._warned_write_failure = False
+        self._torn_tail = False
 
     @classmethod
-    def open(cls, path: Union[str, Path, None] = None,
-             resume: bool = False) -> "RunJournal":
-        """Open the journal at ``path`` (default :func:`default_path`).
-
-        A fresh run (``resume=False``) starts an empty journal,
-        discarding any previous one; ``resume=True`` loads the previous
-        run's completions so finished jobs can be skipped.
-        """
+    def open(cls, path: Union[str, Path, None] = None) -> "RunJournal":
+        """Open the journal at ``path`` (default :func:`default_path`)
+        with the completions earlier runs recorded.  A journal of another
+        format or ``RESULTS_VERSION`` is discarded."""
         journal = cls(path if path is not None else default_path())
-        if resume:
-            journal._load()
-        else:
-            journal._truncate()
+        journal._load()
         return journal
 
     # -- querying ---------------------------------------------------
@@ -102,8 +95,9 @@ class RunJournal:
     def digest(self, job: JobKey) -> Optional[str]:
         return self._digests.get(tuple(job))
 
-    def matches(self, job: JobKey, result) -> Optional[bool]:
-        """Does ``result`` match what the journal saw for ``job``?
+    def matches(self, job: JobKey, digest: str) -> Optional[bool]:
+        """Does ``digest`` (a :func:`result_digest`) match what the
+        journal saw for ``job``?
 
         ``None`` when the journal has no opinion (job never recorded);
         ``False`` is the corruption signal — the caller holds bytes that
@@ -112,7 +106,7 @@ class RunJournal:
         expected = self._digests.get(tuple(job))
         if expected is None:
             return None
-        return expected == result_digest(result)
+        return expected == digest
 
     # -- recording --------------------------------------------------
 
@@ -163,22 +157,27 @@ class RunJournal:
                 self._fh = open(self.path, "a")
                 if fresh:
                     self._write_line(self._header())
+                elif self._torn_tail:
+                    # End the line a crash tore, or this record would
+                    # join it and be skipped on the next load.
+                    self._fh.write("\n")
+                self._torn_tail = False
             self._write_line(record)
         except OSError as error:
             # Journalling is best-effort, like the result cache: losing
             # a checkpoint must never take down the run it checkpoints.
-            # But not silently — a dead journal means --resume will
-            # re-execute this run's completions — so the first failure
-            # warns and lands in telemetry.  The handle is dropped and
-            # the open retried on the next record, in case the
-            # condition (full disk, transient I/O error) clears.
+            # But not silently — a dead journal means later runs cannot
+            # check this run's results — so the first failure warns and
+            # lands in telemetry.  The handle is dropped and the open
+            # retried on the next record, in case the condition (full
+            # disk, transient I/O error) clears.
             self.close()
             if not self._warned_write_failure:
                 self._warned_write_failure = True
                 warnings.warn(
                     f"checkpoint journal write to {self.path} failed "
-                    f"({error}); completed jobs may be re-executed on "
-                    "--resume", RuntimeWarning, stacklevel=4)
+                    f"({error}); later runs cannot check these results "
+                    "against their digests", RuntimeWarning, stacklevel=4)
                 telemetry.emit("journal.write_failed", path=str(self.path),
                                error=type(error).__name__)
 
@@ -188,18 +187,12 @@ class RunJournal:
         self._fh.write("\n")
         self._fh.flush()
 
-    def _truncate(self) -> None:
-        try:
-            if self.path.exists():
-                self.path.unlink()
-        except OSError:
-            pass
-
     def _load(self) -> None:
         try:
-            text = self.path.read_text()
+            text = self.path.read_text(errors="replace")
         except OSError:
             return
+        self._torn_tail = not text.endswith("\n")
         entries: Dict[JobKey, str] = {}
         header_ok = False
         for i, line in enumerate(text.splitlines()):
@@ -228,4 +221,7 @@ class RunJournal:
         else:
             # Different format or RESULTS_VERSION: these completions
             # describe results the current code would not produce.
-            self._truncate()
+            try:
+                self.path.unlink()
+            except OSError:
+                pass

@@ -22,15 +22,14 @@ from repro.predictors import registry
 from repro.sim.engine import run_simulation
 from repro.sim.multi import run_simulation_batch
 from repro.sim.results import SimulationResult
+from repro.traces.store import cache_root
 from repro.workloads.catalog import generate_workload
 
 RESULTS_VERSION = 6  # v6: prefetch_delivered joined SimulationResult.extra
 
 
 def _cache_dir() -> Path:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "repro-llbp"
-    return base / "results"
+    return cache_root() / "results"
 
 
 def _cache_enabled() -> bool:
@@ -75,10 +74,12 @@ def _from_json(data: dict) -> SimulationResult:
 
 
 _memory_cache: Dict[tuple, SimulationResult] = {}
+_useful_events: Dict[tuple, list] = {}
 
 
 def clear_memory_cache() -> None:
     _memory_cache.clear()
+    _useful_events.clear()
 
 
 def _read_cache(path: Path) -> Optional[SimulationResult]:
@@ -229,13 +230,32 @@ def run_batch(workload: str, keys, instructions: Optional[int] = None):
     return [results[key] for key in keys]
 
 
+def useful_events(workload: str, instructions: Optional[int] = None) -> list:
+    """The useful-pattern events of Inf TAGE over ``workload`` (Figs 3b
+    and 5), from one traced run per (workload, instructions) in this
+    process.
+
+    The events cover the whole run, warmup included, so the run needs
+    no warmup.  They are memoised in memory only, beside the results.
+    """
+    instructions = _resolve_instructions(instructions)
+    memo = (workload, instructions)
+    events = _useful_events.get(memo)
+    if events is None:
+        from repro.analysis.working_set import traced_inf_tage
+
+        trace = generate_workload(workload, instructions)
+        events = _useful_events[memo] = traced_inf_tage(trace).useful_events
+    return events
+
+
 def run_many(pairs, instructions: Optional[int] = None,
              max_workers: Optional[int] = None) -> Dict[tuple, SimulationResult]:
     """Batch API: run many (workload, key) pairs, in parallel when useful.
 
     Returns ``{(workload, key): result}``.  With ``max_workers=1`` (or a
-    single cache miss) this degenerates to serial ``get_result`` calls;
-    results are identical either way.
+    single cache miss) every simulation runs in this process; results
+    are identical either way.
     """
     from repro.parallel import make_jobs, run_jobs
 

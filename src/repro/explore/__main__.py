@@ -5,7 +5,7 @@ Usage::
     python -m repro.explore [--budget NAME] [--space SPEC] [--seed N]
                             [--workloads W1,W2] [--out FILE]
                             [--check FILE] [--jobs N] [--engine NAME]
-                            [--resume] [--telemetry [DIR]] [--quiet]
+                            [--telemetry [DIR]] [--quiet]
 
 ``--budget`` picks how much simulation to spend (``smoke`` / ``short``
 / ``full``); ``--space`` picks what to search — a built-in space name
@@ -13,9 +13,11 @@ Usage::
 registry keys.  The search runs a successive-halving schedule through
 the standard executor, so ``--jobs`` and ``--engine`` (default
 ``array``) mean exactly what they do for ``python -m
-repro.experiments``, and ``--resume`` continues an interrupted search
-from its checkpoint journal (kept at ``explore-journal.jsonl`` next to
-the result cache, separate from the experiments journal).
+repro.experiments``.  Every search checks the cached results it serves
+against its checkpoint journal (kept at ``explore-journal.jsonl`` next
+to the result cache, separate from the experiments journal), so
+rerunning an interrupted search re-executes only what it had not
+finished.
 
 The ``smoke`` budget pins its workloads, trace lengths and search space
 regardless of REPRO_WORKLOADS / REPRO_INSTRUCTIONS: it exists to
@@ -124,9 +126,6 @@ def main(argv) -> int:
     parser.add_argument("--engine", choices=engine_mod.ENGINES, default=None,
                         help="simulation engine (default: REPRO_ENGINE or "
                              "array; engines are bit-identical)")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue an interrupted search from the "
-                             "explore checkpoint journal")
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         default=None, metavar="DIR",
                         help="record explore.* telemetry as JSONL under "
@@ -163,8 +162,7 @@ def main(argv) -> int:
         budget.resolve_full_instructions(), eta=budget.eta,
         min_survivors=budget.min_survivors)
 
-    journal = journal_mod.RunJournal.open(journal_path(),
-                                          resume=args.resume)
+    journal = journal_mod.RunJournal.open(journal_path())
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     try:
         with telemetry.phase("explore.run", budget=budget.name,
@@ -175,8 +173,8 @@ def main(argv) -> int:
                 policy=RetryPolicy.from_env())
     except KeyboardInterrupt:
         print(f"\ninterrupted — completed simulations are journalled in "
-              f"{journal.path};\nresume with: python -m repro.explore "
-              f"--resume " + " ".join(argv), file=sys.stderr)
+              f"{journal.path};\nrerun the same command to resume: "
+              f"python -m repro.explore " + " ".join(argv), file=sys.stderr)
         return 130
     finally:
         journal.close()

@@ -14,10 +14,10 @@ for free.
 
 Everything is deterministic in (space, schedule, seed): scores are pure
 functions of simulation results, ties break on the key string, and the
-seed only shuffles the initial evaluation order.  A re-run — or a
-``--resume`` after a crash, or the same search at another ``--jobs`` —
-produces the identical frontier, which the golden-fixture tests assert
-byte for byte.
+seed only shuffles the initial evaluation order.  A re-run — after a
+crash, or of the same search at another ``--jobs`` — produces the
+identical frontier, which the golden-fixture tests assert byte for
+byte.
 """
 
 from __future__ import annotations
@@ -165,7 +165,8 @@ def run_search(keys: Sequence[str], workloads: Sequence[str],
     ``journal``/``policy``/``max_workers`` pass straight through to
     :func:`repro.parallel.run_jobs`, so a search inherits the executor's
     whole contract: results identical to serial simulation, retries and
-    degradation on faults, and journal-verified resume.
+    degradation on faults, and cached results checked against the
+    journal.
     """
     if not keys:
         raise ValueError("empty search space")

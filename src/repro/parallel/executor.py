@@ -6,32 +6,37 @@ on-disk result cache.  :func:`run_jobs` takes any number of jobs and:
 
 1. deduplicates them (figures share baselines like ``tsl64``);
 2. answers what it can from the in-memory and on-disk caches without
-   starting a child (re-running anything a checkpoint journal proves
+   starting a child (re-running anything the checkpoint journal proves
    corrupt);
 3. groups the rest into :class:`_Task` units — jobs sharing a
    (workload, instructions) pair, which therefore decode the *same*
    trace — and runs each task attempt in a child process of its own,
    started by :class:`~repro.parallel.backend.local.LocalBackend`, at
-   most ``max_workers`` at a time.  A child runs the batched cached
-   runner (``runner.run_batch``: one decode pass updates every
-   predictor in the group, bit-identical to running them separately;
-   results land in the shared disk cache atomically);
+   most ``max_workers`` at a time.  With one worker (``-j 1``, or a
+   single uncached job) every attempt runs in this process instead.
+   Either way an attempt is one ``runner.run_batch`` call: one decode
+   pass updates every predictor in the group, bit-identical to running
+   them separately, and results land in the shared disk cache
+   atomically;
 4. seeds the parent's in-memory cache with every result, so subsequent
    serial code (``get_result``) never re-simulates.
 
 Failures do not abort the batch.  Each task runs under a
-:class:`~repro.parallel.retry.RetryPolicy`.  Attempts share no
-process, so every failure belongs to exactly one task: an attempt that
-raises, a child that dies mid-attempt (OOM-kill, segfault) and an
-attempt that misses its deadline (``policy.timeout`` × the task's job
-count; only that task's child is killed) each charge their task one
-attempt, and the task is retried with bounded, jittered exponential
-backoff.  A retried task recovers incrementally: members whose results
-were already published to the disk cache answer from it, so only the
-unfinished remainder re-simulates.  If no child can be started at all,
-the remaining tasks finish serially in this process.  Only a task that
-exhausts ``max_attempts`` raises to the caller, after every other task
-has settled; no child outlives the call.
+:class:`~repro.parallel.retry.RetryPolicy`, and one loop,
+:func:`_execute_owned`, starts, charges, retries and settles every
+attempt, wherever it runs.  Attempts share no process, so every failure
+belongs to exactly one task: an attempt that raises, a child that dies
+mid-attempt (OOM-kill, segfault) and an attempt that misses its deadline
+(``policy.timeout`` × the task's job count; only that task's child is
+killed) each charge their task one attempt, and the task is retried with
+bounded, jittered exponential backoff.  A deadline cannot interrupt an
+attempt that runs in this process.  A retried task recovers
+incrementally: members whose results were already published to the disk
+cache answer from it, so only the unfinished remainder re-simulates.  If
+no child can be started at all, the running children are killed
+(uncharged) and the remaining attempts run in this process.  Only a task
+that exhausts ``max_attempts`` raises to the caller, after every other
+task has settled and been journalled; no child outlives the call.
 
 Every failure path is exercisable deterministically through
 :mod:`repro.parallel.faults` (``REPRO_FAULTS``), and each recovery
@@ -149,18 +154,17 @@ def make_jobs(pairs: Iterable[Tuple[str, str]],
 
 def _simulate_task(task: _Task, fault: Optional[str] = None,
                    in_worker: bool = True) -> List[SimulationResult]:
-    """Child entry point: run the cached runner for one task attempt.
+    """Run one task attempt: one ``runner.run_batch`` over its jobs.
 
-    The backend looks it up by name when a child starts.  A child
-    inherits ``REPRO_TELEMETRY`` with the rest of the environment and
-    writes its events to its own per-pid JSONL file, which is what makes
-    per-task wall time and worker utilization reportable after the run.
+    A child looks it up by name when it starts; :class:`_InProcess`
+    calls it with ``in_worker=False``.  A child inherits
+    ``REPRO_TELEMETRY`` with the rest of the environment and writes its
+    events to its own per-pid JSONL file, which is what makes per-task
+    wall time and worker utilization reportable after the run.
 
-    A single-job task goes through ``runner.get_result`` — byte-for-byte
-    the pre-batching worker behaviour — while a multi-job task runs one
-    batch via ``runner.run_batch`` (members already in the disk
-    cache, e.g. from an interrupted earlier attempt, are answered from
-    it rather than re-simulated).  Either way the results are identical.
+    Members already in the disk cache (e.g. from an interrupted earlier
+    attempt) are answered from it rather than re-simulated, and a
+    one-job task caches exactly what ``runner.get_result`` would.
 
     ``fault`` is this attempt's share of the chaos plan, decided by the
     parent (see :mod:`repro.parallel.faults`); it fires before any work
@@ -168,25 +172,47 @@ def _simulate_task(task: _Task, fault: Optional[str] = None,
     """
     from repro.experiments import runner
 
-    jobs = task.jobs
-    faults.apply(fault, jobs[0] if len(jobs) == 1 else task, in_worker)
+    faults.apply(fault, task, in_worker)
     timed = telemetry.enabled()
     start = time.perf_counter() if timed else 0.0
-    if len(jobs) == 1:
-        job = jobs[0]
-        results = [runner.get_result(job.workload, job.key,
-                                     job.instructions)]
-    else:
-        results = runner.run_batch(task.workload, [job.key for job in jobs],
-                                   task.instructions)
+    results = runner.run_batch(task.workload, [job.key for job in task.jobs],
+                               task.instructions)
     if timed:
         event = dict(workload=task.workload, key=task.keys,
                      instructions=task.instructions,
                      seconds=time.perf_counter() - start)
-        if len(jobs) > 1:
-            event["batched"] = len(jobs)
+        if len(task.jobs) > 1:
+            event["batched"] = len(task.jobs)
         telemetry.emit("parallel.job", **event)
     return results
+
+
+class _InProcess:
+    """Runs task attempts in this process, in :class:`LocalBackend`'s shape.
+
+    :meth:`submit` runs the attempt at once and returns its settled
+    future, which the next :meth:`wait` hands back.  Nothing runs
+    between calls, so :meth:`reset` has no child to kill.
+    """
+
+    def __init__(self) -> None:
+        self._settled: List[Future] = []
+
+    def submit(self, task: _Task, fault: Optional[str]) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(_simulate_task(task, fault, in_worker=False))
+        except Exception as error:
+            future.set_exception(error)
+        self._settled.append(future)
+        return future
+
+    def wait(self, timeout: Optional[float]) -> List[Future]:
+        settled, self._settled = self._settled, []
+        return settled
+
+    def reset(self, futures: Optional[Iterable[Future]] = None) -> None:
+        pass
 
 
 #: What a batch settles each job to: its result, or the error that
@@ -204,66 +230,35 @@ class _TaskState:
         self.fault = faults.assign_next()
 
 
-def _journal_record(journal, job: SimJob, result: SimulationResult) -> None:
-    if journal is not None:
-        journal.record_result((job.workload, job.key, job.instructions),
-                              result)
-
-
-def _run_serial_attempts(task: _Task, state: _TaskState, policy: RetryPolicy,
-                         journal) -> List[SimulationResult]:
-    """Run one task in-process, honouring its remaining retry budget."""
-    while True:
-        try:
-            results = _simulate_task(task, state.fault.take(),
-                                     in_worker=False)
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            state.attempts += 1
-            if state.attempts >= policy.max_attempts:
-                raise
-            delay = backoff_delay(state.attempts, policy, key=task.jobs[0])
-            telemetry.emit("parallel.retry", workload=task.workload,
-                           key=task.keys, attempt=state.attempts,
-                           delay=round(delay, 4), error=type(error).__name__,
-                           where="serial")
-            time.sleep(delay)
-        else:
-            for job, result in zip(task.jobs, results):
-                _journal_record(journal, job, result)
-            return results
-
-
 def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
                    journal) -> Dict[SimJob, _Outcome]:
     """Drive every task until each of its jobs has an outcome.
 
-    The loop starts a child for each ready task attempt, keeping at most
-    ``workers`` running, waits for a child to report or die or for the
-    nearest deadline, and turns each failure into either a scheduled
-    retry (with backoff) or settled errors.  A task's deadline is
-    ``policy.timeout`` × its job count — it does the work of that many
-    jobs in one pass, so the per-job budget simply accumulates.  If no
-    child can be started, the remaining tasks finish in this process.
+    The one place a task attempt is started, charged, retried and
+    settled.  The loop starts each ready task attempt, keeping at most
+    ``workers`` running — each in a child of its own, or in this process
+    when ``workers`` is 1 — waits for an attempt to report or its child
+    to die or for the nearest deadline, and turns each failure into
+    either a scheduled retry (with backoff) or settled errors.  A task's
+    deadline is ``policy.timeout`` × its job count — it does the work of
+    that many jobs in one pass, so the per-job budget simply
+    accumulates.  If no child can be started, the running children are
+    killed uncharged and every attempt from then on runs in this
+    process, each task keeping its attempt count.
     """
-    backend = LocalBackend(workers)
+    backend = LocalBackend(workers) if workers > 1 else _InProcess()
     states = {task: _TaskState() for task in tasks}
     waiting: Set[_Task] = set(tasks)
     not_before = {task: 0.0 for task in tasks}
     running: Dict[Future, _Task] = {}
     deadlines: Dict[Future, float] = {}
     outcomes: Dict[SimJob, _Outcome] = {}
-    unstartable: Optional[OSError] = None
 
     def settle_ok(task: _Task, results: Sequence[SimulationResult]) -> None:
         for job, result in zip(task.jobs, results):
-            _journal_record(journal, job, result)
+            if journal is not None:
+                journal.record_result(job, result)
             outcomes[job] = result
-
-    def settle_error(task: _Task, error: BaseException) -> None:
-        for job in task.jobs:
-            outcomes[job] = error
 
     def schedule_retry(task: _Task, error: BaseException, kind: str) -> None:
         """Charge ``task`` one attempt: queue the next, or settle the
@@ -274,7 +269,8 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
             telemetry.emit("parallel.exhausted", workload=task.workload,
                            key=task.keys, attempts=state.attempts,
                            error=type(error).__name__)
-            settle_error(task, error)
+            for job in task.jobs:
+                outcomes[job] = error
             return
         delay = backoff_delay(state.attempts, policy, key=task.jobs[0])
         telemetry.emit("parallel.retry", workload=task.workload,
@@ -287,23 +283,32 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
         while waiting or running:
             # Start tasks whose backoff has elapsed (original order, so
             # the fault plan's indices stay deterministic), at most one
-            # child per worker, so a task's deadline starts when it does.
+            # attempt per worker, so a task's deadline starts when it does.
             now = time.monotonic()
             ready = [task for task in tasks
                      if task in waiting and not_before[task] <= now]
             for task in ready[:workers - len(running)]:
+                fault = states[task].fault.take()
                 try:
-                    future = backend.submit(task, states[task].fault.take())
+                    future = backend.submit(task, fault)
                 except OSError as error:
-                    unstartable = error
-                    break
+                    # No child can be started: the running ones are not
+                    # to blame, so kill them uncharged and go on here.
+                    backend.reset()
+                    waiting.update(running.values())
+                    running.clear()
+                    deadlines.clear()
+                    telemetry.emit("parallel.degraded",
+                                   remaining=sum(len(queued.jobs)
+                                                 for queued in waiting),
+                                   error=str(error))
+                    backend = _InProcess()
+                    future = backend.submit(task, fault)
                 waiting.discard(task)
                 running[future] = task
                 if policy.timeout is not None:
                     deadlines[future] = (time.monotonic()
                                          + policy.timeout * len(task.jobs))
-            if unstartable is not None:
-                break
 
             if not running:
                 # Everyone is backing off; sleep until the earliest retry.
@@ -349,26 +354,8 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
                     f"{policy.timeout * len(task.jobs)}s"), "timeout")
     finally:
         if running:
-            # An error, an interrupt or an unstartable child left
-            # children mid-attempt; their tasks are not to blame.
+            # An error or an interrupt left children mid-attempt.
             backend.reset()
-            waiting.update(running.values())
-            running.clear()
-
-    if waiting:
-        # No child could be started: finish the rest in this process.
-        remaining = [task for task in tasks if task in waiting]
-        telemetry.emit("parallel.degraded",
-                       remaining=sum(len(task.jobs) for task in remaining),
-                       error=str(unstartable))
-        for task in remaining:
-            try:
-                settle_ok(task, _run_serial_attempts(task, states[task],
-                                                     policy, journal=None))
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                settle_error(task, error)
     return outcomes
 
 
@@ -379,18 +366,18 @@ def run_jobs(jobs: Sequence[SimJob],
     """Run every job, in parallel where possible; returns job -> result.
 
     Results are identical to calling ``runner.get_result`` for each job
-    serially — the parallel path (including every retry and degradation
-    to serial) only changes *where* the simulation runs, never what it
-    computes.
+    serially — where an attempt runs (a child, or this process for one
+    worker) and how often it is retried never change what it computes.
 
     ``policy`` defaults to :meth:`RetryPolicy.from_env` (``REPRO_RETRIES``
     and ``REPRO_JOB_TIMEOUT``).  ``journal``, when given, is a checkpoint
-    journal (see :mod:`repro.experiments.journal`): completed jobs are
-    recorded as they finish, and a cached result whose digest
-    contradicts the journal is treated as corrupt and re-run instead of
-    trusted.
+    journal (see :mod:`repro.experiments.journal`): every job's result is
+    recorded, and a cached result whose digest contradicts the journal
+    is treated as corrupt and re-run instead of trusted.  Each cached
+    result is digested once, for both the check and the record.
     """
     from repro.experiments import runner
+    from repro.experiments.journal import result_digest
 
     if max_workers is None:
         max_workers = default_jobs()
@@ -399,69 +386,52 @@ def run_jobs(jobs: Sequence[SimJob],
 
     telemetry_on = telemetry.enabled()
     batch_start = time.perf_counter() if telemetry_on else 0.0
-
-    def emit_batch(dispatched: int, workers: int) -> None:
-        if telemetry_on:
-            telemetry.emit(
-                "parallel.run_jobs", requested=len(jobs), unique=len(unique),
-                cache_hits=len(unique) - dispatched, dispatched=dispatched,
-                workers=workers, seconds=time.perf_counter() - batch_start)
-
     unique: List[SimJob] = list(dict.fromkeys(jobs))
     results: Dict[SimJob, SimulationResult] = {}
 
     # Cache peek: anything already in the memory or disk cache starts no
-    # child (and gets promoted into the memory cache) — unless
-    # the journal proves the cached bytes wrong, in which case the entry
-    # is dropped and the job re-run.
+    # attempt (and gets promoted into the memory cache) — unless the
+    # journal proves the cached bytes wrong, in which case the entry is
+    # dropped and the job re-run.
     pending: List[SimJob] = []
     for job in unique:
         cached = runner.peek_result(job.workload, job.key, job.instructions)
         if cached is not None and journal is not None:
-            verdict = journal.matches(
-                (job.workload, job.key, job.instructions), cached)
-            if verdict is False:
+            digest = result_digest(cached)
+            if journal.matches(job, digest) is False:
                 telemetry.emit("parallel.cache_corrupt",
                                workload=job.workload, key=job.key,
                                instructions=job.instructions)
                 runner.drop_result(job.workload, job.key, job.instructions)
                 cached = None
+            else:
+                journal.record(job, digest)
         if cached is not None:
-            _journal_record(journal, job, cached)
             results[job] = cached
         else:
             pending.append(job)
 
-    if not pending:
-        emit_batch(dispatched=0, workers=0)
-        return {job: results[job] for job in jobs}
+    workers = 0
+    if pending:
+        workers = max(1, min(max_workers, len(pending)))
+        # Every task settles (and journals) before the first failed
+        # job's error is raised, so a failure costs the batch no
+        # finished work.
+        outcomes = _execute_owned(_make_tasks(pending), workers, policy,
+                                  journal)
+        for job in pending:
+            outcome = outcomes[job]
+            if isinstance(outcome, BaseException):
+                raise outcome
+            # Seed the parent's memory cache: a child wrote the disk
+            # cache, but this process should not have to re-read it.
+            runner.seed_result(job.workload, job.key, job.instructions,
+                               outcome)
+            results[job] = outcome
 
-    if max_workers <= 1 or len(pending) == 1:
-        # In-process: no child for a single miss or -j 1.
-        # Grouping still applies — a -j 1 figure run decodes each trace
-        # once — _simulate_task emits the per-task telemetry here too
-        # (the "worker" is simply this process), and the retry policy
-        # still applies.
-        for task in _make_tasks(pending):
-            outcome = _run_serial_attempts(task, _TaskState(), policy,
-                                           journal)
-            for job, result in zip(task.jobs, outcome):
-                results[job] = result
-        emit_batch(dispatched=len(pending), workers=1)
-        return {job: results[job] for job in jobs}
-
-    # Every task settles (and journals) before the first failed job's
-    # error is raised, so a failure costs the batch no finished work.
-    workers = min(max_workers, len(pending))
-    outcomes = _execute_owned(_make_tasks(pending), workers, policy, journal)
-    for job in pending:
-        outcome = outcomes[job]
-        if isinstance(outcome, BaseException):
-            raise outcome
-        # Seed the parent's memory cache: the child wrote the disk
-        # cache, but this process should not have to re-read it.
-        runner.seed_result(job.workload, job.key, job.instructions, outcome)
-        results[job] = outcome
-
-    emit_batch(dispatched=len(pending), workers=workers)
+    if telemetry_on:
+        telemetry.emit(
+            "parallel.run_jobs", requested=len(jobs), unique=len(unique),
+            cache_hits=len(unique) - len(pending), dispatched=len(pending),
+            workers=workers, seconds=time.perf_counter() - batch_start)
     return {job: results[job] for job in jobs}

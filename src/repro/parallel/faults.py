@@ -34,7 +34,7 @@ Faults are *assigned in the parent* (the dispatch counter lives here,
 in parent module state) and handed to each attempt's child as an
 explicit argument, so the plan stays deterministic whatever order the
 children run in.  When the faulted attempt runs in the parent process
-itself (the serial path, or after degradation to serial), every mode
+itself (with one worker, or once no child can be started), every mode
 but ``raise`` downgrades to ``raise`` — chaos must not take down the
 main process or stall the run it is testing.
 """

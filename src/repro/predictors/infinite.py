@@ -17,7 +17,7 @@ each event to a static branch or to the program context it occurred in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.predictors.history import GlobalHistory
 from repro.predictors.tage import Tage, TageConfig, TageResult
@@ -27,6 +27,14 @@ PatternKey = Tuple[int, int, int, int]
 
 # One useful-pattern event: (conditional-branch ordinal, pc, pattern).
 UsefulEvent = Tuple[int, int, PatternKey]
+
+
+def useful_pattern_counts(events: Iterable[UsefulEvent]) -> Dict[int, int]:
+    """Unique useful patterns observed per static branch PC."""
+    patterns: Dict[int, Set[PatternKey]] = {}
+    for _ordinal, pc, pattern in events:
+        patterns.setdefault(pc, set()).add(pattern)
+    return {pc: len(keys) for pc, keys in patterns.items()}
 
 
 class InfiniteTage(Tage):
@@ -127,13 +135,6 @@ class InfiniteTage(Tage):
                 t += 1
 
     # -- instrumentation ----------------------------------------------------------
-
-    def useful_pattern_counts(self) -> Dict[int, int]:
-        """Unique useful patterns observed per static branch PC."""
-        patterns: Dict[int, set] = {}
-        for _ordinal, pc, pattern in self.useful_events:
-            patterns.setdefault(pc, set()).add(pattern)
-        return {pc: len(keys) for pc, keys in patterns.items()}
 
     def num_patterns(self) -> int:
         """Total live patterns across all tables."""

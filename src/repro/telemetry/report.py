@@ -304,8 +304,8 @@ def format_summary(summary: Dict[str, Any]) -> str:
             lines.append(f"  {robust['exhausted']} job(s) failed after "
                          f"exhausting retries")
         if robust["interrupted"]:
-            lines.append("  run interrupted (Ctrl-C) — resumable via "
-                         "--resume")
+            lines.append("  run interrupted (Ctrl-C) — rerun the same "
+                         "command to resume")
         if robust["resume"]:
             res = robust["resume"]
             lines.append(f"  resumed: {res['journaled']}/{res['total']} "

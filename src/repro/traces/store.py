@@ -199,17 +199,19 @@ def read_packed(path: Union[str, Path]) -> Trace:
     return _unpack(buffer, path)
 
 
-def _default_root() -> Path:
+def cache_root() -> Path:
+    """Where every cache lives: ``REPRO_CACHE_DIR``, else
+    ``~/.cache/repro-llbp``.  Traces, results and the checkpoint
+    journals all sit under it, so moving it moves them together."""
     env = os.environ.get("REPRO_CACHE_DIR")
-    base = Path(env) if env else Path.home() / ".cache" / "repro-llbp"
-    return base / "traces"
+    return Path(env) if env else Path.home() / ".cache" / "repro-llbp"
 
 
 class TraceStore:
     """Content-addressed on-disk cache of packed workload traces."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else _default_root()
+        self.root = Path(root) if root is not None else cache_root() / "traces"
 
     @staticmethod
     def key(name: str, seed: int, instructions: int) -> str:

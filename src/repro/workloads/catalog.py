@@ -15,7 +15,6 @@ so the benchmark harness can share generation work across figures.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -152,13 +151,6 @@ def get_spec(name: str):
         ) from None
 
 
-def _cache_dir() -> Path:
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-llbp"
-
-
 def generate_workload(
     name: str,
     instructions: int = DEFAULT_INSTRUCTIONS,
@@ -178,7 +170,7 @@ def generate_workload(
         name = spec.name
     trace_store = None
     if use_cache:
-        directory = cache_dir if cache_dir is not None else _cache_dir()
+        directory = cache_dir if cache_dir is not None else store.cache_root()
         trace_store = store.TraceStore(directory / "traces")
         cached = trace_store.load(name, spec.seed, instructions)
         if cached is not None:

@@ -6,7 +6,7 @@ from repro.analysis.contexts import (
     _context_hash,
     patterns_per_context_study,
 )
-from repro.analysis.working_set import baseline_order
+from repro.analysis.working_set import baseline_order, traced_inf_tage
 from repro.predictors.presets import tage_infinite, tsl_64k
 from repro.sim.engine import run_simulation
 
@@ -34,7 +34,8 @@ def test_study_result_percentiles():
 def test_patterns_per_context_study(tiny_workload_trace):
     baseline = run_simulation(tiny_workload_trace, tsl_64k(), collect_per_pc=True)
     results = patterns_per_context_study(
-        tiny_workload_trace, baseline,
+        tiny_workload_trace,
+        traced_inf_tage(tiny_workload_trace).useful_events, baseline,
         windows=(0, 4, 16), top_branches=32,
     )
     by_window = {r.window: r for r in results}
@@ -76,8 +77,9 @@ def test_events_land_in_the_context_before_their_branch(tiny_workload_trace):
         if btype in _UNCOND_TYPES:
             recent = recent[1:] + [pc]
 
-    results = patterns_per_context_study(trace, baseline, windows=windows,
-                                         top_branches=16)
+    results = patterns_per_context_study(
+        trace, traced_inf_tage(trace).useful_events, baseline,
+        windows=windows, top_branches=16)
     assert patterns
     for res in results:
         assert res.counts == [len(v) for (w, _pc, _ctx), v

@@ -4,6 +4,7 @@ from repro.analysis.working_set import (
     baseline_order,
     cumulative_misprediction_fractions,
     top_branch_share,
+    traced_inf_tage,
     useful_patterns_study,
 )
 from repro.sim.results import SimulationResult
@@ -58,7 +59,8 @@ def test_useful_patterns_study_on_small_trace(tiny_workload_trace):
     from repro.sim.engine import run_simulation
 
     baseline = run_simulation(tiny_workload_trace, tsl_64k(), collect_per_pc=True)
-    study = useful_patterns_study(tiny_workload_trace, baseline)
+    events = traced_inf_tage(tiny_workload_trace).useful_events
+    study = useful_patterns_study(events, baseline)
     assert study.counts_by_pc
     assert study.mean >= 1.0
     # Hot branches need at least as many patterns as the average branch.

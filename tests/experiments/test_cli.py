@@ -1,7 +1,10 @@
 """The python -m repro.experiments entry point."""
 
+import os
+
 import pytest
 
+from repro import telemetry
 from repro.experiments.__main__ import _EXPERIMENTS, main
 
 
@@ -32,3 +35,25 @@ def test_simulated_experiment_runs(capsys):
     assert main(["fig01"]) == 0
     out = capsys.readouterr().out
     assert "wasted" in out.lower() or "Fig 1" in out
+
+
+def test_prewarm_lists_every_simulation(isolated_caches, monkeypatch):
+    """Each experiment lists its jobs twice: in ``jobs()`` for the
+    prewarm and in the ``get_result`` calls of its ``run()``.  After the
+    prewarm of a full run, this process must simulate nothing."""
+    tdir = isolated_caches / "telemetry"
+    monkeypatch.setenv("REPRO_INSTRUCTIONS", "20000")
+    monkeypatch.setenv(telemetry.ENV_VAR, "0")  # the flag drives it
+    try:
+        assert main(["-j", "2", "--telemetry", str(tdir)]) == 0
+    finally:
+        telemetry.reset()
+    events = [event for event in telemetry.load_events(tdir)
+              if event["pid"] == os.getpid()]
+    names = [event["event"] for event in events]
+    after = events[names.index("experiment.prewarm") + 1:]
+    assert "experiment.run" in names[names.index("experiment.prewarm"):]
+    simulated = [(event["workload"], event["key"]) for event in after
+                 if event["event"] == "runner.result"
+                 and event["source"] in ("simulated", "batched")]
+    assert simulated == []

@@ -74,20 +74,21 @@ class TestRunJobs:
             assert serial == by_job[job]
 
     def test_duplicate_jobs_run_once(self, isolated_caches, monkeypatch):
-        # One workload per unique job keeps one get_result call each;
-        # a shared workload would fold both into one run_batch call.
+        # One workload per unique job keeps one run_batch call each;
+        # a shared workload would fold both into one call.
         calls = []
-        real = runner.get_result
+        real = runner.run_batch
 
-        def counting(workload, key, instructions=None):
-            calls.append((workload, key))
-            return real(workload, key, instructions)
+        def counting(workload, keys, instructions=None):
+            calls.append((workload, tuple(keys)))
+            return real(workload, keys, instructions)
 
-        monkeypatch.setattr(runner, "get_result", counting)
+        monkeypatch.setattr(runner, "run_batch", counting)
         jobs = parallel.make_jobs(
             [("Kafka", "bimodal")] * 3 + [("NodeApp", "gshare")])
         by_job = parallel.run_jobs(jobs, max_workers=1)
-        assert len(calls) == 2  # deduplicated before dispatch
+        # Deduplicated before dispatch.
+        assert calls == [("Kafka", ("bimodal",)), ("NodeApp", ("gshare",))]
         assert len(by_job) == 2  # dict keyed by unique job
 
     def test_cached_jobs_skip_dispatch(self, isolated_caches, monkeypatch):
@@ -96,7 +97,7 @@ class TestRunJobs:
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("cached job reached the runner")
 
-        monkeypatch.setattr(runner, "get_result", explode)
+        monkeypatch.setattr(runner, "run_batch", explode)
         (job,) = parallel.make_jobs([("Kafka", "bimodal")])
         assert parallel.run_jobs([job], max_workers=2)[job] == expected
 

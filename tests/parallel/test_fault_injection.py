@@ -24,6 +24,7 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.experiments import runner
+from repro.experiments.journal import RunJournal
 from repro.parallel import faults
 from repro.parallel.backend import local
 from repro.parallel.retry import RetryPolicy
@@ -98,21 +99,33 @@ class TestRaiseFault:
         _assert_matches_clean_serial(by_job, monkeypatch)
 
     def test_serial_path_retries_too(self, events, monkeypatch):
-        """-j 1 (no child) runs the same retry policy in-process."""
+        """-j 1 (no child) runs each attempt in this process, under the
+        same retry loop."""
         faults.install("raise@1")
         by_job = parallel.run_jobs(_jobs(), max_workers=1,
                                    policy=RetryPolicy(**FAST))
+        (fault,) = events("parallel.fault")
+        assert fault["in_worker"] is False
         (retry,) = events("parallel.retry")
-        assert retry["where"] == "serial"
-        assert retry["attempt"] == 1
+        assert (retry["workload"], retry["attempt"]) == (SOLO_WORKLOADS[1], 1)
         _assert_matches_clean_serial(by_job, monkeypatch)
 
-    def test_exhausted_retries_surface_the_error(self, events):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_exhausted_retries_surface_the_error(self, events, max_workers):
+        """At any -j, the exhausted task raises only after the other
+        task has settled: its result is cached and journalled."""
         faults.install(f"raise@0x{FAST['max_attempts']}")
-        with pytest.raises(faults.FaultInjected):
-            parallel.run_jobs(_jobs(("bimodal", "gshare")), max_workers=2,
-                              policy=RetryPolicy(**FAST))
-        assert len(events("parallel.exhausted")) == 1
+        jobs = _jobs(("bimodal", "gshare"))
+        with RunJournal.open() as journal:
+            with pytest.raises(faults.FaultInjected):
+                parallel.run_jobs(jobs, max_workers=max_workers,
+                                  policy=RetryPolicy(**FAST),
+                                  journal=journal)
+            assert len(events("parallel.exhausted")) == 1
+            other = jobs[1]
+            assert other in journal and jobs[0] not in journal
+        runner.clear_memory_cache()
+        assert runner.peek_result(*other) is not None
 
 
 class TestWorkerKill:

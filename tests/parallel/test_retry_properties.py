@@ -76,12 +76,12 @@ class TestJournalRoundTrip:
     def test_record_then_reload_preserves_everything(self, entries,
                                                      tmp_path_factory):
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with RunJournal.open(path, resume=False) as journal:
+        with RunJournal.open(path) as journal:
             for job, digest in entries.items():
                 journal.record(job, digest)
             assert journal.completed() == set(entries)
 
-        with RunJournal.open(path, resume=True) as reloaded:
+        with RunJournal.open(path) as reloaded:
             assert reloaded.completed() == set(entries)
             for job, digest in entries.items():
                 assert job in reloaded
@@ -90,10 +90,10 @@ class TestJournalRoundTrip:
     @given(job=job_keys, first=digests, second=digests)
     def test_last_digest_wins(self, job, first, second, tmp_path_factory):
         path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
-        with RunJournal.open(path, resume=False) as journal:
+        with RunJournal.open(path) as journal:
             journal.record(job, first)
             journal.record(job, second)
-        with RunJournal.open(path, resume=True) as reloaded:
+        with RunJournal.open(path) as reloaded:
             assert reloaded.digest(job) == second
 
 
@@ -123,17 +123,18 @@ class TestCrashResumeEquivalence:
            data=st.data())
     def test_resume_after_crash_executes_each_job_exactly_once(
             self, jobs, data, tmp_path_factory):
-        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+        directory = tmp_path_factory.mktemp("journal")
+        path = directory / "journal.jsonl"
 
         # Uninterrupted baseline: every job runs, in order.
-        with RunJournal.open(path, resume=False) as journal:
+        with RunJournal.open(directory / "baseline.jsonl") as journal:
             baseline = _journalled_run(jobs, journal)
         assert baseline == jobs
 
         # Crash after an arbitrary number of completed jobs…
         crash_after = data.draw(st.integers(0, len(jobs)),
                                 label="crash_after")
-        with RunJournal.open(path, resume=False) as journal:
+        with RunJournal.open(path) as journal:
             try:
                 first = _journalled_run(jobs, journal, crash_after)
             except _Crash:
@@ -141,7 +142,7 @@ class TestCrashResumeEquivalence:
 
         # …then resume: only the unfinished tail runs, nothing twice,
         # and the union equals the uninterrupted run.
-        with RunJournal.open(path, resume=True) as journal:
+        with RunJournal.open(path) as journal:
             second = _journalled_run(jobs, journal)
             assert first + second == baseline
             assert journal.completed() == set(baseline)

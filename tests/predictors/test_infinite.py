@@ -1,6 +1,6 @@
 """Infinite-capacity TAGE (the §II-C limit study substrate)."""
 
-from repro.predictors.infinite import InfiniteTage
+from repro.predictors.infinite import InfiniteTage, useful_pattern_counts
 from repro.predictors.presets import tage_infinite, tsl_64k, tsl_infinite
 from repro.predictors.tage import Tage, TageConfig
 from repro.sim.engine import run_simulation
@@ -63,7 +63,7 @@ def test_useful_tracing_disabled_by_default():
     for i in range(300):
         drive(predictor, 0x100, i % 2 == 0)
     assert predictor.useful_events == []
-    assert predictor.useful_pattern_counts() == {}
+    assert useful_pattern_counts(predictor.useful_events) == {}
     assert predictor.updates == 300
 
 
@@ -72,7 +72,7 @@ def test_useful_tracing_records_patterns():
     predictor.trace_useful = True
     for i in range(600):
         drive(predictor, 0x100, i % 2 == 0)
-    counts = predictor.useful_pattern_counts()
+    counts = useful_pattern_counts(predictor.useful_events)
     assert counts.get(0x100, 0) >= 1
 
 
@@ -92,7 +92,7 @@ def test_useful_events_recorded():
         assert pc == pattern_pc == 0x100
         assert 0 <= table < 5
         assert (idx, tag, pc) in predictor.entries[table]
-    assert predictor.useful_pattern_counts() == {
+    assert useful_pattern_counts(events) == {
         0x100: len({pattern for _, _, pattern in events})}
 
 
