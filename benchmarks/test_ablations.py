@@ -30,10 +30,9 @@ def run_ablations(workloads):
     return rows
 
 
-def test_ablations(benchmark, report):
+def test_ablations(report):
     workloads = experiment_workloads()[:2]
-    rows = benchmark.pedantic(run_ablations, args=(workloads,),
-                              rounds=1, iterations=1)
+    rows = run_ablations(workloads)
     report(
         "Ablations — LLBP design choices (MPKI reduction vs 64K TSL)",
         "each row disables one mechanism of the evaluated design",

@@ -3,8 +3,8 @@
 from repro.experiments import fig01
 
 
-def test_fig01_wasted_cycles(benchmark, report):
-    rows = benchmark.pedantic(fig01.run, rounds=1, iterations=1)
+def test_fig01_wasted_cycles(report):
+    rows = fig01.run()
     report(
         "Figure 1 — wasted execution cycles (64K TSL + analytic core)",
         "3.6-20% per workload, 9.2% average (Sapphire Rapids top-down)",

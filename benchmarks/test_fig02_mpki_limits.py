@@ -3,8 +3,8 @@
 from repro.experiments import fig02
 
 
-def test_fig02_mpki_limits(benchmark, report):
-    rows = benchmark.pedantic(fig02.run, rounds=1, iterations=1)
+def test_fig02_mpki_limits(report):
+    rows = fig02.run()
     reductions = fig02.reductions(rows)
     body = fig02.format_rows(rows) + "\nreductions vs 64K TSL: " + ", ".join(
         f"{k}={v:.1f}%" for k, v in reductions.items()

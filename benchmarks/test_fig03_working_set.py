@@ -3,8 +3,8 @@
 from repro.experiments import fig03
 
 
-def test_fig03_working_set(benchmark, report):
-    data = benchmark.pedantic(fig03.run, rounds=1, iterations=1)
+def test_fig03_working_set(report):
+    data = fig03.run()
     report(
         "Figure 3 — mispredictions and useful patterns per static branch",
         "top 0.8% of branches ≈ 40% of misses; doublings shave ~4-7% each; "

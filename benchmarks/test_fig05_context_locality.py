@@ -3,8 +3,8 @@
 from repro.experiments import fig05
 
 
-def test_fig05_context_locality(benchmark, report):
-    rows = benchmark.pedantic(fig05.run, rounds=1, iterations=1)
+def test_fig05_context_locality(report):
+    rows = fig05.run()
     report(
         "Figure 5 — patterns per (branch, context) vs window depth W",
         "W=0: p50 298 / p95 2384; W=8: 2 / 25; W=32: 1 / 9",

@@ -3,8 +3,8 @@
 from repro.experiments import fig09
 
 
-def test_fig09_mpki_reduction(benchmark, report):
-    rows = benchmark.pedantic(fig09.run, rounds=1, iterations=1)
+def test_fig09_mpki_reduction(report):
+    rows = fig09.run()
     report(
         "Figure 9 — branch MPKI reduction over 64K TSL",
         "LLBP 0.5-25.9% (avg 8.9%); LLBP-0Lat avg 9.9%; 512K TSL avg 27.3%",

@@ -3,8 +3,8 @@
 from repro.experiments import fig10
 
 
-def test_fig10_speedup(benchmark, report):
-    rows = benchmark.pedantic(fig10.run, rounds=1, iterations=1)
+def test_fig10_speedup(report):
+    rows = fig10.run()
     report(
         "Figure 10 — speedup over 64K TSL",
         "LLBP +0.63%, LLBP-0Lat +0.71%, 512K TSL +1.26%, perfect BP +3.6% "

@@ -3,8 +3,8 @@
 from repro.experiments import fig11
 
 
-def test_fig11_bandwidth(benchmark, report):
-    rows = benchmark.pedantic(fig11.run, rounds=1, iterations=1)
+def test_fig11_bandwidth(report):
+    rows = fig11.run()
     report(
         "Figure 11 — pattern-set traffic (bits/instruction)",
         "16-entry PB: 9.9 read + 2.2 write; 64-entry: -19% total; "

@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import fig12
 
 
-def test_fig12_energy(benchmark, report):
-    rows = benchmark.pedantic(fig12.run, rounds=1, iterations=1)
+def test_fig12_energy(report):
+    rows = fig12.run()
     report(
         "Figure 12 — weighted energy (relative to 64K TSL)",
         "LLBP structures ≈ 0.51-0.57x; LLBP total ≈ 1.53x; 512K TSL ≈ 4.5x",

@@ -3,8 +3,8 @@
 from repro.experiments import fig13
 
 
-def test_fig13_cid_sensitivity(benchmark, report):
-    rows = benchmark.pedantic(fig13.run, rounds=1, iterations=1)
+def test_fig13_cid_sensitivity(report):
+    rows = fig13.run()
     report(
         "Figure 13 — CID source and prefetch distance D",
         "Uncond peaks at D=4 (8.9%); Call/Ret coarser; All degrades with D",

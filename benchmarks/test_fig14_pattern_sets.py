@@ -3,8 +3,8 @@
 from repro.experiments import fig14
 
 
-def test_fig14_pattern_sets(benchmark, report):
-    rows = benchmark.pedantic(fig14.run, rounds=1, iterations=1)
+def test_fig14_pattern_sets(report):
+    rows = fig14.run()
     report(
         "Figure 14 — contexts x patterns-per-set (capacities / CAPACITY_SCALE)",
         "paper: 16K ctx x 8 pat = 11%; 16 pat +2.6%; 32/64 diminish; "

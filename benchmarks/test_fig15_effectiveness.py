@@ -3,8 +3,8 @@
 from repro.experiments import fig15
 
 
-def test_fig15_effectiveness(benchmark, report):
-    data = benchmark.pedantic(fig15.run, rounds=1, iterations=1)
+def test_fig15_effectiveness(report):
+    data = fig15.run()
     report(
         "Figure 15 — LLBP prediction breakdown (% of conditional predictions)",
         "provides 14.8%; overrides 77% of those; 6.8% of overrides bad; "

@@ -4,11 +4,8 @@ from repro.experiments import tables
 from repro.workloads.catalog import workload_names
 
 
-def test_table1_workloads(benchmark, report):
-    rows = benchmark.pedantic(
-        tables.table1, kwargs={"include_trace_stats": False},
-        rounds=1, iterations=1,
-    )
+def test_table1_workloads(report):
+    rows = tables.table1(include_trace_stats=False)
     report(
         "Table I — workloads (synthetic analogues, DESIGN.md §1)",
         "14 server workloads: NodeApp, PHPWiki, DaCapo, BenchBase, "

@@ -3,8 +3,8 @@
 from repro.experiments import tables
 
 
-def test_table2_core_params(benchmark, report):
-    rows = benchmark.pedantic(tables.table2, rounds=1, iterations=1)
+def test_table2_core_params(report):
+    rows = tables.table2()
     report(
         "Table II — simulated processor parameters",
         "4GHz 6-way OoO, 512 ROB, 248/122 LQ/SQ, 16K-entry BTB, "

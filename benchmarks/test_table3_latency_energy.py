@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import tables
 
 
-def test_table3_latency_energy(benchmark, report):
-    rows = benchmark.pedantic(tables.table3, rounds=1, iterations=1)
+def test_table3_latency_energy(report):
+    rows = tables.table3()
     report(
         "Table III — relative access latency and energy (vs 64K TSL)",
         "64K:1.0/2cyc/1.0; 512K:2.55/4/4.58; LLBP:2.68/4/4.44; "

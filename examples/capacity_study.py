@@ -39,7 +39,7 @@ def main() -> None:
     baseline = None
     order = None
     for name, factory in ladder:
-        result = run_simulation(trace, factory(), collect_per_pc=True)
+        result = run_simulation(trace, factory())
         if baseline is None:
             baseline = result
             order = baseline_order(baseline)

@@ -23,7 +23,7 @@ def main() -> None:
     trace = generate_workload(workload, instructions)
 
     print("Measuring the 64K TSL baseline (to rank branches)...")
-    baseline = run_simulation(trace, tsl_64k(), collect_per_pc=True)
+    baseline = run_simulation(trace, tsl_64k())
 
     print("Tracing useful patterns per context (Inf TAGE)...\n")
     results = patterns_per_context_study(

@@ -9,9 +9,10 @@ Run from the repo root::
 Takes the directory (or single JSONL file) that a telemetry-enabled run
 wrote (``REPRO_TELEMETRY=DIR`` or ``python -m repro.experiments
 --telemetry``), merges the per-process event files, and prints the
-human-readable report: per-phase simulation timings and branches/sec,
-result/trace cache hit rates, parallel worker utilization, LLBP
-pattern-buffer and prefetch counters, and per-figure wall clock.
+human-readable report: simulation runs and time, result/trace cache
+hit rates (the result cache counts each job once), parallel worker
+utilization, LLBP pattern-buffer and prefetch counters, and per-figure
+wall clock.
 
 A bumpy run additionally gets a ``robustness`` section: retries by
 error kind (with total backoff time), job timeouts, workers lost,

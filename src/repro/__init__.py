@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`repro.common`     — bit/counter/RNG/associativity primitives.
+* :mod:`repro.common`     — folded-history, RNG and statistics primitives.
 * :mod:`repro.traces`     — branch-trace model, container, I/O, statistics.
 * :mod:`repro.workloads`  — synthetic server-workload generator + catalog.
 * :mod:`repro.predictors` — bimodal/gshare/TAGE/SC/loop/TAGE-SC-L and the

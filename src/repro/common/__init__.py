@@ -3,18 +3,15 @@
 This package contains the pieces that every predictor level shares:
 history registers and their incremental "folded" hashes (the core of
 TAGE-style index/tag computation), a deterministic PRNG for allocation
-decisions, a generic set-associative container, and simple statistics
-helpers.
+decisions, and simple statistics helpers.
 """
 
 from repro.common.bitops import FoldedHistory, HistoryBuffer, fold_bits
 from repro.common.rng import XorShift32
-from repro.common.assoc import SetAssociative
 
 __all__ = [
     "FoldedHistory",
     "HistoryBuffer",
     "fold_bits",
     "XorShift32",
-    "SetAssociative",
 ]

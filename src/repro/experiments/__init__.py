@@ -12,8 +12,8 @@ Environment knobs (all optional):
 * ``REPRO_INSTRUCTIONS`` — instruction budget per trace (default 800000).
 * ``REPRO_WORKLOADS``    — comma-separated workload names, or ``all``
   (default: a 6-workload representative subset).
-* ``REPRO_RESULT_CACHE`` — set to ``0`` to disable the result cache.
-* ``REPRO_CACHE_DIR``    — cache directory (traces, results, journals).
+* ``REPRO_CACHE_DIR``    — cache directory (traces, results, journals);
+  point it at an empty directory to start from a cold cache.
 """
 
 from repro.experiments.common import (

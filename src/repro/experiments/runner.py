@@ -6,7 +6,8 @@ across figures; the key grammar lives in
 
 Results are cached under the cache directory keyed by (workload,
 instructions, key, RESULTS_VERSION); bump RESULTS_VERSION whenever
-predictor or workload behaviour changes.
+predictor or workload behaviour changes.  The disk cache is always on:
+an empty ``REPRO_CACHE_DIR`` is how a run starts cold.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ RESULTS_VERSION = 6  # v6: prefetch_delivered joined SimulationResult.extra
 
 def _cache_dir() -> Path:
     return cache_root() / "results"
-
-
-def _cache_enabled() -> bool:
-    return os.environ.get("REPRO_RESULT_CACHE", "1") != "0"
 
 
 def _cache_path(workload: str, instructions: int, key: str) -> Path:
@@ -138,8 +135,6 @@ def peek_result(workload: str, key: str,
         telemetry.emit("runner.result", workload=workload, key=key,
                        instructions=instructions, source="memory")
         return cached
-    if not _cache_enabled():
-        return None
     result = _read_cache(_cache_path(workload, instructions, key))
     if result is not None:
         _memory_cache[memo] = result
@@ -182,13 +177,12 @@ def get_result(workload: str, key: str,
     start = time.perf_counter() if telemetry.enabled() else 0.0
     trace = generate_workload(workload, instructions)
     predictor = registry.make_predictor(key)
-    result = run_simulation(trace, predictor, collect_per_pc=True)
+    result = run_simulation(trace, predictor)
     telemetry.emit("runner.result", workload=workload, key=key,
                    instructions=instructions, source="simulated",
                    seconds=time.perf_counter() - start)
 
-    if _cache_enabled():
-        _write_cache(_cache_path(workload, instructions, key), result)
+    _write_cache(_cache_path(workload, instructions, key), result)
     _memory_cache[(workload, key, instructions)] = result
     return result
 
@@ -217,14 +211,13 @@ def run_batch(workload: str, keys, instructions: Optional[int] = None):
         start = time.perf_counter() if telemetry.enabled() else 0.0
         trace = generate_workload(workload, instructions)
         predictors = [registry.make_predictor(key) for key in missing]
-        batch = run_simulation_batch(trace, predictors, collect_per_pc=True)
+        batch = run_simulation_batch(trace, predictors)
         seconds = time.perf_counter() - start
         for key, result in zip(missing, batch):
             telemetry.emit("runner.result", workload=workload, key=key,
                            instructions=instructions, source="batched",
                            batched=len(missing), seconds=seconds)
-            if _cache_enabled():
-                _write_cache(_cache_path(workload, instructions, key), result)
+            _write_cache(_cache_path(workload, instructions, key), result)
             _memory_cache[(workload, key, instructions)] = result
             results[key] = result
     return [results[key] for key in keys]

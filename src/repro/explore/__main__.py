@@ -13,11 +13,11 @@ Usage::
 registry keys.  The search runs a successive-halving schedule through
 the standard executor, so ``--jobs`` and ``--engine`` (default
 ``array``) mean exactly what they do for ``python -m
-repro.experiments``.  Every search checks the cached results it serves
-against its checkpoint journal (kept at ``explore-journal.jsonl`` next
-to the result cache, separate from the experiments journal), so
-rerunning an interrupted search re-executes only what it had not
-finished.
+repro.experiments``.  Every search records its simulations in, and
+checks the cached results it serves against, the same checkpoint
+journal as ``python -m repro.experiments`` (``journal.jsonl`` next to
+the result cache: a job's digest depends only on the job), so rerunning
+an interrupted search re-executes only what it had not finished.
 
 The ``smoke`` budget pins its workloads, trace lengths and search space
 regardless of REPRO_WORKLOADS / REPRO_INSTRUCTIONS: it exists to
@@ -90,11 +90,6 @@ BUDGETS = {
 }
 
 
-def journal_path() -> Path:
-    """The explore journal, beside (not shared with) the experiments one."""
-    return journal_mod.default_path().with_name("explore-journal.jsonl")
-
-
 def main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.explore",
@@ -162,7 +157,7 @@ def main(argv) -> int:
         budget.resolve_full_instructions(), eta=budget.eta,
         min_survivors=budget.min_survivors)
 
-    journal = journal_mod.RunJournal.open(journal_path())
+    journal = journal_mod.RunJournal.open()
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     try:
         with telemetry.phase("explore.run", budget=budget.name,

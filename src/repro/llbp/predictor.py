@@ -33,7 +33,7 @@ from repro.llbp.storage import ContextDirectory
 from repro.predictors.base import BranchPredictor
 from repro.predictors.history import GlobalHistory, HistorySet, HistorySpec
 from repro.predictors.presets import TAGE_HISTORY_LENGTHS, tsl_64k
-from repro.predictors.tage_sc_l import TageScL, TslResult
+from repro.predictors.tage_sc_l import TslResult
 
 
 class LLBPMeta:
@@ -65,12 +65,10 @@ class LLBPTageScL(BranchPredictor):
 
     name = "llbp"
 
-    def __init__(self, config: LLBPConfig = LLBPConfig(),
-                 baseline: Optional[TageScL] = None,
-                 seed: int = 0x11BB) -> None:
+    def __init__(self, config: LLBPConfig = LLBPConfig()) -> None:
         super().__init__()
         self.config = config
-        self.tsl = baseline if baseline is not None else tsl_64k()
+        self.tsl = tsl_64k()
         if not config.simulate_timing:
             self.name = "llbp-0lat"
         self.history: GlobalHistory = self.tsl.history
@@ -110,7 +108,7 @@ class LLBPTageScL(BranchPredictor):
         self.directory = ContextDirectory(config)
         self.buffer = PatternBuffer(config)
         self.prefetcher = PrefetchEngine(config, self.directory, self.buffer)
-        self._rng = XorShift32(seed)
+        self._rng = XorShift32(0x11BB)
         self._now = 0
         self._cd_accesses = 0
         # Fig 15 breakdown counters.

@@ -17,9 +17,8 @@ each event to a static branch or to the program context it occurred in.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.predictors.history import GlobalHistory
 from repro.predictors.tage import Tage, TageConfig, TageResult
 
 # A pattern's identity: (table, index, tag, pc).
@@ -42,9 +41,9 @@ class InfiniteTage(Tage):
 
     name = "tage-inf"
 
-    def __init__(self, config: TageConfig, history: Optional[GlobalHistory] = None) -> None:
+    def __init__(self, config: TageConfig) -> None:
         # Reuse Tage's folded-history setup but replace array tables.
-        super().__init__(config, history)
+        super().__init__(config)
         del self.ctrs, self.tags, self.useful, self._valid
         n = config.num_tables
         # table -> {(idx, tag, pc): [ctr, useful]}
@@ -76,8 +75,7 @@ class InfiniteTage(Tage):
     # -- training ------------------------------------------------------------
 
     def update(self, pc: int, taken: bool, res: TageResult,
-               suppress_provider: bool = False,
-               suppress_alloc: bool = False) -> None:
+               suppress_provider: bool = False) -> None:
         ordinal = self.updates
         self.updates = ordinal + 1
         provider = res.provider
@@ -111,7 +109,7 @@ class InfiniteTage(Tage):
         elif not suppress_provider:
             self.bimodal.update(pc, taken)
 
-        if mispredicted and not suppress_alloc:
+        if mispredicted:
             self.allocate(pc, taken, res)
 
     def allocate(self, pc: int, taken: bool, res: TageResult) -> None:

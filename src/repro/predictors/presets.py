@@ -16,9 +16,6 @@ lengths directly.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.predictors.history import GlobalHistory
 from repro.predictors.infinite import InfiniteTage
 from repro.predictors.tage import TageConfig
 from repro.predictors.tage_sc_l import TageScL, TslConfig
@@ -55,7 +52,7 @@ def _log2_exact(value: int) -> int:
 CAPACITY_SCALE = 4
 
 
-def tage_config_64k(seed: int = 0xBADC0DE) -> TageConfig:
+def tage_config_64k() -> TageConfig:
     """TAGE geometry of the 64K-class baseline.
 
     The paper's 64K TSL uses 1K entries per table; divided by
@@ -66,55 +63,48 @@ def tage_config_64k(seed: int = 0xBADC0DE) -> TageConfig:
         index_bits=8,
         tag_bits=12,
         bimodal_index_bits=11,
-        seed=seed,
     )
 
 
-def tsl_64k(history: Optional[GlobalHistory] = None, seed: int = 0xBADC0DE) -> TageScL:
+def tsl_64k() -> TageScL:
     """The paper's baseline: 64KiB-class TAGE-SC-L."""
-    config = TslConfig(tage=tage_config_64k(seed), sc_index_bits=8, name="64K TSL")
-    return TageScL(config, history)
+    config = TslConfig(tage=tage_config_64k(), sc_index_bits=8, name="64K TSL")
+    return TageScL(config)
 
 
-def tsl_scaled(factor: int, history: Optional[GlobalHistory] = None,
-               seed: int = 0xBADC0DE) -> TageScL:
+def tsl_scaled(factor: int) -> TageScL:
     """TSL with TAGE table entries scaled by ``factor`` (a power of two).
 
     Matches the paper's scaling methodology (§VI): only the TAGE pattern
     tables grow; SC and the loop predictor stay at baseline size.
     """
     extra_bits = _log2_exact(factor)
-    base = tage_config_64k(seed)
+    base = tage_config_64k()
     config = TslConfig(
         tage=TageConfig(
             history_lengths=base.history_lengths,
             index_bits=base.index_bits + extra_bits,
             tag_bits=base.tag_bits,
             bimodal_index_bits=base.bimodal_index_bits + extra_bits,
-            seed=seed,
         ),
         sc_index_bits=8,
         name=f"{64 * factor}K TSL",
     )
-    return TageScL(config, history)
+    return TageScL(config)
 
 
-def tage_infinite(history: Optional[GlobalHistory] = None,
-                  seed: int = 0xBADC0DE) -> TageScL:
+def tage_infinite() -> TageScL:
     """Inf TAGE: unbounded TAGE tables, baseline-size SC and loop."""
-    config = TslConfig(tage=tage_config_64k(seed), sc_index_bits=8, name="Inf TAGE")
-    tage = InfiniteTage(config.tage, history)
-    return TageScL(config, tage=tage)
+    config = TslConfig(tage=tage_config_64k(), sc_index_bits=8, name="Inf TAGE")
+    return TageScL(config, tage=InfiniteTage(config.tage))
 
 
-def tsl_infinite(history: Optional[GlobalHistory] = None,
-                 seed: int = 0xBADC0DE) -> TageScL:
+def tsl_infinite() -> TageScL:
     """Inf TSL: unbounded TAGE tables plus enlarged auxiliary components."""
     config = TslConfig(
-        tage=tage_config_64k(seed),
+        tage=tage_config_64k(),
         sc_index_bits=14,
         loop_index_bits=8,
         name="Inf TSL",
     )
-    tage = InfiniteTage(config.tage, history)
-    return TageScL(config, tage=tage)
+    return TageScL(config, tage=InfiniteTage(config.tage))

@@ -224,7 +224,6 @@ def _make_tsl(geometry: TslGeometry) -> TageScL:
             index_bits=base.index_bits + extra_bits,
             tag_bits=geometry.tag_bits,
             bimodal_index_bits=base.bimodal_index_bits + extra_bits,
-            seed=base.seed,
         ),
         sc_index_bits=geometry.sc_index_bits,
         name=canonical,

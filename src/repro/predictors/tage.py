@@ -97,14 +97,15 @@ class TageResult:
 
 
 class Tage(BranchPredictor):
-    """Finite-capacity TAGE over a shared :class:`GlobalHistory`."""
+    """Finite-capacity TAGE; its :class:`GlobalHistory` is the one a
+    composite (TAGE-SC-L, LLBP) shares."""
 
     name = "tage"
 
-    def __init__(self, config: TageConfig, history: Optional[GlobalHistory] = None) -> None:
+    def __init__(self, config: TageConfig) -> None:
         super().__init__()
         self.config = config
-        self.history = history if history is not None else GlobalHistory()
+        self.history = GlobalHistory()
         self.folded = HistorySet(self.history, config.specs())
         self.bimodal = Bimodal(config.bimodal_index_bits)
         n = config.num_tables
@@ -217,13 +218,11 @@ class Tage(BranchPredictor):
         self.update(pc, taken, meta)
 
     def update(self, pc: int, taken: bool, res: TageResult,
-               suppress_provider: bool = False,
-               suppress_alloc: bool = False) -> None:
+               suppress_provider: bool = False) -> None:
         """Train TAGE on the resolved branch.
 
         ``suppress_provider`` cancels the provider-counter update (used
-        when LLBP overrode and is the training provider, §V-D);
-        ``suppress_alloc`` cancels new-entry allocation.
+        when LLBP overrode and is the training provider, §V-D).
         """
         provider = res.provider
         mispredicted = res.pred != taken
@@ -259,7 +258,7 @@ class Tage(BranchPredictor):
             if not suppress_provider:
                 self.bimodal.update(pc, taken)
 
-        if mispredicted and not suppress_alloc:
+        if mispredicted:
             self.allocate(pc, taken, res)
 
     def allocate(self, pc: int, taken: bool, res: TageResult) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.predictors.base import BranchPredictor
-from repro.predictors.history import GlobalHistory
 from repro.predictors.loop import LoopPredictor, LoopResult
 from repro.predictors.statistical import ScResult, StatisticalCorrector
 from repro.predictors.tage import Tage, TageConfig, TageResult
@@ -35,8 +34,6 @@ class TslConfig:
     sc_history_lengths: Tuple[int, ...] = (3, 6, 11, 18, 27)
     loop_index_bits: int = 4
     loop_ways: int = 4
-    use_sc: bool = True
-    use_loop: bool = True
     name: str = "tsl"
 
 
@@ -45,8 +42,8 @@ class TslResult:
 
     __slots__ = ("tage", "loop", "sc", "base_pred", "base_overridden", "pred")
 
-    def __init__(self, tage: TageResult, loop: Optional[LoopResult],
-                 sc: Optional[ScResult], base_pred: bool,
+    def __init__(self, tage: TageResult, loop: LoopResult,
+                 sc: ScResult, base_pred: bool,
                  base_overridden: bool, pred: bool) -> None:
         self.tage = tage
         self.loop = loop
@@ -61,20 +58,14 @@ class TageScL(BranchPredictor):
 
     name = "tage-sc-l"
 
-    def __init__(self, config: TslConfig, history: Optional[GlobalHistory] = None,
-                 tage: Optional[Tage] = None) -> None:
+    def __init__(self, config: TslConfig, tage: Optional[Tage] = None) -> None:
         super().__init__()
         self.config = config
-        self.tage = tage if tage is not None else Tage(config.tage, history)
+        self.tage = tage if tage is not None else Tage(config.tage)
         self.history = self.tage.history
-        self.sc = (
-            StatisticalCorrector(config.sc_history_lengths, config.sc_index_bits)
-            if config.use_sc else None
-        )
-        self.loop = (
-            LoopPredictor(config.loop_index_bits, config.loop_ways)
-            if config.use_loop else None
-        )
+        self.sc = StatisticalCorrector(config.sc_history_lengths,
+                                       config.sc_index_bits)
+        self.loop = LoopPredictor(config.loop_index_bits, config.loop_ways)
 
     # -- prediction ------------------------------------------------------------
 
@@ -101,17 +92,13 @@ class TageScL(BranchPredictor):
             provider_valid = tage_res.provider >= 0
 
         pred = base_pred
-        sc_res = None
-        if self.sc is not None:
-            sc_res = self.sc.lookup(pc, base_pred, provider_ctr, provider_valid)
-            if sc_res.use:
-                pred = sc_res.pred
+        sc_res = self.sc.lookup(pc, base_pred, provider_ctr, provider_valid)
+        if sc_res.use:
+            pred = sc_res.pred
 
-        loop_res = None
-        if self.loop is not None:
-            loop_res = self.loop.lookup(pc)
-            if loop_res.valid and self.loop.use_loop:
-                pred = loop_res.pred
+        loop_res = self.loop.lookup(pc)
+        if loop_res.valid and self.loop.use_loop:
+            pred = loop_res.pred
 
         return TslResult(tage_res, loop_res, sc_res, base_pred,
                          base_overridden, pred)
@@ -123,31 +110,25 @@ class TageScL(BranchPredictor):
     # -- training ----------------------------------------------------------------
 
     def train(self, pc: int, taken: bool, meta: TslResult,
-              suppress_tage_provider: bool = False,
-              suppress_tage_alloc: bool = False) -> None:
+              suppress_tage_provider: bool = False) -> None:
         """Train all components on the resolved outcome.
 
-        The suppress flags implement §V-D's provider-based training when
-        LLBP is the providing component.
+        ``suppress_tage_provider`` implements §V-D's provider-based
+        training when LLBP is the providing component.
         """
         if meta.pred != taken:
             self.stats.mispredictions += 1
 
-        if self.loop is not None and meta.loop is not None:
-            if meta.loop.valid:
-                self.loop.train_withloop(meta.loop.pred, meta.base_pred, taken)
-            self.loop.update(pc, taken, meta.loop,
-                             tage_mispredicted=meta.base_pred != taken)
+        if meta.loop.valid:
+            self.loop.train_withloop(meta.loop.pred, meta.base_pred, taken)
+        self.loop.update(pc, taken, meta.loop,
+                         tage_mispredicted=meta.base_pred != taken)
 
-        if self.sc is not None and meta.sc is not None:
-            self.sc.train(pc, taken, meta.sc)
-            self.sc.push_outcome(taken)
+        self.sc.train(pc, taken, meta.sc)
+        self.sc.push_outcome(taken)
 
-        self.tage.update(
-            pc, taken, meta.tage,
-            suppress_provider=suppress_tage_provider,
-            suppress_alloc=suppress_tage_alloc,
-        )
+        self.tage.update(pc, taken, meta.tage,
+                         suppress_provider=suppress_tage_provider)
 
     # -- history --------------------------------------------------------------------
 
@@ -156,12 +137,8 @@ class TageScL(BranchPredictor):
         self.history.push_branch(pc, branch_type == 0, taken)
 
     def storage_bits(self) -> int:
-        bits = self.tage.storage_bits()
-        if self.sc is not None:
-            bits += self.sc.storage_bits()
-        if self.loop is not None:
-            bits += self.loop.storage_bits()
-        return bits
+        return (self.tage.storage_bits() + self.sc.storage_bits()
+                + self.loop.storage_bits())
 
     def state_arrays(self) -> dict:
         """Snapshot of all mutable component state as numpy arrays.
@@ -175,19 +152,17 @@ class TageScL(BranchPredictor):
 
         arrays = {f"tage/{key}": value
                   for key, value in self.tage.state_arrays().items()}
-        if self.sc is not None:
-            sc = self.sc
-            arrays["sc/bias"] = np.array(sc.bias_table, dtype=np.int16)
-            arrays["sc/tables"] = np.array(sc.tables, dtype=np.int16)
-            arrays["sc/history"] = np.array(sc.history, dtype=np.uint64)
-            arrays["sc/threshold"] = np.array(
-                [sc.threshold, sc._tc], dtype=np.int64)
-        if self.loop is not None:
-            loop = self.loop
-            arrays["loop/entries"] = np.array(
-                [[e.tag, e.past_iter, e.current_iter, e.confidence,
-                  e.age, int(e.direction)]
-                 for ways in loop.table for e in ways], dtype=np.int64)
-            arrays["loop/withloop"] = np.array(loop.withloop, dtype=np.int64)
-            arrays["loop/rng"] = np.array(loop._rng.state, dtype=np.uint64)
+        sc = self.sc
+        arrays["sc/bias"] = np.array(sc.bias_table, dtype=np.int16)
+        arrays["sc/tables"] = np.array(sc.tables, dtype=np.int16)
+        arrays["sc/history"] = np.array(sc.history, dtype=np.uint64)
+        arrays["sc/threshold"] = np.array(
+            [sc.threshold, sc._tc], dtype=np.int64)
+        loop = self.loop
+        arrays["loop/entries"] = np.array(
+            [[e.tag, e.past_iter, e.current_iter, e.confidence,
+              e.age, int(e.direction)]
+             for ways in loop.table for e in ways], dtype=np.int64)
+        arrays["loop/withloop"] = np.array(loop.withloop, dtype=np.int64)
+        arrays["loop/rng"] = np.array(loop._rng.state, dtype=np.uint64)
         return arrays

@@ -73,22 +73,15 @@ def unsupported_reason(predictor: BranchPredictor) -> Optional[str]:
                            PerfectPredictor):
         return None
     if type(predictor) is TageScL:
-        return _tsl_reason(predictor, (Tage, InfiniteTage))
+        if type(predictor.tage) not in (Tage, InfiniteTage):
+            return (f"TAGE variant {type(predictor.tage).__name__} is not "
+                    "fused here")
+        return None
     if type(predictor) is LLBPTageScL:
-        if type(predictor.tsl) is not TageScL:
-            return "baseline is not a plain TageScL"
         if 3 * predictor.config.cid_bits > 64:
             return "CIDs too wide for the closed-form CID column"
-        return _tsl_reason(predictor.tsl, (Tage,))
+        return None
     return f"no fused loop for {type(predictor).__name__}"
-
-
-def _tsl_reason(tsl: TageScL, tage_types) -> Optional[str]:
-    if type(tsl.tage) not in tage_types:
-        return f"TAGE variant {type(tsl.tage).__name__} is not fused here"
-    if tsl.sc is None or tsl.loop is None:
-        return "SC/loop components disabled"
-    return None
 
 
 # -- fused loop body emitters ------------------------------------------------
@@ -874,7 +867,6 @@ def run_simulation_array(
     trace: Trace,
     predictor: BranchPredictor,
     warmup_instructions: Optional[int] = None,
-    collect_per_pc: bool = False,
 ) -> SimulationResult:
     """Array-engine counterpart of :func:`repro.sim.engine.run_simulation`.
 
@@ -986,11 +978,7 @@ def run_simulation_array(
     predictor.stats.lookups += n_cond
     predictor.stats.mispredictions += misp_all
 
-    per_pc_exec: Dict[int, int] = {}
-    if collect_per_pc:
-        per_pc_exec = _per_pc_executions(pcs_cond[csplit:])
-    else:
-        per_pc_misp = {}
+    per_pc_exec = _per_pc_executions(pcs_cond[csplit:])
 
     if telemetry_on:
         telemetry.emit(

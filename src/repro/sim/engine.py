@@ -61,7 +61,6 @@ def run_simulation(
     trace: Trace,
     predictor: BranchPredictor,
     warmup_instructions: Optional[int] = None,
-    collect_per_pc: bool = False,
     engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run ``predictor`` over ``trace`` and return measured statistics.
@@ -77,27 +76,25 @@ def run_simulation(
         reason = array.unsupported_reason(predictor)
         if reason is None:
             return array.run_simulation_array(
-                trace, predictor, warmup_instructions, collect_per_pc)
+                trace, predictor, warmup_instructions)
         telemetry.emit(
             "sim.engine_fallback", workload=trace.name,
             predictor=getattr(predictor, "name", type(predictor).__name__),
             reason=reason)
-    return run_simulation_reference(
-        trace, predictor, warmup_instructions, collect_per_pc)
+    return run_simulation_reference(trace, predictor, warmup_instructions)
 
 
 def run_simulation_reference(
     trace: Trace,
     predictor: BranchPredictor,
     warmup_instructions: Optional[int] = None,
-    collect_per_pc: bool = False,
 ) -> SimulationResult:
     """The generic simulation loop: the Python engine and the oracle.
 
     No loop specialisation at all; the equivalence tests assert that the
     array engine produces bit-identical :class:`SimulationResult` values
     for every predictor family it supports.  With telemetry on, the run
-    emits ``sim.phase`` (warmup, measure) and ``sim.run`` events.
+    emits the same ``sim.run`` event as the array engine.
     """
     if warmup_instructions is None:
         warmup_instructions = int(trace.num_instructions * DEFAULT_WARMUP_FRACTION)
@@ -118,7 +115,6 @@ def run_simulation_reference(
     per_pc_exec: Dict[int, int] = {}
 
     start = time.perf_counter()
-    measure_start = None
     for pc, btype, taken_i, target, gap in trace.iter_tuples():
         instructions += gap
         if advance is not None:
@@ -127,7 +123,6 @@ def run_simulation_reference(
         measuring = instructions > warmup_instructions
         if measuring and measured_instr_start is None:
             measured_instr_start = instructions - gap
-            measure_start = time.perf_counter()
         if measuring:
             branches += 1
 
@@ -143,17 +138,15 @@ def run_simulation_reference(
                 cond_branches += 1
                 if pred != taken:
                     mispredictions += 1
-                if collect_per_pc:
-                    per_pc_exec[pc] = per_pc_exec.get(pc, 0) + 1
-                    if pred != taken:
-                        per_pc_misp[pc] = per_pc_misp.get(pc, 0) + 1
+                per_pc_exec[pc] = per_pc_exec.get(pc, 0) + 1
+                if pred != taken:
+                    per_pc_misp[pc] = per_pc_misp.get(pc, 0) + 1
             train(pc, taken, meta)
         update_history(pc, btype, taken, target)
     end = time.perf_counter()
 
     if measured_instr_start is None:
         measured_instr_start = instructions
-        measure_start = end
         if len(trace):
             warnings.warn(
                 f"warmup ({warmup_instructions} instructions) consumed the "
@@ -165,20 +158,10 @@ def run_simulation_reference(
             )
     measured_instructions = instructions - measured_instr_start
 
-    if telemetry.enabled():
-        telemetry.emit(
-            "sim.phase", phase="warmup", workload=trace.name,
-            predictor=predictor_name, branches=len(trace) - branches,
-            instructions=warmup_instructions,
-            seconds=measure_start - start)
-        telemetry.emit(
-            "sim.phase", phase="measure", workload=trace.name,
-            predictor=predictor_name, branches=branches,
-            mispredictions=mispredictions, seconds=end - measure_start)
-        telemetry.emit(
-            "sim.run", workload=trace.name, predictor=predictor_name,
-            branches=len(trace), instructions=instructions,
-            mispredictions=mispredictions, seconds=end - start)
+    telemetry.emit(
+        "sim.run", workload=trace.name, predictor=predictor_name,
+        engine="python", branches=len(trace), instructions=instructions,
+        mispredictions=mispredictions, seconds=end - start)
 
     finalize = getattr(predictor, "finalize_stats", None)
     if finalize is not None:

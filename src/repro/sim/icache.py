@@ -10,8 +10,8 @@ the sequential address run ending at that branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.common.assoc import SetAssociative
 from repro.traces.trace import Trace
 from repro.workloads.program import INSTR_BYTES
 
@@ -19,17 +19,24 @@ LINE_BITS = 512  # 64-byte lines
 
 
 class InstructionCache:
-    """Set-associative I-cache with next-line prefetch on miss."""
+    """Set-associative LRU I-cache with next-line prefetch on miss.
+
+    Each set is an insertion-ordered dict of line addresses, oldest
+    first: a demand hit moves its line to the end, a fill past ``ways``
+    evicts the first.  The next-line probe does not touch LRU order.
+    """
 
     def __init__(self, size_kib: int = 32, ways: int = 8,
                  line_bytes: int = 64) -> None:
         if size_kib <= 0 or ways <= 0 or line_bytes <= 0:
             raise ValueError("cache geometry must be positive")
         num_lines = size_kib * 1024 // line_bytes
-        if num_lines % ways:
-            raise ValueError("size/ways/line combination is not integral")
+        if num_lines < ways or num_lines % ways:
+            raise ValueError("size/ways/line must give a whole number of sets")
         self.line_bytes = line_bytes
-        self._lines: SetAssociative[bool] = SetAssociative(num_lines // ways, ways)
+        self.ways = ways
+        self._sets: List[Dict[int, None]] = [
+            {} for _ in range(num_lines // ways)]
         self.demand_misses = 0
         self.prefetch_fills = 0
         self.accesses = 0
@@ -37,12 +44,22 @@ class InstructionCache:
     def fetch_line(self, line_addr: int) -> None:
         """Demand-fetch one line; prefetch the next on a miss."""
         self.accesses += 1
-        if self._lines.get(line_addr) is None:
-            self.demand_misses += 1
-            self._lines.insert(line_addr, True)
-            if self._lines.peek(line_addr + 1) is None:
-                self.prefetch_fills += 1
-                self._lines.insert(line_addr + 1, True)
+        lines = self._sets[line_addr % len(self._sets)]
+        if line_addr in lines:
+            del lines[line_addr]
+            lines[line_addr] = None
+            return
+        self.demand_misses += 1
+        self._fill(lines, line_addr)
+        following = self._sets[(line_addr + 1) % len(self._sets)]
+        if line_addr + 1 not in following:
+            self.prefetch_fills += 1
+            self._fill(following, line_addr + 1)
+
+    def _fill(self, lines: Dict[int, None], line_addr: int) -> None:
+        if len(lines) >= self.ways:
+            del lines[next(iter(lines))]
+        lines[line_addr] = None
 
     def fetch_range(self, start: int, end: int) -> None:
         """Fetch every line overlapping byte addresses ``[start, end]``."""

@@ -24,7 +24,6 @@ def run_simulation_batch(
     trace: Trace,
     predictors: Sequence[BranchPredictor],
     warmup_instructions: Optional[int] = None,
-    collect_per_pc: bool = False,
     engine: Optional[str] = None,
 ) -> List[SimulationResult]:
     """Run every predictor over ``trace``.
@@ -38,7 +37,6 @@ def run_simulation_batch(
         raise ValueError("batch members must be distinct predictor "
                          "instances")
     return [
-        run_simulation(trace, predictor, warmup_instructions,
-                       collect_per_pc, engine)
+        run_simulation(trace, predictor, warmup_instructions, engine)
         for predictor in predictors
     ]

@@ -3,9 +3,9 @@
 The read side of ``repro.telemetry``: :func:`load_events` merges the
 per-process ``events-*.jsonl`` files a run produced (parent + child
 processes) into one timestamp-ordered stream, :func:`summarize` reduces
-it to the aggregate numbers a human or CI gate cares about — per-phase
-simulation timings, result/trace cache hit rates, parallel worker
-utilization, LLBP structure counters, per-figure wall clock — and
+it to the aggregate numbers a human or CI gate cares about — simulation
+time, result/trace cache hit rates, parallel worker utilization, LLBP
+structure counters, per-figure wall clock — and
 :func:`format_summary` renders that as text.  ``scripts/report.py`` is
 the command-line wrapper; the machine-readable form is what CI uploads
 as ``telemetry_summary.json``.
@@ -63,44 +63,44 @@ def _sum(events: List[Event], field: str) -> int:
 
 
 def _summarize_simulation(events: List[Event]) -> Dict[str, Any]:
-    phases: Dict[str, Dict[str, Any]] = {}
-    for e in [e for e in events if e["event"] == "sim.phase"]:
-        agg = phases.setdefault(e.get("phase", "?"), {
-            "count": 0, "seconds": 0.0, "branches": 0, "mispredictions": 0,
-        })
-        agg["count"] += 1
-        agg["seconds"] += float(e.get("seconds", 0.0))
-        agg["branches"] += int(e.get("branches", 0))
-        agg["mispredictions"] += int(e.get("mispredictions", 0))
-    for agg in phases.values():
-        agg["seconds"] = round(agg["seconds"], 4)
-        if agg["seconds"] > 0:
-            agg["branches_per_sec"] = round(agg["branches"] / agg["seconds"])
     runs = [e for e in events if e["event"] == "sim.run"]
     return {
         "runs": len(runs),
         "seconds": round(sum(float(e.get("seconds", 0.0)) for e in runs), 4),
         "mispredictions": _sum(runs, "mispredictions"),
-        "phases": phases,
     }
+
+
+def _job(event: Event) -> tuple:
+    return event.get("workload"), event.get("key"), event.get("instructions")
 
 
 def _summarize_caches(events: List[Event]) -> Dict[str, Any]:
     result = [e for e in events if e["event"] == "runner.result"]
-    memory = sum(1 for e in result if e.get("source") == "memory")
-    disk = sum(1 for e in result if e.get("source") == "disk")
     # A batched miss repeats its whole batch's seconds on every key it
     # served; each key takes its share, so the batch counts once.
     simulated = [e for e in result
                  if e.get("source") in ("simulated", "batched")]
+    # One verdict per job (workload, key, instructions), however many
+    # lookups it took: a job simulated in this run is a miss, any other
+    # is a hit from wherever it was first served.  A figure reading back
+    # what the prewarm just computed is not a second job.
+    first_source: Dict[tuple, Any] = {}
+    for e in result:
+        first_source.setdefault(_job(e), e.get("source"))
+    missed = {_job(e) for e in simulated}
+    hits = [source for job, source in first_source.items()
+            if job not in missed]
+    memory = hits.count("memory")
+    disk = hits.count("disk")
     trace = [e for e in events if e["event"] == "trace.cache"]
     trace_hits = sum(1 for e in trace if e.get("hit"))
     return {
         "result": {
             "memory_hits": memory,
             "disk_hits": disk,
-            "misses": len(simulated),
-            "hit_rate": _rate(memory + disk, len(result)),
+            "misses": len(missed),
+            "hit_rate": _rate(memory + disk, len(first_source)),
             "simulation_seconds": round(
                 sum(float(e.get("seconds", 0.0)) / int(e.get("batched", 1))
                     for e in simulated), 4),
@@ -244,11 +244,6 @@ def format_summary(summary: Dict[str, Any]) -> str:
         lines.append(f"\nsimulation — {sim['runs']} run(s), "
                      f"{sim['seconds']:.2f}s, "
                      f"{sim['mispredictions']:,} mispredictions")
-        for name, agg in sim["phases"].items():
-            bps = agg.get("branches_per_sec")
-            rate = f", {bps:,} branches/sec" if bps else ""
-            lines.append(f"  {name:<8} {agg['seconds']:>8.2f}s  "
-                         f"{agg['branches']:>12,} branches{rate}")
 
     caches = summary["caches"]
     result, trace = caches["result"], caches["trace"]

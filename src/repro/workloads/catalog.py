@@ -16,8 +16,7 @@ so the benchmark harness can share generation work across figures.
 from __future__ import annotations
 
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import telemetry
 from repro.traces import store
@@ -151,32 +150,25 @@ def get_spec(name: str):
         ) from None
 
 
-def generate_workload(
-    name: str,
-    instructions: int = DEFAULT_INSTRUCTIONS,
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
-) -> Trace:
+def generate_workload(name: str,
+                      instructions: int = DEFAULT_INSTRUCTIONS) -> Trace:
     """Generate (or load from cache) the trace for workload ``name``.
 
     The cache backend is the packed-binary store (:mod:`repro.traces.store`)
-    — content-addressed, checksum-verified, memory-mapped on load so
-    concurrent workers share pages.  A corrupt cache entry is treated as
-    a miss and regenerated, never trusted.
+    under ``cache_root()/traces`` — content-addressed, checksum-verified,
+    memory-mapped on load so concurrent workers share pages.  A corrupt
+    cache entry is treated as a miss and regenerated, never trusted.
     """
     spec = get_spec(name)
     if isinstance(spec, AdversarialSpec):
         # One canonical spelling per stressor keeps one cache entry.
         name = spec.name
-    trace_store = None
-    if use_cache:
-        directory = cache_dir if cache_dir is not None else store.cache_root()
-        trace_store = store.TraceStore(directory / "traces")
-        cached = trace_store.load(name, spec.seed, instructions)
-        if cached is not None:
-            telemetry.emit("trace.cache", workload=name,
-                           instructions=instructions, hit=True)
-            return cached
+    trace_store = store.TraceStore(store.cache_root() / "traces")
+    cached = trace_store.load(name, spec.seed, instructions)
+    if cached is not None:
+        telemetry.emit("trace.cache", workload=name,
+                       instructions=instructions, hit=True)
+        return cached
     start = time.perf_counter() if telemetry.enabled() else 0.0
     if isinstance(spec, AdversarialSpec):
         trace = adversarial.generate_adversarial(spec, instructions)
@@ -185,6 +177,5 @@ def generate_workload(
         trace = generate_trace(program, instructions, seed=spec.seed, name=name)
     telemetry.emit("trace.cache", workload=name, instructions=instructions,
                    hit=False, seconds=time.perf_counter() - start)
-    if trace_store is not None:
-        trace_store.store(trace, name, spec.seed, instructions)
+    trace_store.store(trace, name, spec.seed, instructions)
     return trace

@@ -215,10 +215,10 @@ ORACLE_WORKLOADS = tuple(workload_names()) + ("adv:hist", "adv:alias",
 
 
 @pytest.mark.parametrize("instructions", (40_000, 200_000))
-def test_workloads_match_the_scalar_oracle(instructions):
+def test_workloads_match_the_scalar_oracle(instructions, isolated_cache):
     """Every catalog workload and stressor, float for float."""
     for workload in ORACLE_WORKLOADS:
-        trace = generate_workload(workload, instructions, use_cache=False)
+        trace = generate_workload(workload, instructions)
         assert_same_floats(characterize_trace(trace),
                            characterize_scalar(trace))
 
@@ -278,21 +278,20 @@ DIGEST_SHA256 = "2c9d94da33029e1fd98ab554ba8838accf5a0595b96e1053c6425df502c3323
 
 class TestArtifactDeterminism:
     def test_engines_render_identical_bytes(self, isolated_cache,
-                                            monkeypatch):
+                                            fresh_cache, monkeypatch):
         """The artifact must not care which engine simulated the MPKI
         column: python and array runs are bit-identical by contract and
-        the serialisation rounds before dumping."""
-        from repro.experiments.runner import clear_memory_cache
-
-        monkeypatch.setenv("REPRO_ENGINE", "python")
-        py = artifact_json(characterize(SMALL_WORKLOADS,
-                                        instructions=SMALL_INSTRUCTIONS))
-        clear_memory_cache()
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        monkeypatch.setenv("REPRO_ENGINE", "array")
-        arr = artifact_json(characterize(SMALL_WORKLOADS,
-                                         instructions=SMALL_INSTRUCTIONS))
-        assert py == arr
+        the serialisation rounds before dumping.  Each engine runs in an
+        empty cache, so neither reads the other's results."""
+        artifacts, simulated = [], []
+        for engine in ("python", "array"):
+            results = fresh_cache()
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            artifacts.append(artifact_json(characterize(
+                SMALL_WORKLOADS, instructions=SMALL_INSTRUCTIONS)))
+            simulated.append(sorted(p.name for p in results.glob("*.json")))
+        assert simulated[0] and simulated[0] == simulated[1]
+        assert artifacts[0] == artifacts[1]
 
     def test_metrics_only_digest_is_pinned(self, isolated_cache):
         artifact = characterize(DIGEST_WORKLOADS,

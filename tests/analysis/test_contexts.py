@@ -32,7 +32,7 @@ def test_study_result_percentiles():
 
 
 def test_patterns_per_context_study(tiny_workload_trace):
-    baseline = run_simulation(tiny_workload_trace, tsl_64k(), collect_per_pc=True)
+    baseline = run_simulation(tiny_workload_trace, tsl_64k())
     results = patterns_per_context_study(
         tiny_workload_trace,
         traced_inf_tage(tiny_workload_trace).useful_events, baseline,
@@ -52,7 +52,7 @@ def test_events_land_in_the_context_before_their_branch(tiny_workload_trace):
     each branch's new useful events right after training it, in the
     context of the unconditional branches retired before it."""
     trace = tiny_workload_trace
-    baseline = run_simulation(trace, tsl_64k(), collect_per_pc=True)
+    baseline = run_simulation(trace, tsl_64k())
     top = set(baseline_order(baseline)[:16])
     windows = (0, 2, 8)
 

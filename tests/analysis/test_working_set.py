@@ -58,7 +58,7 @@ def test_useful_patterns_study_on_small_trace(tiny_workload_trace):
     from repro.predictors.presets import tsl_64k
     from repro.sim.engine import run_simulation
 
-    baseline = run_simulation(tiny_workload_trace, tsl_64k(), collect_per_pc=True)
+    baseline = run_simulation(tiny_workload_trace, tsl_64k())
     events = traced_inf_tage(tiny_workload_trace).useful_events
     study = useful_patterns_study(events, baseline)
     assert study.counts_by_pc

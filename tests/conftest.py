@@ -80,6 +80,30 @@ def tiny_workload_trace() -> Trace:
 
 
 @pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """Return ``move()``: point every cache at a new empty directory and
+    drop the in-memory results, so whatever runs next must simulate.
+
+    ``move()`` returns the new ``results`` directory; a test asserts
+    that each result it compares was written there, i.e. simulated
+    after the move rather than read back from an earlier run.
+    """
+    from repro.experiments.runner import clear_memory_cache
+
+    moves = []
+
+    def move():
+        root = tmp_path / f"fresh-{len(moves)}"
+        moves.append(root)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        clear_memory_cache()
+        return root / "results"
+
+    yield move
+    clear_memory_cache()
+
+
+@pytest.fixture
 def isolated_caches(tmp_path, monkeypatch):
     """Point trace/result caches at a temp dir and shrink budgets."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -21,10 +21,8 @@ def _teardown():
 class TestJournalFile:
     def test_default_path_sits_next_to_result_cache(self, isolated_caches,
                                                      monkeypatch):
-        """Moving REPRO_CACHE_DIR moves traces, results and both
-        journals together."""
-        from repro.explore.__main__ import journal_path
-
+        """Moving REPRO_CACHE_DIR moves traces, results and the
+        journal (which explore shares) together."""
         for root in (isolated_caches / "cache", isolated_caches / "moved"):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
             runner.clear_memory_cache()
@@ -33,7 +31,6 @@ class TestJournalFile:
                              for path in root.glob("*/Kafka-*"))
             assert written == ["results", "traces"]
             assert default_path() == root / "journal.jsonl"
-            assert journal_path() == root / "explore-journal.jsonl"
 
     def test_reopen_keeps_earlier_runs(self, tmp_path):
         path = tmp_path / "journal.jsonl"

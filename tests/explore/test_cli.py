@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.explore.__main__ import BUDGETS, journal_path, main
+from repro.experiments.journal import RunJournal, default_path
+from repro.explore.__main__ import BUDGETS, main
 
 
 @pytest.fixture(autouse=True)
@@ -72,10 +73,17 @@ def test_table_rendering_on_stdout(tmp_path, capsys):
     assert "per-workload winners:" in output
 
 
-def test_journal_lives_beside_the_experiments_journal(tmp_path):
-    path = journal_path()
-    assert path.name == "explore-journal.jsonl"
-    assert path.parent == tmp_path / "cache"
+def test_search_records_into_the_experiments_journal(tmp_path):
+    """Explore and the experiments CLI share one checkpoint journal."""
+    code, _ = small_run(tmp_path)
+    assert code == 0
+    assert default_path() == tmp_path / "cache" / "journal.jsonl"
+    assert sorted(path.name for path in (tmp_path / "cache").glob("*.jsonl")) \
+        == ["journal.jsonl"]
+    with RunJournal.open() as journal:
+        recorded = journal.completed()
+    assert {key for _, key, _ in recorded} == {"bimodal", "gshare"}
+    assert {workload for workload, _, _ in recorded} == {"Kafka"}
 
 
 def test_budget_presets_are_consistent():

@@ -21,8 +21,10 @@ from repro.workloads.catalog import generate_workload
 
 
 @pytest.fixture(scope="module")
-def trace():
-    return generate_workload("NodeApp", 250_000, use_cache=False)
+def trace(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        return generate_workload("NodeApp", 250_000)
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,7 @@ from repro.traces.stats import compute_stats
 
 
 def test_per_pc_counts_sum_to_totals(tiny_workload_trace):
-    result = run_simulation(tiny_workload_trace, tsl_64k(),
-                            collect_per_pc=True)
+    result = run_simulation(tiny_workload_trace, tsl_64k())
     assert sum(result.per_pc_mispredictions.values()) == result.mispredictions
     assert sum(result.per_pc_executions.values()) == result.cond_branches
     # Mispredictions never exceed executions per branch.

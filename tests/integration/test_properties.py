@@ -32,8 +32,7 @@ steps_strategy = st.lists(
 @settings(max_examples=25, deadline=None)
 def test_engine_counts_are_consistent(steps):
     trace = random_trace(steps, 0)
-    result = run_simulation(trace, Bimodal(), warmup_instructions=0,
-                            collect_per_pc=True)
+    result = run_simulation(trace, Bimodal(), warmup_instructions=0)
     assert result.branches == len(trace)
     assert result.cond_branches == trace.num_conditional
     assert result.mispredictions <= result.cond_branches

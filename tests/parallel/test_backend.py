@@ -5,9 +5,9 @@ Four promises:
 1. **Children compute the serial bytes** — run_jobs through
    ``LocalBackend`` is byte-identical to serial ``get_result`` calls
    (the executor suite pins the scheduling).
-2. **Configuration travels** — ``REPRO_ENGINE`` and
-   ``REPRO_RESULT_CACHE`` reach the child, which is forked when its
-   attempt starts; parametrized over the knob list.
+2. **Configuration travels** — ``REPRO_ENGINE`` reaches the child,
+   which is forked when its attempt starts; parametrized over the knob
+   list.
 3. **Settings follow the caller** — a later batch's children see the
    environment of the later call, not of an earlier one.
 4. **No child outlives its batch** — whether ``run_jobs`` returns,
@@ -33,7 +33,7 @@ FAST = dict(max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.5)
 
 #: Every knob a child needs to compute the submitter's configuration,
 #: not its own.
-KNOBS = ("REPRO_ENGINE", "REPRO_RESULT_CACHE")
+KNOBS = ("REPRO_ENGINE",)
 
 
 def _probe_env(names: Sequence[str]) -> Dict[str, Optional[str]]:
@@ -57,23 +57,23 @@ def _digests(by_job):
     return {job: result_digest(result) for job, result in by_job.items()}
 
 
-def _serial_digests(jobs, monkeypatch):
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-    runner.clear_memory_cache()
+def _serial_digests(jobs, fresh_cache):
+    """Simulate ``jobs`` again in this process, in an empty cache, so
+    nothing a child wrote can answer for the baseline."""
+    results = fresh_cache()
     digests = {job: result_digest(
         runner.get_result(job.workload, job.key, job.instructions))
         for job in jobs}
-    monkeypatch.delenv("REPRO_RESULT_CACHE")
-    runner.clear_memory_cache()
+    assert len(list(results.glob("*.json"))) == len(jobs)
     return digests
 
 
 class TestLocalParity:
-    def test_default_backend_is_byte_identical_to_serial(self, monkeypatch):
+    def test_default_backend_is_byte_identical_to_serial(self, fresh_cache):
         jobs = _jobs()
         by_job = parallel.run_jobs(jobs, max_workers=2,
                                    policy=RetryPolicy(**FAST))
-        assert _digests(by_job) == _serial_digests(jobs, monkeypatch)
+        assert _digests(by_job) == _serial_digests(jobs, fresh_cache)
 
 
 class TestEnvPropagationPool:

@@ -59,19 +59,19 @@ class TestJobConstruction:
 
 
 class TestRunJobs:
-    def test_parallel_matches_serial(self, isolated_caches, monkeypatch):
+    def test_parallel_matches_serial(self, isolated_caches, fresh_cache):
         """Worker-computed results equal serial results, field for field."""
         jobs = parallel.make_jobs([("Kafka", key) for key in KEYS])
         by_job = parallel.run_jobs(jobs, max_workers=2)
         assert set(by_job) == set(jobs)
 
-        # Recompute everything serially with caching off, so nothing the
+        # Recompute everything serially in an empty cache, so nothing the
         # workers wrote can leak into the comparison baseline.
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        runner.clear_memory_cache()
+        results = fresh_cache()
         for job in jobs:
             serial = runner.get_result(job.workload, job.key, job.instructions)
             assert serial == by_job[job]
+        assert len(list(results.glob("*.json"))) == len(jobs)
 
     def test_duplicate_jobs_run_once(self, isolated_caches, monkeypatch):
         # One workload per unique job keeps one run_batch call each;
@@ -172,7 +172,7 @@ class TestBatching:
         assert [(t.workload, t.instructions) for t in tasks] == [
             ("Kafka", 100), ("NodeApp", 100), ("Kafka", 200)]
 
-    def test_batched_run_matches_serial(self, isolated_caches, monkeypatch):
+    def test_batched_run_matches_serial(self, isolated_caches, fresh_cache):
         """The whole point: one trace load per workload must be
         bit-identical to the per-job path, end to end."""
         jobs = parallel.make_jobs([(workload, key)
@@ -180,12 +180,12 @@ class TestBatching:
                                    for key in KEYS])
         by_job = parallel.run_jobs(jobs, max_workers=2)
 
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        runner.clear_memory_cache()
+        results = fresh_cache()
         for job in jobs:
             serial = runner.get_result(job.workload, job.key,
                                        job.instructions)
             assert serial == by_job[job]
+        assert len(list(results.glob("*.json"))) == len(jobs)
 
     def test_serial_fallback_batches_too(self, isolated_caches, monkeypatch):
         """-j 1 still decodes each workload trace once per group."""

@@ -78,27 +78,27 @@ def _batched_jobs(keys=KEYS):
     return parallel.make_jobs([("Kafka", key) for key in keys])
 
 
-def _assert_matches_clean_serial(by_job, monkeypatch):
-    """Recompute serially with caching off; nothing a child (or a
+def _assert_matches_clean_serial(by_job, fresh_cache):
+    """Recompute serially in an empty cache; nothing a child (or a
     faulty attempt) wrote may leak into the comparison baseline."""
-    monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-    runner.clear_memory_cache()
+    results = fresh_cache()
     for job, result in by_job.items():
         clean = runner.get_result(job.workload, job.key, job.instructions)
         assert clean == result, f"recovered result diverged for {job}"
+    assert len(list(results.glob("*.json"))) == len(by_job)
 
 
 class TestRaiseFault:
-    def test_retried_and_bit_identical(self, events, monkeypatch):
+    def test_retried_and_bit_identical(self, events, fresh_cache):
         faults.install("raise@0")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         retries = events("parallel.retry")
         assert any(e["error"] == "FaultInjected" for e in retries)
         assert len(events("parallel.fault")) == 1
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
-    def test_serial_path_retries_too(self, events, monkeypatch):
+    def test_serial_path_retries_too(self, events, fresh_cache):
         """-j 1 (no child) runs each attempt in this process, under the
         same retry loop."""
         faults.install("raise@1")
@@ -108,7 +108,7 @@ class TestRaiseFault:
         assert fault["in_worker"] is False
         (retry,) = events("parallel.retry")
         assert (retry["workload"], retry["attempt"]) == (SOLO_WORKLOADS[1], 1)
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_exhausted_retries_surface_the_error(self, events, max_workers):
@@ -129,7 +129,7 @@ class TestRaiseFault:
 
 
 class TestWorkerKill:
-    def test_dead_worker_detected_pool_rebuilt(self, events, monkeypatch):
+    def test_dead_worker_detected_pool_rebuilt(self, events, fresh_cache):
         """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch:
         the dead child's task alone is charged a ``worker_lost`` retry."""
         faults.install("kill@1")
@@ -138,10 +138,11 @@ class TestWorkerKill:
         charged = [(e["workload"], e["error"])
                    for e in events("parallel.retry")]
         assert charged == [(SOLO_WORKLOADS[1], "worker_lost")]
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
     def test_kill_resubmits_and_charges_only_its_task(self, events,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      fresh_cache):
         """A dead child is its own task's failure and no other's.
         NodeApp's larger budget keeps it running when Kafka's child is
         killed: it runs once and is never charged, while Kafka is
@@ -164,9 +165,10 @@ class TestWorkerKill:
         charged = [(e["workload"], e["error"])
                    for e in events("parallel.retry")]
         assert charged == [("Kafka", "worker_lost")]
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
-    def test_irrecoverable_pool_degrades_to_serial(self, events, monkeypatch):
+    def test_irrecoverable_pool_degrades_to_serial(self, events, monkeypatch,
+                                                   fresh_cache):
         """When no child can be started the batch finishes in-process.
 
         The first child starts and the second cannot, so the running
@@ -187,11 +189,11 @@ class TestWorkerKill:
         assert degraded["remaining"] == len(SOLO_WORKLOADS)
         assert not events("parallel.retry")
         assert multiprocessing.active_children() == []
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
 
 class TestHungWorker:
-    def test_timeout_kills_hung_worker_and_retries(self, events, monkeypatch):
+    def test_timeout_kills_hung_worker_and_retries(self, events, fresh_cache):
         """The deadline kills the hung task's child alone: the other
         tasks run once, and only the hung one is charged."""
         faults.install("hang@0")
@@ -204,7 +206,7 @@ class TestHungWorker:
         assert charged == [(SOLO_WORKLOADS[0], "timeout")]
         ran = sorted(e["workload"] for e in events("parallel.job"))
         assert ran == sorted(SOLO_WORKLOADS)
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
 
 class TestBatchedChaos:
@@ -212,16 +214,16 @@ class TestBatchedChaos:
     task: a fault takes down the whole shared-trace pass, and recovery
     must still converge on bit-identical results."""
 
-    def test_raise_retries_whole_task(self, events, monkeypatch):
+    def test_raise_retries_whole_task(self, events, fresh_cache):
         faults.install("raise@0")  # index 0 = the single Kafka task
         by_job = parallel.run_jobs(_batched_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         (retry,) = events("parallel.retry")
         assert retry["error"] == "FaultInjected"
         assert set(retry["key"].split(",")) == set(KEYS)
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
-    def test_killed_worker_task_recovers(self, events, monkeypatch):
+    def test_killed_worker_task_recovers(self, events, fresh_cache):
         faults.install("kill@0")
         by_job = parallel.run_jobs(
             parallel.make_jobs([(workload, key)
@@ -232,7 +234,7 @@ class TestBatchedChaos:
                    for e in events("parallel.retry")]
         assert charged == [("Kafka", "worker_lost")]
         assert len(by_job) == 4
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
     def test_batched_task_emits_one_job_event(self, events, monkeypatch):
         by_job = parallel.run_jobs(_batched_jobs(), max_workers=2,
@@ -244,7 +246,9 @@ class TestBatchedChaos:
 
 
 class TestFig09StyleChaosRun:
-    def test_raise_hang_and_kill_across_one_figure_run(self, events, monkeypatch):
+    def test_raise_hang_and_kill_across_one_figure_run(self, events,
+                                                       monkeypatch,
+                                                       fresh_cache):
         """The acceptance scenario, with CI's fault plan: a fig09-style
         batch absorbs one of each fault kind, charges each to the task
         it hit, and still reproduces the clean figure exactly."""
@@ -272,7 +276,7 @@ class TestFig09StyleChaosRun:
         assert charged == {(workloads[0], "worker_lost"): 1,
                            (workloads[1], "FaultInjected"): 1,
                            (workloads[3], "timeout"): 2}
-        _assert_matches_clean_serial(by_job, monkeypatch)
+        _assert_matches_clean_serial(by_job, fresh_cache)
 
         # The recovered batch must also format to the exact clean figure.
         rows = fig09.run()

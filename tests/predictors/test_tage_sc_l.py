@@ -1,18 +1,16 @@
 """Composed TAGE-SC-L."""
 
+from repro.predictors.registry import make_predictor
+from repro.predictors.tage import Tage, TageConfig
 from repro.predictors.tage_sc_l import TageScL, TslConfig
 from repro.sim.engine import run_simulation
 
 
-def small_tsl(use_sc=True, use_loop=True):
-    from repro.predictors.tage import TageConfig
-
+def small_tsl():
     config = TslConfig(
         tage=TageConfig(history_lengths=(4, 8, 16, 32), index_bits=7,
                         tag_bits=9, bimodal_index_bits=9),
         sc_index_bits=7,
-        use_sc=use_sc,
-        use_loop=use_loop,
     )
     return TageScL(config)
 
@@ -24,11 +22,11 @@ def drive(predictor, pc, taken, branch_type=0):
     return meta
 
 
-def test_components_optional():
-    assert small_tsl(use_sc=False).sc is None
-    assert small_tsl(use_loop=False).loop is None
-    full = small_tsl()
-    assert full.sc is not None and full.loop is not None
+def test_components_always_built():
+    tsls = [small_tsl(), make_predictor("tsl64"), make_predictor("inf-tsl"),
+            make_predictor("tsl:t=11"), make_predictor("llbp").tsl]
+    for tsl in tsls:
+        assert tsl.sc is not None and tsl.loop is not None, tsl.name
 
 
 def test_learns_simple_bias():
@@ -39,13 +37,16 @@ def test_learns_simple_bias():
 
 
 def test_base_override_replaces_tage_pred():
-    predictor = small_tsl(use_sc=False, use_loop=False)
+    # SC and the loop predictor may still flip the final prediction, so
+    # the override is checked where it lands: the base prediction.
+    predictor = small_tsl()
     for _ in range(50):
         drive(predictor, 0x100, True)
     natural = predictor.lookup(0x100)
-    assert natural.pred is True
+    assert natural.base_pred is True
+    assert not natural.base_overridden
     overridden = predictor.lookup(0x100, base_override=(False, -3))
-    assert overridden.pred is False
+    assert overridden.base_pred is False
     assert overridden.base_overridden
 
 
@@ -57,7 +58,7 @@ def test_lookup_accepts_precomputed_tage_result():
 
 
 def test_suppress_tage_provider_keeps_counter():
-    predictor = small_tsl(use_sc=False, use_loop=False)
+    predictor = small_tsl()
     for _ in range(200):
         drive(predictor, 0x100, True)
     res = predictor.lookup(0x100)
@@ -65,16 +66,17 @@ def test_suppress_tage_provider_keeps_counter():
         idx = res.tage.indices[res.tage.provider]
         before = predictor.tage.ctrs[res.tage.provider][idx]
         tsl_res = predictor.lookup(0x100)
-        predictor.train(0x100, False, tsl_res, suppress_tage_provider=True,
-                        suppress_tage_alloc=True)
+        predictor.train(0x100, False, tsl_res, suppress_tage_provider=True)
         after = predictor.tage.ctrs[res.tage.provider][idx]
         assert after == before
 
 
 def test_storage_bits_accumulates_components():
     full = small_tsl()
-    bare = small_tsl(use_sc=False, use_loop=False)
-    assert full.storage_bits() > bare.storage_bits()
+    parts = (full.tage.storage_bits(), full.sc.storage_bits(),
+             full.loop.storage_bits())
+    assert all(bits > 0 for bits in parts)
+    assert full.storage_bits() == sum(parts)
 
 
 def test_64k_preset_storage_in_range():
@@ -92,6 +94,8 @@ def test_mpki_reasonable_on_workload(tiny_workload_trace):
 
 
 def test_sc_and_loop_help_or_do_not_hurt_much(tiny_workload_trace):
-    full = run_simulation(tiny_workload_trace, small_tsl())
-    bare = run_simulation(tiny_workload_trace, small_tsl(use_sc=False, use_loop=False))
-    assert full.mpki <= bare.mpki * 1.15
+    full = small_tsl()
+    bare = Tage(full.config.tage)
+    full_mpki = run_simulation(tiny_workload_trace, full).mpki
+    bare_mpki = run_simulation(tiny_workload_trace, bare).mpki
+    assert full_mpki <= bare_mpki * 1.15

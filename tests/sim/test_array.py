@@ -77,10 +77,8 @@ def _run_both(trace, key, warmup=None):
     """One Python-engine and one array-engine run with fresh predictors."""
     oracle = _make(key)
     subject = _make(key)
-    ref = run_simulation(trace, oracle, warmup, collect_per_pc=True,
-                         engine="python")
-    res = run_simulation(trace, subject, warmup, collect_per_pc=True,
-                         engine="array")
+    ref = run_simulation(trace, oracle, warmup, engine="python")
+    res = run_simulation(trace, subject, warmup, engine="array")
     return oracle, subject, ref, res
 
 
@@ -300,28 +298,15 @@ def test_supported_families():
         assert array.unsupported_reason(make_predictor(key)) is None, key
     assert array.unsupported_reason(traced()) is None
     assert array.unsupported_reason(Unfused()) is not None
-    # LLBP's fused loop inlines a finite TAGE only.
-    llbp = make_predictor("llbp")
-    llbp.tsl = make_predictor("inf-tage")
-    assert "InfiniteTage" in array.unsupported_reason(llbp)
-
-
-def test_without_per_pc_collection():
-    trace = generate_workload("Kafka", INSTRUCTIONS)
-    ref = run_simulation(trace, make_predictor("tsl64"), engine="python")
-    res = run_simulation(trace, make_predictor("tsl64"), engine="array")
-    assert ref == res
-    assert res.per_pc_mispredictions == {}
-    assert res.per_pc_executions == {}
 
 
 def test_explicit_warmup_budget():
     trace = generate_workload("Tomcat", INSTRUCTIONS)
     warmup = INSTRUCTIONS // 5
     ref = run_simulation(trace, make_predictor("llbp"), warmup,
-                         collect_per_pc=True, engine="python")
+                         engine="python")
     res = run_simulation(trace, make_predictor("llbp"), warmup,
-                         collect_per_pc=True, engine="array")
+                         engine="array")
     _assert_identical(ref, res)
 
 
@@ -354,16 +339,14 @@ class TestEngineSelection:
 
     def test_env_drives_run_simulation(self, monkeypatch):
         trace = generate_workload("Kafka", INSTRUCTIONS)
-        ref = run_simulation(trace, make_predictor("gshare"),
-                             collect_per_pc=True, engine="array")
+        ref = run_simulation(trace, make_predictor("gshare"), engine="array")
 
         def unreachable(*args, **kwargs):
             raise AssertionError("REPRO_ENGINE=python ran the array engine")
 
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
         monkeypatch.setattr(array, "run_simulation_array", unreachable)
-        res = run_simulation(trace, make_predictor("gshare"),
-                             collect_per_pc=True)
+        res = run_simulation(trace, make_predictor("gshare"))
         _assert_identical(ref, res)
 
 
@@ -432,12 +415,10 @@ def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):
 def test_batch_matches_serial_python():
     """A batched array run equals member-by-member Python-engine runs."""
     trace = generate_workload("Spring", INSTRUCTIONS)
-    refs = [run_simulation(trace, make_predictor(key),
-                           collect_per_pc=True, engine="python")
+    refs = [run_simulation(trace, make_predictor(key), engine="python")
             for key in KEYS]
     results = run_simulation_batch(
-        trace, [make_predictor(key) for key in KEYS],
-        collect_per_pc=True, engine="array")
+        trace, [make_predictor(key) for key in KEYS], engine="array")
     for ref, res in zip(refs, results):
         _assert_identical(ref, res)
 

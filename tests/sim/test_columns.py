@@ -237,8 +237,10 @@ def test_traces_without_conditional_branches(key, make_trace):
 
 
 @pytest.fixture(scope="module")
-def long_trace():
-    return generate_workload("Kafka", 200_000, use_cache=False)
+def long_trace(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        return generate_workload("Kafka", 200_000)
 
 
 @pytest.mark.parametrize("key", ("tsl64", "llbp"))
@@ -269,11 +271,12 @@ def test_columns_are_memoised_on_trace_aux():
     assert columns.tsl_key(predictor) in trace.aux
 
 
-def test_array_runs_leave_the_store_file_untouched(tmp_path):
+def test_array_runs_leave_the_store_file_untouched(tmp_path, monkeypatch):
     """The store holds traces only: simulating a store-backed trace keeps
     the columns it computes in memory, and the file keeps the packed
     trace's exact bytes, with no temp file left beside it."""
-    trace = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    trace = generate_workload("Kafka", 30_000)
     path = trace.store_path
     assert path is not None
     packed = path.read_bytes()

@@ -79,15 +79,9 @@ def test_perfect_predictor_zero_mpki():
 
 def test_per_pc_collection():
     trace = make_trace(n=30)
-    result = run_simulation(trace, CountingPredictor(),
-                            warmup_instructions=0, collect_per_pc=True)
+    result = run_simulation(trace, CountingPredictor(), warmup_instructions=0)
     assert result.per_pc_executions == {0x100: 30}
     assert result.per_pc_mispredictions == {0x100: 15}
-
-
-def test_per_pc_disabled_by_default():
-    result = run_simulation(make_trace(), CountingPredictor())
-    assert result.per_pc_executions == {}
 
 
 def test_extra_stats_copied():
@@ -130,18 +124,15 @@ def test_specialized_loops_match_reference(tiny_workload_trace, key):
     predictor family must produce a bit-identical SimulationResult to the
     generic reference loop, including per-PC counters and extra stats."""
     fast = run_simulation(tiny_workload_trace, make_predictor(key),
-                          collect_per_pc=True, engine="array")
-    slow = run_simulation_reference(tiny_workload_trace,
-                                    make_predictor(key),
-                                    collect_per_pc=True)
-    assert fast == slow
-
-
-def test_specialized_loop_matches_reference_without_per_pc(
-        tiny_workload_trace):
-    fast = run_simulation(tiny_workload_trace, make_predictor("gshare"),
                           engine="array")
     slow = run_simulation_reference(tiny_workload_trace,
-                                    make_predictor("gshare"))
+                                    make_predictor(key))
     assert fast == slow
-    assert fast.per_pc_executions == {}
+
+
+def test_specialized_loop_fills_per_pc_maps(tiny_workload_trace):
+    fast = run_simulation(tiny_workload_trace, make_predictor("gshare"),
+                          engine="array")
+    assert fast.cond_branches > 0
+    assert sum(fast.per_pc_executions.values()) == fast.cond_branches
+    assert sum(fast.per_pc_mispredictions.values()) == fast.mispredictions

@@ -1,5 +1,9 @@
 """L1-I model."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim.icache import InstructionCache, simulate_icache
 from repro.traces.trace import TraceBuilder
 from repro.traces.types import BranchType
@@ -36,6 +40,69 @@ def test_capacity_eviction():
     assert cache.demand_misses >= 4
 
 
+def small_cache():
+    """1 KiB, 2 ways, 64-byte lines: 8 sets, line ``n`` in set ``n % 8``."""
+    return InstructionCache(size_kib=1, ways=2, line_bytes=64)
+
+
+def test_hit_refreshes_lru_order():
+    cache = small_cache()
+    for line in (0, 8, 0, 16):  # the hit on 0 leaves 8 least recent
+        cache.fetch_line(line)
+    misses = cache.demand_misses
+    cache.fetch_line(0)
+    assert cache.demand_misses == misses  # FIFO would have evicted 0
+    cache.fetch_line(8)
+    assert cache.demand_misses == misses + 1
+
+
+def test_next_line_probe_does_not_refresh_lru():
+    cache = small_cache()
+    cache.fetch_line(1)
+    cache.fetch_line(9)  # set 1 holds 1 (least recent) and 9
+    fills = cache.prefetch_fills
+    cache.fetch_line(0)  # probes line 1: present, so no fill
+    assert cache.prefetch_fills == fills
+    cache.fetch_line(17)  # evicts set 1's least recent line
+    misses = cache.demand_misses
+    cache.fetch_line(9)
+    assert cache.demand_misses == misses
+    cache.fetch_line(1)
+    assert cache.demand_misses == misses + 1
+
+
+def test_eviction_stays_in_one_set():
+    cache = small_cache()
+    cache.fetch_line(3)
+    for line in (0, 8, 16, 24):  # set 0 only; 6 lines cached in all
+        cache.fetch_line(line)
+    misses = cache.demand_misses
+    cache.fetch_line(3)
+    assert cache.demand_misses == misses
+    cache.fetch_line(0)  # evicted inside set 0, with room elsewhere
+    assert cache.demand_misses == misses + 1
+
+
+@given(st.lists(st.integers(0, 40), max_size=200))
+@settings(max_examples=50)
+def test_set_never_exceeds_its_ways(lines):
+    cache = small_cache()
+    for line in lines:
+        cache.fetch_line(line)
+        assert all(len(ways) <= cache.ways for ways in cache._sets)
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=100))
+@settings(max_examples=50)
+def test_fetched_line_is_always_present(lines):
+    cache = small_cache()
+    for line in lines:
+        cache.fetch_line(line)
+        misses = cache.demand_misses
+        cache.fetch_line(line)
+        assert cache.demand_misses == misses
+
+
 def test_miss_traffic_bits():
     cache = InstructionCache()
     cache.fetch_line(1)
@@ -43,10 +110,19 @@ def test_miss_traffic_bits():
 
 
 def test_invalid_geometry():
-    import pytest
-
     with pytest.raises(ValueError):
         InstructionCache(size_kib=0)
+
+
+def test_zero_sets_or_ways_rejected():
+    with pytest.raises(ValueError):
+        InstructionCache(size_kib=1, ways=0)
+    with pytest.raises(ValueError):
+        InstructionCache(size_kib=1, line_bytes=2048)  # no whole line
+    with pytest.raises(ValueError):
+        InstructionCache(size_kib=1, ways=32)  # 16 lines, fewer than a set
+    with pytest.raises(ValueError):
+        InstructionCache(size_kib=1, ways=3)  # 16 lines do not split in 3
 
 
 def make_trace(span=200_000):

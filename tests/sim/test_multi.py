@@ -21,13 +21,11 @@ KEYS = ("gshare", "tsl64", "llbp")
 
 
 def _serial(trace, key):
-    return run_simulation(trace, make_predictor(key),
-                          collect_per_pc=True)
+    return run_simulation(trace, make_predictor(key))
 
 
 def _batch(trace, keys):
-    return run_simulation_batch(trace, [make_predictor(k) for k in keys],
-                                collect_per_pc=True)
+    return run_simulation_batch(trace, [make_predictor(k) for k in keys])
 
 
 class TestBitIdentical:
@@ -61,10 +59,10 @@ class TestBitIdentical:
         keys = ("tsl64", "inf-tage", "inf-tsl", "tsl512")
         batch = run_simulation_batch(
             tiny_workload_trace, [make_predictor(k) for k in keys],
-            collect_per_pc=True, engine="python")
+            engine="python")
         for key, batched in zip(keys, batch):
             serial = run_simulation(tiny_workload_trace, make_predictor(key),
-                                    collect_per_pc=True, engine="python")
+                                    engine="python")
             assert batched == serial, key
 
     def test_perfect_and_bimodal_members(self, pattern_trace):
@@ -77,12 +75,13 @@ class TestBitIdentical:
         (batched,) = _batch(mixed_trace, ("tsl64",))
         assert batched == _serial(mixed_trace, "tsl64")
 
-    def test_without_per_pc_collection(self, mixed_trace):
-        (batched,) = run_simulation_batch(
-            mixed_trace, [make_predictor("gshare")])
-        serial = run_simulation(mixed_trace, make_predictor("gshare"))
-        assert batched == serial
-        assert batched.per_pc_executions == {}
+    def test_per_pc_maps_filled(self, mixed_trace):
+        (batched,) = _batch(mixed_trace, ("gshare",))
+        assert batched == _serial(mixed_trace, "gshare")
+        assert batched.cond_branches > 0
+        assert sum(batched.per_pc_executions.values()) == batched.cond_branches
+        assert (sum(batched.per_pc_mispredictions.values())
+                == batched.mispredictions)
 
 
 class TestBatchContract:
@@ -100,8 +99,7 @@ class TestBatchContract:
         hash columns only, never predictor tables."""
         first, second = (make_predictor("tsl64"),
                          make_predictor("tsl64"))
-        batch = run_simulation_batch(tiny_workload_trace, [first, second],
-                                     collect_per_pc=True)
+        batch = run_simulation_batch(tiny_workload_trace, [first, second])
         serial = _serial(tiny_workload_trace, "tsl64")
         assert batch[0] == serial
         assert batch[1] == serial

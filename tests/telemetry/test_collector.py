@@ -106,20 +106,22 @@ class TestEngineInstrumentation:
         on = run_simulation(pattern_trace, Bimodal())
         assert on == off
 
-    def test_engine_emits_phase_events(self, monkeypatch, tmp_path,
-                                       pattern_trace):
-        """The reference loop times its warmup and measure phases."""
+    def test_engines_emit_the_same_run_event(self, monkeypatch, tmp_path,
+                                             pattern_trace):
+        """Each run emits one ``sim.run``; the two engines' events carry
+        the same fields and, timing and engine name aside, the same
+        values."""
         monkeypatch.setenv(telemetry.ENV_VAR, str(tmp_path))
-        result = run_simulation(pattern_trace, Bimodal(), engine="python")
-        by_event = {}
-        for e in telemetry.events():
-            by_event.setdefault(e["event"], []).append(e)
-        warmup, measure = by_event["sim.phase"]
-        assert warmup["phase"] == "warmup"
-        assert measure["phase"] == "measure"
-        assert measure["mispredictions"] == result.mispredictions
-        assert warmup["branches"] + measure["branches"] == len(pattern_trace)
-        (run,) = by_event["sim.run"]
-        assert run["workload"] == pattern_trace.name
-        assert run["seconds"] == pytest.approx(
-            warmup["seconds"] + measure["seconds"])
+        runs = {}
+        for engine in ("python", "array"):
+            result = run_simulation(pattern_trace, Bimodal(), engine=engine)
+            (run,) = [e for e in telemetry.events()
+                      if e["event"] == "sim.run" and e["engine"] == engine]
+            assert run["mispredictions"] == result.mispredictions
+            assert run["seconds"] >= 0
+            runs[engine] = {k: v for k, v in run.items()
+                            if k not in ("ts", "seconds", "engine")}
+        assert {e["event"] for e in telemetry.events()} == {"sim.run"}
+        assert runs["python"] == runs["array"]
+        assert runs["array"]["workload"] == pattern_trace.name
+        assert runs["array"]["branches"] == len(pattern_trace)

@@ -11,7 +11,6 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.experiments import runner
-from repro.sim.engine import ENGINE_ENV_VAR
 from repro.telemetry import format_summary, load_events, summarize
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -49,15 +48,19 @@ class TestLoadEvents:
         assert len(load_events(file)) == 1
 
 
+def _result(ts, key, source, **fields):
+    """One ``runner.result`` event for job (Kafka, ``key``, 1000)."""
+    return {"event": "runner.result", "ts": ts, "pid": 1, "workload": "Kafka",
+            "key": key, "instructions": 1000, "source": source, **fields}
+
+
 class TestSummarize:
     def test_cache_and_worker_math(self):
         events = [
-            {"event": "runner.result", "ts": 1.0, "pid": 1, "source": "memory"},
-            {"event": "runner.result", "ts": 2.0, "pid": 1, "source": "disk"},
-            {"event": "runner.result", "ts": 3.0, "pid": 1,
-             "source": "simulated", "seconds": 2.0},
-            {"event": "runner.result", "ts": 4.0, "pid": 1,
-             "source": "simulated", "seconds": 1.0},
+            _result(1.0, "a", "memory"),
+            _result(2.0, "b", "disk"),
+            _result(3.0, "c", "simulated", seconds=2.0),
+            _result(4.0, "d", "simulated", seconds=1.0),
             {"event": "trace.cache", "ts": 1.5, "pid": 1, "hit": True},
             {"event": "trace.cache", "ts": 1.6, "pid": 1, "hit": False,
              "seconds": 0.5},
@@ -89,13 +92,11 @@ class TestSummarize:
         carrying the whole batch's seconds: every key is a miss, and the
         batch's time counts once."""
         events = [
-            {"event": "runner.result", "ts": 1.0, "pid": 1, "source": "disk"},
-            *({"event": "runner.result", "ts": 2.0, "pid": 7,
-               "source": "batched", "batched": 3, "seconds": 1.5}
-              for _ in range(3)),
-            *({"event": "runner.result", "ts": 3.0, "pid": 8,
-               "source": "batched", "batched": 2, "seconds": 0.5}
-              for _ in range(2)),
+            _result(1.0, "cached", "disk"),
+            *(_result(2.0, f"first-{i}", "batched", batched=3, seconds=1.5)
+              for i in range(3)),
+            *(_result(3.0, f"second-{i}", "batched", batched=2, seconds=0.5)
+              for i in range(2)),
         ]
         result = summarize(events)["caches"]["result"]
         assert result["misses"] == 5
@@ -115,32 +116,52 @@ class TestSummarize:
 class TestRoundTrip:
     def test_runner_roundtrip_through_report(self, isolated_caches,
                                              monkeypatch):
-        """A cached-runner session produces a summarizable JSONL log."""
+        """A cached-runner session produces a summarizable JSONL log.
+        Its one job was simulated, so its later memory and disk reads
+        are not hits of their own."""
         tdir = isolated_caches / "telemetry"
         monkeypatch.setenv(telemetry.ENV_VAR, str(tdir))
-        # The warmup/measure phase events come from the reference loop.
-        monkeypatch.setenv(ENGINE_ENV_VAR, "python")
 
         runner.get_result("Kafka", "bimodal")   # miss: trace gen + simulate
-        runner.get_result("Kafka", "bimodal")   # memory hit
+        runner.get_result("Kafka", "bimodal")   # memory read
         runner.clear_memory_cache()
-        runner.get_result("Kafka", "bimodal")   # disk hit
+        runner.get_result("Kafka", "bimodal")   # disk read
 
         summary = summarize(load_events(tdir))
         result = summary["caches"]["result"]
-        assert result["memory_hits"] == 1
-        assert result["disk_hits"] == 1
+        assert result["memory_hits"] == 0
+        assert result["disk_hits"] == 0
         assert result["misses"] == 1
-        assert result["hit_rate"] == pytest.approx(2 / 3, abs=1e-4)
+        assert result["hit_rate"] == 0.0
         assert summary["caches"]["trace"]["misses"] == 1
-        phases = summary["simulation"]["phases"]
-        assert set(phases) == {"warmup", "measure"}
-        assert phases["measure"]["branches"] > 0
         assert summary["simulation"]["runs"] == 1
+        assert "phases" not in summary["simulation"]
 
         text = format_summary(summary)
-        assert "result cache" in text
-        assert "warmup" in text and "measure" in text
+        assert "result cache — hit rate 0.0% (memory 0, disk 0, " \
+               "simulated 1" in text
+
+    def test_prewarmed_figure_reads_as_cold_then_warm(self, isolated_caches,
+                                                      monkeypatch):
+        """A figure pass reading back what a ``-j 2`` prewarm just
+        simulated is a cold run (0%); the same pass over a warm disk
+        cache is all hits (100%)."""
+        jobs = parallel.make_jobs([("Kafka", "bimodal"), ("Kafka", "gshare")])
+        for rerun, expected in enumerate(("0.0%", "100.0%")):
+            tdir = isolated_caches / f"telemetry-{rerun}"
+            monkeypatch.setenv(telemetry.ENV_VAR, str(tdir))
+            runner.clear_memory_cache()
+            parallel.run_jobs(jobs, max_workers=2)
+            for job in jobs:  # the figure pass
+                runner.get_result(job.workload, job.key, job.instructions)
+            telemetry.reset()
+
+            result = summarize(load_events(tdir))["caches"]["result"]
+            assert result["memory_hits"] == 0
+            assert result["disk_hits"] == 2 * rerun
+            assert result["misses"] == 2 * (1 - rerun)
+            assert f"hit rate {expected}" in format_summary(
+                summarize(load_events(tdir)))
 
     def test_llbp_counters_surface(self, isolated_caches, monkeypatch):
         tdir = isolated_caches / "telemetry"

@@ -10,6 +10,12 @@ from repro.workloads.catalog import (
     workload_names,
 )
 
+
+@pytest.fixture(autouse=True)
+def _cache_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+
 PAPER_WORKLOADS = [
     "NodeApp", "PHPWiki", "TPCC", "Twitter", "Wikipedia", "Kafka", "Spring",
     "Tomcat", "Chirper", "HTTP", "Charlie", "Delta", "Merced", "Whiskey",
@@ -30,23 +36,25 @@ def test_get_spec_unknown():
         get_spec("nope")
 
 
-def test_generate_without_cache():
-    trace = generate_workload("Kafka", 30_000, use_cache=False)
+def test_generate_writes_through_the_store(tmp_path):
+    trace = generate_workload("Kafka", 30_000)
     assert trace.name == "Kafka"
     assert trace.num_instructions >= 30_000
+    assert trace.store_path.parent == tmp_path / "traces"
+    assert trace.store_path.is_file()
 
 
-def test_cache_roundtrip(tmp_path):
-    first = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
-    assert any(tmp_path.iterdir())
-    second = generate_workload("Kafka", 30_000, cache_dir=tmp_path)
+def test_cache_roundtrip():
+    first = generate_workload("Kafka", 30_000)
+    second = generate_workload("Kafka", 30_000)
+    assert second.store_path == first.store_path
     assert list(first.pcs) == list(second.pcs)
     assert list(first.takens) == list(second.takens)
 
 
 def test_trace_shape_is_server_like():
     """The catalog must produce the branch mix §IV measures."""
-    stats = compute_stats(generate_workload("Tomcat", 60_000, use_cache=False))
+    stats = compute_stats(generate_workload("Tomcat", 60_000))
     assert 2.0 < stats.cond_per_uncond < 8.0        # paper: ~3.89
     assert 0.10 < stats.uncond_fraction < 0.35      # paper: ~20%
     assert stats.branches_per_instruction < 0.35
@@ -54,7 +62,7 @@ def test_trace_shape_is_server_like():
 
 
 def test_workloads_differ():
-    a = generate_workload("Kafka", 30_000, use_cache=False)
-    b = generate_workload("Tomcat", 30_000, use_cache=False)
+    a = generate_workload("Kafka", 30_000)
+    b = generate_workload("Tomcat", 30_000)
     sa, sb = compute_stats(a), compute_stats(b)
     assert sa.unique_conditional_pcs != sb.unique_conditional_pcs
