@@ -18,28 +18,26 @@ import pytest
 
 @pytest.fixture(scope="session", autouse=True)
 def prewarm_result_cache():
-    """Fan the figures' simulations across cores before benchmarks run.
+    """Simulate every figure's and ablation's grid before benchmarks run.
 
-    On a multi-core machine (or with REPRO_JOBS > 1) this fills the
-    result cache in parallel, so the per-figure benchmarks — which call
-    the serial ``get_result`` path — become cache hits.  On a single
-    core (or REPRO_JOBS=1) it is a no-op and benchmarks simulate inline,
-    exactly as before.
+    One ``run_jobs`` batch fills the result cache, in parallel on a
+    multi-core machine (REPRO_JOBS) and in this process on one core,
+    checking every cached result against the checkpoint journal; the
+    per-figure benchmarks, which call the serial ``get_result`` path,
+    then become cache hits.
     """
+    from benchmarks import test_ablations
     from repro import parallel
+    from repro.experiments import (
+        fig01, fig02, fig03, fig05, fig09, fig10, fig11, fig12, fig13,
+        fig14, fig15,
+    )
 
-    workers = parallel.default_jobs()
-    if workers > 1:
-        from repro.experiments import (
-            fig01, fig02, fig03, fig05, fig09, fig10, fig11, fig12, fig13,
-            fig14, fig15,
-        )
-
-        pairs = []
-        for module in (fig01, fig02, fig03, fig05, fig09, fig10, fig11,
-                       fig12, fig13, fig14, fig15):
-            pairs.extend(module.jobs())
-        parallel.run_jobs(parallel.make_jobs(pairs), max_workers=workers)
+    pairs = []
+    for module in (fig01, fig02, fig03, fig05, fig09, fig10, fig11,
+                   fig12, fig13, fig14, fig15, test_ablations):
+        pairs.extend(module.jobs())
+    parallel.run_jobs(parallel.make_jobs(pairs))
 
 
 @pytest.fixture

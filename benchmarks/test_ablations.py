@@ -19,6 +19,16 @@ VARIANTS = {
 }
 
 
+def ablation_workloads():
+    return experiment_workloads()[:2]
+
+
+def jobs():
+    """Simulation jobs the ablations need, for prewarming."""
+    return [(workload, key) for workload in ablation_workloads()
+            for key in ("tsl64", *VARIANTS.values())]
+
+
 def run_ablations(workloads):
     rows = []
     for label, key in VARIANTS.items():
@@ -31,8 +41,7 @@ def run_ablations(workloads):
 
 
 def test_ablations(report):
-    workloads = experiment_workloads()[:2]
-    rows = run_ablations(workloads)
+    rows = run_ablations(ablation_workloads())
     report(
         "Ablations — LLBP design choices (MPKI reduction vs 64K TSL)",
         "each row disables one mechanism of the evaluated design",

@@ -9,32 +9,6 @@ from repro.analysis.working_set import (
 from repro.analysis.contexts import patterns_per_context_study, ContextStudyResult
 from repro.analysis.breakdown import override_breakdown, OverrideBreakdown
 
-#: Lazily re-exported from :mod:`repro.analysis.characterize` — an eager
-#: import here would trip runpy's double-import warning every time the
-#: module is run as ``python -m repro.analysis.characterize``.
-_CHARACTERIZE_EXPORTS = (
-    "characterize",
-    "characterize_trace",
-    "characterize_workload",
-    "measured_winner",
-    "predicted_winner",
-)
-
-
-def __getattr__(name):
-    if name in _CHARACTERIZE_EXPORTS:
-        import importlib
-
-        module = importlib.import_module("repro.analysis.characterize")
-        # Bind every export now: the import above also set the package
-        # attribute ``characterize`` to the *module*, which would shadow
-        # the function of the same name on the next lookup.
-        for export in _CHARACTERIZE_EXPORTS:
-            globals()[export] = getattr(module, export)
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "cumulative_misprediction_fractions",
     "top_branch_share",
@@ -43,9 +17,4 @@ __all__ = [
     "ContextStudyResult",
     "override_breakdown",
     "OverrideBreakdown",
-    "characterize",
-    "characterize_trace",
-    "characterize_workload",
-    "measured_winner",
-    "predicted_winner",
 ]

@@ -22,12 +22,13 @@ workload:
   *without* history.
 
 All entropies are in bits per conditional branch.  The pipeline then
-asks the cached runner (:mod:`repro.experiments.runner`) for each
-predictor family's measured MPKI — the ``run_many`` batch API fans the
-sweep across child processes (``REPRO_JOBS``) — and pins a
-``predicted_winner`` derived *only from the metrics* next to the
-``measured_winner`` derived from MPKI.  The prediction rule is deliberately simple (see
-:func:`predicted_winner`); its hit rate over the catalog is asserted in
+runs each predictor family's MPKI grid through
+:func:`repro.parallel.run_jobs` — cached, checked against and recorded
+in the checkpoint journal, and fanned across child processes
+(``REPRO_JOBS``) — and pins a ``predicted_winner`` derived *only from
+the metrics* next to the ``measured_winner`` derived from MPKI.  The
+prediction rule is deliberately simple (see :func:`predicted_winner`);
+its hit rate over the catalog is asserted in
 ``tests/analysis/test_characterize.py``.
 
 The artifact is byte-deterministic: floats are rounded to
@@ -58,8 +59,7 @@ from repro.llbp.config import LLBPConfig
 from repro.llbp.rcr import RollingContextRegister
 from repro.traces.trace import Trace
 from repro.traces.types import BranchType
-from repro.workloads import adversarial
-from repro.workloads.catalog import generate_workload, workload_names
+from repro.workloads.catalog import generate_workload, parse_workloads, workload_names
 
 #: Global-history window lengths probed by ``history_entropy``.
 HISTORY_LENGTHS = (2, 4, 8, 12)
@@ -233,7 +233,10 @@ def characterize(workloads: Optional[Sequence[str]] = None,
                  max_workers: Optional[int] = None,
                  with_mpki: bool = True) -> Dict[str, object]:
     """Build the full characterization artifact (a plain dict)."""
-    from repro.experiments.runner import _resolve_instructions, run_many
+    from repro.experiments.runner import _resolve_instructions
+    # Looked up per call: a wrapper installed on run_jobs after this
+    # module is imported (perfbench's tracing hook) must see the call.
+    from repro.parallel import SimJob, run_jobs
 
     if workloads is None:
         workloads = workload_names()
@@ -242,8 +245,8 @@ def characterize(workloads: Optional[Sequence[str]] = None,
 
     results = {}
     if with_mpki:
-        pairs = [(workload, key) for workload in workloads for key in families]
-        results = run_many(pairs, instructions=instructions,
+        results = run_jobs([SimJob(workload, key, instructions)
+                            for workload in workloads for key in families],
                            max_workers=max_workers)
 
     entries: Dict[str, Dict[str, object]] = {}
@@ -254,7 +257,8 @@ def characterize(workloads: Optional[Sequence[str]] = None,
             "predicted_winner": predicted_winner(metrics),
         }
         if with_mpki:
-            mpki = {key: results[(workload, key)].mpki for key in families}
+            mpki = {key: results[SimJob(workload, key, instructions)].mpki
+                    for key in families}
             entry["mpki"] = mpki
             entry["measured_winner"] = measured_winner(mpki, families)
         entries[workload] = entry
@@ -291,10 +295,6 @@ def artifact_json(artifact: Dict[str, object]) -> str:
     return json.dumps(_round_floats(artifact), sort_keys=True, indent=2) + "\n"
 
 
-def write_artifact(artifact: Dict[str, object], path: Path) -> None:
-    Path(path).write_text(artifact_json(artifact))
-
-
 def render_table(artifact: Dict[str, object]) -> str:
     """Fixed-width summary table of the artifact."""
     from repro.experiments.common import format_table
@@ -327,29 +327,6 @@ def render_table(artifact: Dict[str, object]) -> str:
 # ---------------------------------------------------------------------------
 # CLI.
 
-def _parse_workloads(value: str) -> List[str]:
-    if value.lower() == "all":
-        return workload_names()
-    if value.lower() == "adv":
-        return adversarial.adversarial_names()
-    # An adv: name may itself contain commas (adv:hist,l=4): a bare
-    # tok=val part belongs to the preceding adv: name, not the list.
-    names: List[str] = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part and names and adversarial.is_adversarial(names[-1]):
-            names[-1] += "," + part
-        else:
-            names.append(part)
-    known = set(workload_names())
-    for name in names:
-        if name not in known and not adversarial.is_adversarial(name):
-            raise SystemExit(f"unknown workload {name!r}")
-    return names
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.characterize",
@@ -367,9 +344,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--no-mpki", action="store_true",
                         help="metrics only: skip the family MPKI sweep")
     args = parser.parse_args(argv)
+    try:
+        workloads = parse_workloads(args.workloads)
+    except ValueError as error:
+        parser.error(f"--workloads: {error}")
 
-    artifact = characterize(_parse_workloads(args.workloads),
-                            instructions=args.instructions,
+    artifact = characterize(workloads, instructions=args.instructions,
                             with_mpki=not args.no_mpki)
     text = artifact_json(artifact)
     if args.out:

@@ -10,9 +10,11 @@ configurations — e.g. the 64K TSL baseline — pay for them once.
 Environment knobs (all optional):
 
 * ``REPRO_INSTRUCTIONS`` — instruction budget per trace (default 800000).
-* ``REPRO_WORKLOADS``    — comma-separated workload names, or ``all``
-  (default: a 6-workload representative subset).
-* ``REPRO_CACHE_DIR``    — cache directory (traces, results, journals);
+* ``REPRO_WORKLOADS``    — comma-separated catalog or ``adv:`` names,
+  ``all`` or ``adv`` (parsed by
+  :func:`repro.workloads.catalog.parse_workloads`; default: a
+  6-workload representative subset).
+* ``REPRO_CACHE_DIR``    — cache directory (traces, results, journal);
   point it at an empty directory to start from a cold cache.
 """
 

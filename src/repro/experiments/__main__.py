@@ -22,14 +22,15 @@ The run is fault-tolerant: failed simulations retry with backoff
 (``--retries`` / REPRO_RETRIES), a hung simulation's child is killed
 after ``--job-timeout`` seconds per job (REPRO_JOB_TIMEOUT) and only its
 task retried, and completed jobs are checkpointed to a journal next to
-the result cache.  With ``--jobs 1`` simulations run in this process,
+the result cache (by :func:`repro.parallel.run_jobs`, like every other
+simulation grid).  With ``--jobs 1`` simulations run in this process,
 where there is no child for the timeout to kill.  Every run checks the
 cached results it serves against the journal's digests and re-runs any
 whose bytes no longer match, so after a crash or Ctrl-C, rerunning the
 same command re-executes only the unfinished jobs.
 
 ``--telemetry [DIR]`` (or ``REPRO_TELEMETRY=DIR``) records structured
-events — per-figure timings, simulation phases, cache hits, worker
+events — per-figure timings, simulation runs, cache hits, worker
 activity, retry/timeout/resume accounting — as JSONL under ``DIR``
 (default ``telemetry/``); summarize them afterwards with
 ``python scripts/report.py DIR``.
@@ -97,8 +98,7 @@ _EXPERIMENTS = {
 }
 
 
-def _prewarm(names, workers: int, policy: RetryPolicy,
-             journal: RunJournal) -> None:
+def _prewarm(names, workers: int, policy: RetryPolicy) -> None:
     """Fan every named experiment's simulations across worker processes.
 
     The experiments themselves then run serially against a warm cache,
@@ -113,7 +113,8 @@ def _prewarm(names, workers: int, policy: RetryPolicy,
             pairs.extend(manifest())
     jobs = parallel.make_jobs(pairs)
     unique = list(dict.fromkeys(jobs))
-    journaled = sum(1 for job in unique if job in journal)
+    with RunJournal.open() as journal:  # read only: run_jobs records
+        journaled = sum(1 for job in unique if job in journal)
     if journaled:
         telemetry.emit("experiment.resume", journaled=journaled,
                        total=len(unique), journal=str(journal.path))
@@ -122,8 +123,7 @@ def _prewarm(names, workers: int, policy: RetryPolicy,
     if not unique:
         return
     start = time.time()
-    parallel.run_jobs(jobs, max_workers=workers, policy=policy,
-                      journal=journal)
+    parallel.run_jobs(jobs, max_workers=workers, policy=policy)
     if workers > 1:
         print(f"[prewarm] {len(unique)} simulations with {workers} workers "
               f"({time.time() - start:.1f}s)")
@@ -147,9 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", choices=engine_mod.ENGINES,
                         default=None,
                         help="simulation engine for every run (default: "
-                             "REPRO_ENGINE or array); the array engine "
-                             "is bit-identical where supported and falls "
-                             "back to python elsewhere")
+                             "REPRO_ENGINE or array); the engines are "
+                             "bit-identical on every figure")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="attempts per simulation before giving up "
                              "(default: REPRO_RETRIES or 3)")
@@ -189,16 +188,15 @@ def main(argv) -> int:
     if overrides:
         policy = dataclasses.replace(policy, **overrides)
 
-    journal = RunJournal.open()
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     interrupted = False
     try:
-        # Even a serial run goes through the prewarm pass: it is the
-        # only path that records completions to the journal and
-        # re-verifies cached results against their journalled digests.
+        # Even a serial run goes through the prewarm pass: its run_jobs
+        # call checks every result the figures will read against the
+        # journal, and records it there.
         with telemetry.phase("experiment.prewarm", experiments=names,
                              workers=workers):
-            _prewarm(names, workers, policy, journal)
+            _prewarm(names, workers, policy)
 
         run_start = time.time()
         for i, name in enumerate(names):
@@ -218,14 +216,14 @@ def main(argv) -> int:
                        seconds=time.time() - run_start)
     except KeyboardInterrupt:
         interrupted = True
-        telemetry.emit("experiment.interrupted", journaled=len(journal),
-                       journal=str(journal.path))
+        with RunJournal.open() as journal:
+            telemetry.emit("experiment.interrupted", journaled=len(journal),
+                           journal=str(journal.path))
         print(f"\ninterrupted — completed work is journalled in "
               f"{journal.path};\nrerun the same command to resume: "
               f"python -m repro.experiments " + " ".join(argv),
               file=sys.stderr)
     finally:
-        journal.close()
         if args.telemetry is not None:
             print(f"\n[telemetry] events in {args.telemetry}/ — summarize "
                   f"with: python scripts/report.py {args.telemetry}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence
 
-from repro.workloads.catalog import workload_names
+from repro.workloads.catalog import parse_workloads
 
 #: Default instruction budget per workload.  The paper simulates 200M
 #: instructions; shapes stabilise much earlier on the proportionally
@@ -30,17 +30,15 @@ def experiment_instructions() -> int:
 
 
 def experiment_workloads() -> List[str]:
+    """``REPRO_WORKLOADS`` (see :func:`parse_workloads`), else the
+    default subset; an unknown name raises ``ValueError``."""
     value = os.environ.get("REPRO_WORKLOADS", "").strip()
     if not value:
         return list(DEFAULT_WORKLOADS)
-    if value.lower() == "all":
-        return workload_names()
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    known = set(workload_names())
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise ValueError(f"unknown workloads in REPRO_WORKLOADS: {unknown}")
-    return names
+    try:
+        return parse_workloads(value)
+    except ValueError as error:
+        raise ValueError(f"REPRO_WORKLOADS: {error}") from None
 
 
 def format_table(rows: Sequence[Dict[str, object]],

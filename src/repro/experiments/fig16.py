@@ -13,15 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.characterize import (
-    FAMILIES,
-    HISTORY_LENGTHS,
-    characterize_workload,
-    measured_winner,
-    predicted_winner,
-)
+from repro.analysis.characterize import FAMILIES, HISTORY_LENGTHS, characterize
 from repro.experiments.common import experiment_workloads, format_table
-from repro.experiments.runner import run_batch
 from repro.workloads.adversarial import adversarial_names
 
 CONFIGS = FAMILIES
@@ -29,8 +22,9 @@ LABELS = {key: key for key in CONFIGS}
 
 
 def figure_workloads() -> List[str]:
-    """The grid's rows: the experiment subset, then the stress suite."""
-    return [*experiment_workloads(), *adversarial_names()]
+    """The grid's rows: the experiment subset, then the stress suite,
+    each workload once."""
+    return list(dict.fromkeys([*experiment_workloads(), *adversarial_names()]))
 
 
 def run(workloads: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
@@ -39,10 +33,9 @@ def run(workloads: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
 
     longest = str(HISTORY_LENGTHS[-1])
     rows: List[Dict[str, object]] = []
-    for workload in workloads:
-        metrics = characterize_workload(workload)
-        results = run_batch(workload, CONFIGS)
-        mpki = {key: result.mpki for key, result in zip(CONFIGS, results)}
+    artifact = characterize(workloads, families=CONFIGS)
+    for workload, entry in artifact["workloads"].items():
+        metrics = entry["metrics"]
         row: Dict[str, object] = {
             "workload": workload,
             "H(br)": metrics["branch_entropy"],
@@ -50,9 +43,9 @@ def run(workloads: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
             "H(ctx)": metrics["context_entropy"],
             "skew": metrics["taken_skew"],
         }
-        row.update({LABELS[key]: mpki[key] for key in CONFIGS})
-        row["predicted"] = predicted_winner(metrics)
-        row["measured"] = measured_winner(mpki, CONFIGS)
+        row.update({LABELS[key]: entry["mpki"][key] for key in CONFIGS})
+        row["predicted"] = entry["predicted_winner"]
+        row["measured"] = entry["measured_winner"]
         rows.append(row)
     return rows
 

@@ -3,9 +3,11 @@
 A figure run is a long sweep of (workload, predictor-key, instructions)
 jobs.  The result cache already stores each job's *bytes*; the journal,
 an append-only JSONL file next to the cache, stores the *fact* that the
-job finished and a digest of what it produced.  Every run opens it with
-what earlier runs recorded, and that is what makes crash recovery
-trustworthy:
+job finished and a digest of what it produced.  Every
+:func:`repro.parallel.run_jobs` call — each figure prewarm, explore
+rung and characterization grid — opens it with what earlier runs
+recorded, checks each cached result it serves and records each result
+it settles, and that is what makes crash recovery trustworthy:
 
 * after a crash or SIGINT, rerunning the same command re-executes only
   jobs whose results are not cached — finished work survives;
@@ -60,8 +62,8 @@ class RunJournal:
 
     Use :meth:`open`, which loads what earlier runs recorded;
     :meth:`record` / :meth:`record_result` append, :meth:`__contains__`
-    and :meth:`matches` query.  Safe to pass where no journalling is
-    wanted: every consumer treats ``None`` as "off".
+    and :meth:`matches` query.  Only the process that calls ``run_jobs``
+    writes it; its children never do.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:

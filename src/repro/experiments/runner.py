@@ -8,6 +8,11 @@ Results are cached under the cache directory keyed by (workload,
 instructions, key, RESULTS_VERSION); bump RESULTS_VERSION whenever
 predictor or workload behaviour changes.  The disk cache is always on:
 an empty ``REPRO_CACHE_DIR`` is how a run starts cold.
+
+These functions answer one process's lookups and do not consult the
+checkpoint journal; a grid of simulations goes through
+:func:`repro.parallel.run_jobs`, which checks the cached results it
+serves against the journal and records what it settles.
 """
 
 from __future__ import annotations
@@ -240,19 +245,3 @@ def useful_events(workload: str, instructions: Optional[int] = None) -> list:
         trace = generate_workload(workload, instructions)
         events = _useful_events[memo] = traced_inf_tage(trace).useful_events
     return events
-
-
-def run_many(pairs, instructions: Optional[int] = None,
-             max_workers: Optional[int] = None) -> Dict[tuple, SimulationResult]:
-    """Batch API: run many (workload, key) pairs, in parallel when useful.
-
-    Returns ``{(workload, key): result}``.  With ``max_workers=1`` (or a
-    single cache miss) every simulation runs in this process; results
-    are identical either way.
-    """
-    from repro.parallel import make_jobs, run_jobs
-
-    jobs = make_jobs(pairs, instructions)
-    by_job = run_jobs(jobs, max_workers=max_workers)
-    return {(job.workload, job.key): result
-            for job, result in by_job.items()}

@@ -38,14 +38,15 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro import parallel, telemetry
-from repro.experiments import journal as journal_mod
 from repro.experiments.common import (
     experiment_instructions,
     experiment_workloads,
 )
+from repro.experiments.journal import default_path
 from repro.explore import pareto, search, space as space_mod
 from repro.parallel.retry import RetryPolicy
 from repro.sim import engine as engine_mod
+from repro.workloads.catalog import parse_workloads
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,8 +105,9 @@ def main(argv) -> int:
                              "';'-separated list of registry keys "
                              "(default: the budget's space, else 'default')")
     parser.add_argument("--workloads", default=None, metavar="W1,W2",
-                        help="comma-separated workloads to score on "
-                             "(default: the budget's pin, else "
+                        help="comma list, 'all' (catalog) or 'adv' "
+                             "(adversarial suite) to score on; adv:* names "
+                             "allowed (default: the budget's pin, else "
                              "REPRO_WORKLOADS)")
     parser.add_argument("--seed", type=int, default=0,
                         help="evaluation-order shuffle seed (default: 0)")
@@ -143,9 +145,12 @@ def main(argv) -> int:
         print(f"invalid --space {space_spec!r}: {error}", file=sys.stderr)
         return 2
     if args.workloads is not None:
-        workloads = tuple(name.strip()
-                          for name in args.workloads.split(",")
-                          if name.strip())
+        try:
+            workloads = tuple(parse_workloads(args.workloads))
+        except ValueError as error:
+            print(f"invalid --workloads {args.workloads!r}: {error}",
+                  file=sys.stderr)
+            return 2
     else:
         workloads = budget.resolve_workloads()
     if not workloads:
@@ -157,22 +162,18 @@ def main(argv) -> int:
         budget.resolve_full_instructions(), eta=budget.eta,
         min_survivors=budget.min_survivors)
 
-    journal = journal_mod.RunJournal.open()
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     try:
         with telemetry.phase("explore.run", budget=budget.name,
                              space=search_space.name, configs=len(keys)):
             outcome = search.run_search(
                 keys, workloads, schedule, seed=args.seed,
-                max_workers=workers, journal=journal,
-                policy=RetryPolicy.from_env())
+                max_workers=workers, policy=RetryPolicy.from_env())
     except KeyboardInterrupt:
         print(f"\ninterrupted — completed simulations are journalled in "
-              f"{journal.path};\nrerun the same command to resume: "
+              f"{default_path()};\nrerun the same command to resume: "
               f"python -m repro.explore " + " ".join(argv), file=sys.stderr)
         return 130
-    finally:
-        journal.close()
 
     artifact = pareto.build_artifact(outcome, search_space.name)
     rendered = pareto.render_artifact(artifact)

@@ -159,14 +159,14 @@ class SearchOutcome:
 def run_search(keys: Sequence[str], workloads: Sequence[str],
                schedule: Sequence[Rung], *, seed: int = 0,
                max_workers: Optional[int] = None,
-               journal=None, policy=None) -> SearchOutcome:
+               policy=None) -> SearchOutcome:
     """Drive the halving schedule over the executor; returns the outcome.
 
-    ``journal``/``policy``/``max_workers`` pass straight through to
+    ``policy``/``max_workers`` pass straight through to
     :func:`repro.parallel.run_jobs`, so a search inherits the executor's
     whole contract: results identical to serial simulation, retries and
-    degradation on faults, and cached results checked against the
-    journal.
+    degradation on faults, and cached results checked against, and new
+    ones recorded in, the checkpoint journal.
     """
     if not keys:
         raise ValueError("empty search space")
@@ -190,8 +190,7 @@ def run_search(keys: Sequence[str], workloads: Sequence[str],
         jobs = [SimJob(workload, key, rung.instructions)
                 for key in alive for workload in workloads]
         evaluations += len(jobs)
-        results = run_jobs(jobs, max_workers=max_workers, policy=policy,
-                           journal=journal)
+        results = run_jobs(jobs, max_workers=max_workers, policy=policy)
 
         scores = {}
         for key in alive:

@@ -6,8 +6,9 @@ on-disk result cache.  :func:`run_jobs` takes any number of jobs and:
 
 1. deduplicates them (figures share baselines like ``tsl64``);
 2. answers what it can from the in-memory and on-disk caches without
-   starting a child (re-running anything the checkpoint journal proves
-   corrupt);
+   starting a child, checking each cached result against the checkpoint
+   journal (:mod:`repro.experiments.journal`) and re-running anything it
+   proves corrupt;
 3. groups the rest into :class:`_Task` units — jobs sharing a
    (workload, instructions) pair, which therefore decode the *same*
    trace — and runs each task attempt in a child process of its own,
@@ -18,8 +19,12 @@ on-disk result cache.  :func:`run_jobs` takes any number of jobs and:
    pass updates every predictor in the group, bit-identical to running
    them separately, and results land in the shared disk cache
    atomically;
-4. seeds the parent's in-memory cache with every result, so subsequent
-   serial code (``get_result``) never re-simulates.
+4. records every result it serves or settles in the journal, and seeds
+   the parent's in-memory cache with it, so subsequent serial code
+   (``get_result``) never re-simulates.
+
+Every call opens the journal itself and closes it before it returns,
+and only this process writes it: children never touch it.
 
 Failures do not abort the batch.  Each task runs under a
 :class:`~repro.parallel.retry.RetryPolicy`, and one loop,
@@ -256,8 +261,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
 
     def settle_ok(task: _Task, results: Sequence[SimulationResult]) -> None:
         for job, result in zip(task.jobs, results):
-            if journal is not None:
-                journal.record_result(job, result)
+            journal.record_result(job, result)
             outcomes[job] = result
 
     def schedule_retry(task: _Task, error: BaseException, kind: str) -> None:
@@ -361,8 +365,7 @@ def _execute_owned(tasks: Sequence[_Task], workers: int, policy: RetryPolicy,
 
 def run_jobs(jobs: Sequence[SimJob],
              max_workers: Optional[int] = None,
-             policy: Optional[RetryPolicy] = None,
-             journal=None) -> Dict[SimJob, SimulationResult]:
+             policy: Optional[RetryPolicy] = None) -> Dict[SimJob, SimulationResult]:
     """Run every job, in parallel where possible; returns job -> result.
 
     Results are identical to calling ``runner.get_result`` for each job
@@ -370,14 +373,14 @@ def run_jobs(jobs: Sequence[SimJob],
     worker) and how often it is retried never change what it computes.
 
     ``policy`` defaults to :meth:`RetryPolicy.from_env` (``REPRO_RETRIES``
-    and ``REPRO_JOB_TIMEOUT``).  ``journal``, when given, is a checkpoint
-    journal (see :mod:`repro.experiments.journal`): every job's result is
-    recorded, and a cached result whose digest contradicts the journal
-    is treated as corrupt and re-run instead of trusted.  Each cached
-    result is digested once, for both the check and the record.
+    and ``REPRO_JOB_TIMEOUT``).  Every call checks and records against
+    the checkpoint journal (see :mod:`repro.experiments.journal`): a
+    cached result whose digest contradicts it is treated as corrupt and
+    re-run instead of trusted, and every job's result is recorded.  Each
+    cached result is digested once, for both the check and the record.
     """
     from repro.experiments import runner
-    from repro.experiments.journal import result_digest
+    from repro.experiments.journal import RunJournal, result_digest
 
     if max_workers is None:
         max_workers = default_jobs()
@@ -389,45 +392,48 @@ def run_jobs(jobs: Sequence[SimJob],
     unique: List[SimJob] = list(dict.fromkeys(jobs))
     results: Dict[SimJob, SimulationResult] = {}
 
-    # Cache peek: anything already in the memory or disk cache starts no
-    # attempt (and gets promoted into the memory cache) — unless the
-    # journal proves the cached bytes wrong, in which case the entry is
-    # dropped and the job re-run.
-    pending: List[SimJob] = []
-    for job in unique:
-        cached = runner.peek_result(job.workload, job.key, job.instructions)
-        if cached is not None and journal is not None:
-            digest = result_digest(cached)
-            if journal.matches(job, digest) is False:
-                telemetry.emit("parallel.cache_corrupt",
-                               workload=job.workload, key=job.key,
-                               instructions=job.instructions)
-                runner.drop_result(job.workload, job.key, job.instructions)
-                cached = None
+    with RunJournal.open() as journal:
+        # Cache peek: anything already in the memory or disk cache starts
+        # no attempt (and gets promoted into the memory cache) — unless
+        # the journal proves the cached bytes wrong, in which case the
+        # entry is dropped and the job re-run.
+        pending: List[SimJob] = []
+        for job in unique:
+            cached = runner.peek_result(job.workload, job.key,
+                                        job.instructions)
+            if cached is not None:
+                digest = result_digest(cached)
+                if journal.matches(job, digest) is False:
+                    telemetry.emit("parallel.cache_corrupt",
+                                   workload=job.workload, key=job.key,
+                                   instructions=job.instructions)
+                    runner.drop_result(job.workload, job.key,
+                                       job.instructions)
+                    cached = None
+                else:
+                    journal.record(job, digest)
+            if cached is not None:
+                results[job] = cached
             else:
-                journal.record(job, digest)
-        if cached is not None:
-            results[job] = cached
-        else:
-            pending.append(job)
+                pending.append(job)
 
-    workers = 0
-    if pending:
-        workers = max(1, min(max_workers, len(pending)))
-        # Every task settles (and journals) before the first failed
-        # job's error is raised, so a failure costs the batch no
-        # finished work.
-        outcomes = _execute_owned(_make_tasks(pending), workers, policy,
-                                  journal)
-        for job in pending:
-            outcome = outcomes[job]
-            if isinstance(outcome, BaseException):
-                raise outcome
-            # Seed the parent's memory cache: a child wrote the disk
-            # cache, but this process should not have to re-read it.
-            runner.seed_result(job.workload, job.key, job.instructions,
-                               outcome)
-            results[job] = outcome
+        workers = 0
+        if pending:
+            workers = max(1, min(max_workers, len(pending)))
+            # Every task settles (and journals) before the first failed
+            # job's error is raised, so a failure costs the batch no
+            # finished work.
+            outcomes = _execute_owned(_make_tasks(pending), workers, policy,
+                                      journal)
+            for job in pending:
+                outcome = outcomes[job]
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                # Seed the parent's memory cache: a child wrote the disk
+                # cache, but this process should not have to re-read it.
+                runner.seed_result(job.workload, job.key, job.instructions,
+                                   outcome)
+                results[job] = outcome
 
     if telemetry_on:
         telemetry.emit(

@@ -56,10 +56,3 @@ class BranchPredictor:
     def storage_bits(self) -> int:
         """Approximate state budget in bits (for Table III-style reporting)."""
         return 0
-
-    @staticmethod
-    def pred_of(meta: Any) -> bool:
-        """Extract the predicted direction from a ``predict`` result."""
-        if isinstance(meta, bool):
-            return meta
-        return bool(meta.pred)

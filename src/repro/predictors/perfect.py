@@ -20,7 +20,3 @@ class PerfectPredictor(BranchPredictor):
 
     def train(self, pc: int, taken: bool, meta: None) -> None:
         return
-
-    @staticmethod
-    def pred_of(meta: None) -> bool:  # pragma: no cover - engine special-cases
-        raise TypeError("perfect predictor has no materialised prediction")

@@ -25,8 +25,8 @@ afterwards, same RNG call sequence, same :class:`SimulationResult`
 including the insertion order of the per-PC dicts.  The Python engine
 remains the oracle; ``tests/sim/test_array.py`` pins the equivalence
 across every workload and supported family.  Unsupported predictor
-variants are reported by :func:`unsupported_reason` and the dispatcher
-falls back to the Python engine.
+variants are reported by :func:`unsupported_reason`, and running one
+raises ``ValueError``: only the Python engine runs them.
 """
 
 from __future__ import annotations
@@ -870,9 +870,8 @@ def run_simulation_array(
 ) -> SimulationResult:
     """Array-engine counterpart of :func:`repro.sim.engine.run_simulation`.
 
-    Raises ``ValueError`` for unsupported predictors — the dispatcher in
-    :mod:`repro.sim.engine` checks :func:`unsupported_reason` first and
-    falls back to the Python engine instead.
+    Raises ``ValueError`` for unsupported predictors (see
+    :func:`unsupported_reason`); only ``engine="python"`` runs them.
     """
     from repro.sim.engine import DEFAULT_WARMUP_FRACTION
 

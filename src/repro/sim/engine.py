@@ -5,11 +5,12 @@ prefix of the trace, then mispredictions are counted over the measured
 region.  Every branch — conditional or not — updates predictor history;
 only conditional branches are predicted and trained.
 
-:func:`run_simulation` hands every predictor the array engine supports
-to :mod:`repro.sim.array` (the default engine).  Everything else — the
-``engine="python"`` oracle and the predictors the array engine does not
-fuse — runs :func:`run_simulation_reference`, one generic loop that the
-array engine must match misprediction-for-misprediction.
+:func:`run_simulation` hands every run to :mod:`repro.sim.array` (the
+default engine), which raises ``ValueError`` for a predictor it does
+not fuse; ``engine="python"`` runs :func:`run_simulation_reference`
+instead, the oracle: one generic loop that the array engine must match
+misprediction-for-misprediction, and the only engine for any other
+predictor.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from repro.traces.trace import Trace
 DEFAULT_WARMUP_FRACTION = 1.0 / 3.0
 
 #: Engine implementations selectable per run.  ``array`` (the default) is
-#: the fused codegen engine in :mod:`repro.sim.array`, bit-identical where
-#: supported; ``python`` is the reference loop below, the oracle and the
-#: fallback for the predictors the array engine does not fuse.
+#: the fused codegen engine in :mod:`repro.sim.array`, bit-identical for
+#: every predictor it supports; ``python`` is the reference loop below,
+#: the oracle, which runs any predictor.
 ENGINES = ("python", "array")
 
 #: Environment variable consulted when no explicit ``engine=`` is given.
@@ -42,11 +43,10 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve the engine name: argument > ``REPRO_ENGINE`` env > array.
 
-    ``array`` runs every predictor it supports and falls back to the
-    Python engine for the rest (see :func:`run_simulation`); ``python``
-    selects the oracle loop outright.  Raises ``ValueError`` for unknown
-    names so typos fail loudly rather than silently running the wrong
-    engine.
+    ``array`` runs every predictor it supports and raises for the rest
+    (see :func:`run_simulation`); ``python`` selects the oracle loop.
+    Raises ``ValueError`` for unknown names so typos fail loudly rather
+    than silently running the wrong engine.
     """
     if engine is None:
         engine = os.environ.get(ENGINE_ENV_VAR) or "array"
@@ -67,20 +67,13 @@ def run_simulation(
 
     ``engine`` selects the implementation (see :func:`resolve_engine`);
     the array engine is bit-identical for the predictor families it
-    supports and transparently falls back to the Python loop (with a
-    ``sim.engine_fallback`` telemetry event) for the rest.
+    supports and raises ``ValueError`` for the rest, which run only with
+    ``engine="python"``.
     """
     if resolve_engine(engine) == "array":
         from repro.sim import array
 
-        reason = array.unsupported_reason(predictor)
-        if reason is None:
-            return array.run_simulation_array(
-                trace, predictor, warmup_instructions)
-        telemetry.emit(
-            "sim.engine_fallback", workload=trace.name,
-            predictor=getattr(predictor, "name", type(predictor).__name__),
-            reason=reason)
+        return array.run_simulation_array(trace, predictor, warmup_instructions)
     return run_simulation_reference(trace, predictor, warmup_instructions)
 
 

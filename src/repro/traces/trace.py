@@ -128,12 +128,6 @@ class Trace:
             name=f"{self.name}[{start}:{stop}]",
         )
 
-    def truncate_to_instructions(self, max_instructions: int) -> "Trace":
-        """Return the longest prefix with at most ``max_instructions``."""
-        cumulative = np.cumsum(self.gaps.astype(np.int64))
-        stop = int(np.searchsorted(cumulative, max_instructions, side="right"))
-        return self.slice(0, stop)
-
 
 class TraceBuilder:
     """Accumulates records and produces an immutable :class:`Trace`."""
@@ -166,10 +160,6 @@ class TraceBuilder:
         self._targets.append(target)
         self._gaps.append(instr_gap)
         self._instructions += instr_gap
-
-    def append_record(self, record: BranchRecord) -> None:
-        self.append(record.pc, record.branch_type, record.taken,
-                    record.target, record.instr_gap)
 
     def build(self) -> Trace:
         return Trace(

@@ -150,6 +150,37 @@ def get_spec(name: str):
         ) from None
 
 
+def parse_workloads(value: str) -> List[str]:
+    """The workloads a command-line or ``REPRO_WORKLOADS`` list names.
+
+    ``all`` is the catalog and ``adv`` the stress suite; anything else
+    is a comma list of catalog and ``adv:`` names, where a bare
+    ``tok=val`` part belongs to the ``adv:`` name before it
+    (``adv:hist,l=4``).  Every name is resolved here, so an unknown or
+    malformed one raises ``ValueError`` before anything runs.
+    """
+    suite = value.strip().lower()
+    if suite == "all":
+        return workload_names()
+    if suite == "adv":
+        return adversarial.adversarial_names()
+    names: List[str] = []
+    for part in value.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" in part and names and adversarial.is_adversarial(names[-1]):
+            names[-1] += "," + part
+        else:
+            names.append(part)
+    for name in names:
+        try:
+            get_spec(name)
+        except (KeyError, ValueError) as error:
+            raise ValueError(error.args[0]) from None
+    return names
+
+
 def generate_workload(name: str,
                       instructions: int = DEFAULT_INSTRUCTIONS) -> Trace:
     """Generate (or load from cache) the trace for workload ``name``.

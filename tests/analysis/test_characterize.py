@@ -27,6 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.analysis.characterize import (
     FAMILIES,
     HISTORY_LENGTHS,
@@ -40,8 +41,11 @@ from repro.analysis.characterize import (
     predicted_winner,
     render_table,
 )
+from repro.experiments import runner
+from repro.experiments.journal import RunJournal, result_digest
 from repro.llbp.config import LLBPConfig
 from repro.llbp.rcr import RollingContextRegister
+from repro.parallel import SimJob
 from repro.traces.trace import Trace, TraceBuilder
 from repro.traces.types import BranchType
 from repro.workloads.catalog import generate_workload, workload_names
@@ -321,6 +325,45 @@ class TestArtifactDeterminism:
         assert "mpki" not in entry
 
 
+class TestJournal:
+    """The family grid runs through ``run_jobs``, so it is checked
+    against, and recorded in, the checkpoint journal."""
+
+    def test_every_job_is_journalled(self, isolated_cache):
+        characterize(["Kafka"], instructions=SMALL_INSTRUCTIONS,
+                     max_workers=1)
+        runner.clear_memory_cache()
+        with RunJournal.open() as journal:
+            for key in FAMILIES:
+                job = SimJob("Kafka", key, SMALL_INSTRUCTIONS)
+                digest = result_digest(runner.peek_result(*job))
+                assert journal.matches(job, digest) is True
+
+    def test_corrupt_cached_result_is_rerun(self, isolated_cache, tmp_path,
+                                            monkeypatch):
+        """A result file edited so it still parses must not reach the
+        artifact: the journal's digest catches it and the job re-runs."""
+        first = artifact_json(characterize(
+            ["Kafka"], instructions=SMALL_INSTRUCTIONS, max_workers=1))
+        path = runner._cache_path("Kafka", SMALL_INSTRUCTIONS, "tsl64")
+        data = json.loads(path.read_text())
+        data["mispredictions"] *= 6
+        path.write_text(json.dumps(data))
+        runner.clear_memory_cache()
+
+        monkeypatch.setenv(telemetry.ENV_VAR, str(tmp_path / "events"))
+        try:
+            second = artifact_json(characterize(
+                ["Kafka"], instructions=SMALL_INSTRUCTIONS, max_workers=1))
+        finally:
+            telemetry.reset()
+        assert second == first
+        corrupt = [(event["workload"], event["key"])
+                   for event in telemetry.load_events(tmp_path / "events")
+                   if event["event"] == "parallel.cache_corrupt"]
+        assert corrupt == [("Kafka", "tsl64")]
+
+
 class TestWinnerContract:
     def test_rule_names_measured_best_on_most_of_the_catalog(
             self, isolated_cache, monkeypatch):
@@ -358,6 +401,14 @@ class TestCLI:
     def test_unknown_workload_exits(self, isolated_cache):
         with pytest.raises(SystemExit):
             main(["--workloads", "NoSuchWorkload", "--no-mpki"])
+
+    @pytest.mark.parametrize("workloads", ["Kafak", "Kafka,adv:bogus"])
+    def test_unknown_workload_is_a_usage_error(self, isolated_cache,
+                                               tmp_path, workloads):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--workloads", workloads])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "cache").exists()  # nothing ran
 
     def test_adv_suite_spelling(self, isolated_cache, capsys):
         assert main(["--workloads", "adv:hist,l=4", "--instructions",

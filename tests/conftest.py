@@ -25,6 +25,16 @@ except ImportError:  # pragma: no cover - hypothesis is a dev extra
     pass
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """Point every cache at a session temp directory, so no test reads
+    or writes the user's cache root; a test that moves
+    ``REPRO_CACHE_DIR`` itself still does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,

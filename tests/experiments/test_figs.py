@@ -28,6 +28,20 @@ def test_env_knobs(monkeypatch):
         experiment_workloads()
 
 
+def test_repro_workloads_takes_stressors(monkeypatch):
+    """``REPRO_WORKLOADS`` parses like ``--workloads``, and Fig 16 lists
+    a stressor it names once."""
+    from repro.experiments import fig16
+
+    monkeypatch.setenv("REPRO_WORKLOADS", "adv:hist,l=4,Kafka,adv:xor")
+    assert experiment_workloads() == ["adv:hist,l=4", "Kafka", "adv:xor"]
+    assert fig16.figure_workloads() == [
+        "adv:hist,l=4", "Kafka", "adv:xor", "adv:hist", "adv:alias"]
+    monkeypatch.setenv("REPRO_WORKLOADS", "adv:bogus")
+    with pytest.raises(ValueError, match="REPRO_WORKLOADS"):
+        experiment_workloads()
+
+
 def test_format_table():
     text = format_table([{"a": 1, "b": 2.5}], ["a", "b"])
     assert "a" in text and "2.500" in text

@@ -133,10 +133,8 @@ class TestWriteFailure:
 
 class TestExecutorIntegration:
     def test_run_jobs_records_completions(self, isolated_caches):
-        journal = RunJournal.open()
         jobs = parallel.make_jobs([("Kafka", "bimodal"), ("Kafka", "gshare")])
-        results = parallel.run_jobs(jobs, max_workers=1, journal=journal)
-        journal.close()
+        results = parallel.run_jobs(jobs, max_workers=1)
 
         reloaded = RunJournal.open()
         assert reloaded.completed() == {tuple(job) for job in jobs}
@@ -146,10 +144,8 @@ class TestExecutorIntegration:
 
     def test_corrupt_cache_entry_is_detected_and_rerun(self, isolated_caches,
                                                        monkeypatch):
-        journal = RunJournal.open()
         (job,) = parallel.make_jobs([("Kafka", "bimodal")])
-        (good,) = parallel.run_jobs([job], max_workers=1,
-                                    journal=journal).values()
+        (good,) = parallel.run_jobs([job], max_workers=1).values()
 
         # Corrupt the cached bytes in a way plain JSON parsing accepts.
         (path,) = (isolated_caches / "cache" / "results").glob("*.json")
@@ -160,9 +156,7 @@ class TestExecutorIntegration:
 
         monkeypatch.setenv("REPRO_TELEMETRY",
                            str(isolated_caches / "telemetry"))
-        (again,) = parallel.run_jobs([job], max_workers=1,
-                                     journal=journal).values()
-        journal.close()
+        (again,) = parallel.run_jobs([job], max_workers=1).values()
         assert again == good  # recomputed, not the poisoned bytes
         kinds = [e["event"] for e in telemetry.events()]
         assert "parallel.cache_corrupt" in kinds

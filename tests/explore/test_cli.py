@@ -64,6 +64,23 @@ def test_unknown_space_is_a_usage_error(tmp_path, capsys):
     assert "invalid --space" in capsys.readouterr().err
 
 
+def test_adv_workload_keeps_its_tokens(tmp_path):
+    """``--workloads`` parses like characterize's: ``l=4`` belongs to
+    the ``adv:`` name before it."""
+    out = tmp_path / "artifact.json"
+    assert main(["--space", "bimodal;gshare", "--workloads", "adv:hist,l=4",
+                 "--out", str(out), "--jobs", "1", "--quiet"]) == 0
+    assert json.loads(out.read_text())["workloads"] == ["adv:hist,l=4"]
+
+
+@pytest.mark.parametrize("workloads", ["Kafak", "Kafka,adv:bogus"])
+def test_unknown_workload_is_a_usage_error(tmp_path, capsys, workloads):
+    assert main(["--space", "bimodal;gshare", "--workloads", workloads,
+                 "--jobs", "1"]) == 2
+    assert "invalid --workloads" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()  # nothing ran
+
+
 def test_table_rendering_on_stdout(tmp_path, capsys):
     code = main(["--budget", "smoke", "--space", "bimodal;gshare",
                  "--workloads", "Kafka", "--jobs", "1"])

@@ -46,8 +46,11 @@ def test_tage_is_deterministic_on_any_trace(steps):
     trace = random_trace(steps, 0)
     config = TageConfig(history_lengths=(4, 8, 16), index_bits=5,
                         tag_bits=8, bimodal_index_bits=6)
-    a = run_simulation(trace, Tage(config), warmup_instructions=0)
-    b = run_simulation(trace, Tage(config), warmup_instructions=0)
+    # A bare TAGE has no fused loop: only the Python engine runs it.
+    a = run_simulation(trace, Tage(config), warmup_instructions=0,
+                       engine="python")
+    b = run_simulation(trace, Tage(config), warmup_instructions=0,
+                       engine="python")
     assert a.mispredictions == b.mispredictions
 
 

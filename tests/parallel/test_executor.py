@@ -73,6 +73,17 @@ class TestRunJobs:
             assert serial == by_job[job]
         assert len(list(results.glob("*.json"))) == len(jobs)
 
+    def test_serial_run_matches_get_result(self, isolated_caches,
+                                           fresh_cache):
+        """Attempts run in this process (one worker) equal ``get_result``
+        recomputed in an empty cache."""
+        jobs = parallel.make_jobs([("Kafka", key) for key in KEYS])
+        by_job = parallel.run_jobs(jobs, max_workers=1)
+        assert set(by_job) == set(jobs)
+        fresh_cache()
+        for job in jobs:
+            assert runner.get_result(job.workload, job.key) == by_job[job]
+
     def test_duplicate_jobs_run_once(self, isolated_caches, monkeypatch):
         # One workload per unique job keeps one run_batch call each;
         # a shared workload would fold both into one call.
@@ -201,12 +212,3 @@ class TestBatching:
         by_job = parallel.run_jobs(jobs, max_workers=1)
         assert calls == [("Kafka", KEYS)]
         assert set(by_job) == set(jobs)
-
-
-class TestRunMany:
-    def test_run_many_matches_get_result(self, isolated_caches):
-        pairs = [("Kafka", "bimodal"), ("Kafka", "gshare")]
-        results = runner.run_many(pairs, max_workers=1)
-        assert set(results) == set(pairs)
-        for workload, key in pairs:
-            assert results[(workload, key)] == runner.get_result(workload, key)

@@ -116,13 +116,12 @@ class TestRaiseFault:
         task has settled: its result is cached and journalled."""
         faults.install(f"raise@0x{FAST['max_attempts']}")
         jobs = _jobs(("bimodal", "gshare"))
+        with pytest.raises(faults.FaultInjected):
+            parallel.run_jobs(jobs, max_workers=max_workers,
+                              policy=RetryPolicy(**FAST))
+        assert len(events("parallel.exhausted")) == 1
+        other = jobs[1]
         with RunJournal.open() as journal:
-            with pytest.raises(faults.FaultInjected):
-                parallel.run_jobs(jobs, max_workers=max_workers,
-                                  policy=RetryPolicy(**FAST),
-                                  journal=journal)
-            assert len(events("parallel.exhausted")) == 1
-            other = jobs[1]
             assert other in journal and jobs[0] not in journal
         runner.clear_memory_cache()
         assert runner.peek_result(*other) is not None

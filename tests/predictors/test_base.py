@@ -5,18 +5,6 @@ import pytest
 from repro.predictors.base import BranchPredictor, PredictorStats
 
 
-def test_pred_of_bool():
-    assert BranchPredictor.pred_of(True) is True
-    assert BranchPredictor.pred_of(False) is False
-
-
-def test_pred_of_meta_object():
-    class Meta:
-        pred = True
-
-    assert BranchPredictor.pred_of(Meta()) is True
-
-
 def test_stats_bump():
     stats = PredictorStats()
     stats.bump("x")

@@ -132,13 +132,15 @@ class TestCapacity:
     def test_more_capacity_helps_on_pressure(self, tiny_workload_trace):
         small = Tage(small_config(index_bits=5, bimodal_index_bits=8))
         large = Tage(small_config(index_bits=10, bimodal_index_bits=12))
-        r_small = run_simulation(tiny_workload_trace, small)
-        r_large = run_simulation(tiny_workload_trace, large)
+        r_small = run_simulation(tiny_workload_trace, small, engine="python")
+        r_large = run_simulation(tiny_workload_trace, large, engine="python")
         assert r_large.mpki <= r_small.mpki
 
 
 class TestDeterminism:
     def test_same_seed_same_result(self, tiny_workload_trace):
-        a = run_simulation(tiny_workload_trace, Tage(small_config()))
-        b = run_simulation(tiny_workload_trace, Tage(small_config()))
+        a = run_simulation(tiny_workload_trace, Tage(small_config()),
+                           engine="python")
+        b = run_simulation(tiny_workload_trace, Tage(small_config()),
+                           engine="python")
         assert a.mispredictions == b.mispredictions

@@ -97,5 +97,7 @@ def test_sc_and_loop_help_or_do_not_hurt_much(tiny_workload_trace):
     full = small_tsl()
     bare = Tage(full.config.tage)
     full_mpki = run_simulation(tiny_workload_trace, full).mpki
-    bare_mpki = run_simulation(tiny_workload_trace, bare).mpki
+    # A bare TAGE has no fused loop: only the Python engine runs it.
+    bare_mpki = run_simulation(tiny_workload_trace, bare,
+                               engine="python").mpki
     assert full_mpki <= bare_mpki * 1.15

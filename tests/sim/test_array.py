@@ -7,9 +7,9 @@ the same insertion order, every ``extra`` entry — and leave the predictor
 instance in the same final state (``state_arrays()``).  These tests pin
 that equivalence over the full 14-workload catalog for every supported
 predictor family, and pin the engine-selection contract
-(argument > ``REPRO_ENGINE`` > default, graceful fallback for
-unsupported predictors), that no figure or explore key falls back, and a
-host-normalised speed floor over the reference loop.
+(argument > ``REPRO_ENGINE`` > default; an unsupported predictor runs
+only on the Python engine), that every figure and explore key is fused,
+and a host-normalised speed floor over the reference loop.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis.working_set import traced_inf_tage
 from repro.predictors import registry
 from repro.predictors.base import BranchPredictor
@@ -370,15 +369,10 @@ def _space_keys():
     return keys
 
 
-def _fallback_keys(keys):
-    return {key for key in keys
-            if array.unsupported_reason(make_predictor(key)) is not None}
-
-
 def test_benchmarked_workflows_never_fall_back():
     """Every key any figure, the characterize sweep or an explore space
-    simulates runs on the array engine, so the default path never drops
-    to the Python loop unnoticed."""
+    simulates runs on the array engine, so the default engine never
+    refuses one."""
     from repro.analysis.characterize import FAMILIES
 
     keys = _figure_keys() | _space_keys() | set(FAMILIES)
@@ -388,28 +382,14 @@ def test_benchmarked_workflows_never_fall_back():
     assert array.unsupported_reason(traced()) is None
 
 
-def test_fallback_traffic_is_pinned():
-    """No figure or explore key lands on the reference loop.  A key that
-    starts falling back fails here."""
-    assert _fallback_keys(_figure_keys()) == set()
-    assert _fallback_keys(_space_keys()) == set()
-
-
-def test_unsupported_predictor_falls_back(tmp_path, monkeypatch):
-    """``engine="array"`` with an unsupported predictor degrades to the
-    Python engine — same answer, plus a ``sim.engine_fallback`` event."""
+def test_unsupported_predictor_runs_only_on_the_python_engine():
+    """``engine="array"`` refuses a predictor it has no fused loop for,
+    with the error of a direct call; ``engine="python"`` runs it."""
     trace = generate_workload("Kafka", INSTRUCTIONS)
-    ref = run_simulation(trace, Unfused(), engine="python")
-    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "events"))
-    try:
-        res = run_simulation(trace, Unfused(), engine="array")
-    finally:
-        telemetry.reset()
-    assert ref == res
-    events = [e for e in telemetry.load_events(tmp_path / "events")
-              if e["event"] == "sim.engine_fallback"]
-    assert len(events) == 1
-    assert events[0]["workload"] == trace.name
+    with pytest.raises(ValueError, match="array engine cannot"):
+        run_simulation(trace, Unfused(), engine="array")
+    result = run_simulation(trace, Unfused(), engine="python")
+    assert result.cond_branches > 0 and result.mispredictions > 0
 
 
 def test_batch_matches_serial_python():

@@ -336,8 +336,8 @@ def test_cid_column_matches_live_register(window, distance, source, shift,
 
 def test_cid_column_refuses_folds_wider_than_64_bits():
     """With ``3 * cid_bits > 64`` the fold would read window bits a uint64
-    cannot hold: the column refuses, and LLBP falls back to the Python
-    engine."""
+    cannot hold: the column refuses, and such an LLBP runs only on the
+    Python engine."""
     from repro.llbp.predictor import LLBPTageScL
     from repro.sim.array import unsupported_reason
 

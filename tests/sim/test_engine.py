@@ -22,6 +22,8 @@ def make_trace(n=90, gap=10):
 
 
 class CountingPredictor(BranchPredictor):
+    """Records the driving protocol; only the Python engine runs it."""
+
     name = "counting"
 
     def __init__(self):
@@ -48,7 +50,7 @@ class CountingPredictor(BranchPredictor):
 def test_driving_protocol():
     trace = make_trace(n=50)
     predictor = CountingPredictor()
-    run_simulation(trace, predictor, warmup_instructions=0)
+    run_simulation(trace, predictor, warmup_instructions=0, engine="python")
     assert predictor.predict_calls == 50          # conditionals only
     assert predictor.train_calls == 50
     assert predictor.history_calls == 100         # every branch
@@ -59,7 +61,7 @@ def test_warmup_excluded_from_measurement():
     trace = make_trace(n=90, gap=10)
     total = trace.num_instructions
     result = run_simulation(trace, CountingPredictor(),
-                            warmup_instructions=total // 3)
+                            warmup_instructions=total // 3, engine="python")
     assert result.instructions < total
     assert result.instructions + result.warmup_instructions == total
     # CountingPredictor always predicts taken; half the outcomes are False.
@@ -68,7 +70,7 @@ def test_warmup_excluded_from_measurement():
 
 def test_default_warmup_is_one_third():
     trace = make_trace(n=90)
-    result = run_simulation(trace, CountingPredictor())
+    result = run_simulation(trace, CountingPredictor(), engine="python")
     assert abs(result.warmup_instructions - trace.num_instructions / 3) < 25
 
 
@@ -79,7 +81,8 @@ def test_perfect_predictor_zero_mpki():
 
 def test_per_pc_collection():
     trace = make_trace(n=30)
-    result = run_simulation(trace, CountingPredictor(), warmup_instructions=0)
+    result = run_simulation(trace, CountingPredictor(), warmup_instructions=0,
+                            engine="python")
     assert result.per_pc_executions == {0x100: 30}
     assert result.per_pc_mispredictions == {0x100: 15}
 
@@ -87,7 +90,7 @@ def test_per_pc_collection():
 def test_extra_stats_copied():
     predictor = CountingPredictor()
     predictor.stats.bump("custom", 7)
-    result = run_simulation(make_trace(), predictor)
+    result = run_simulation(make_trace(), predictor, engine="python")
     assert result.extra["custom"] == 7
 
 
@@ -103,7 +106,8 @@ def test_warmup_consuming_whole_trace_warns():
     trace = make_trace(n=20)
     with pytest.warns(RuntimeWarning, match="consumed the entire"):
         result = run_simulation(trace, CountingPredictor(),
-                                warmup_instructions=trace.num_instructions)
+                                warmup_instructions=trace.num_instructions,
+                                engine="python")
     assert result.branches == 0
     assert result.cond_branches == 0
     assert result.mispredictions == 0
@@ -113,7 +117,7 @@ def test_normal_warmup_does_not_warn():
     trace = make_trace(n=20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_simulation(trace, CountingPredictor())
+        run_simulation(trace, CountingPredictor(), engine="python")
 
 
 @pytest.mark.parametrize("key", [

@@ -42,16 +42,16 @@ def test_num_instructions_is_gap_sum():
 
 
 def test_builder_instruction_count_tracks_appends():
-    """The builder's running count equals the gap sum after any mix of
-    ``append`` and ``append_record`` calls, including a rejected one."""
+    """The builder's running count equals the gap sum after any run of
+    ``append`` calls, including a rejected one."""
     builder = TraceBuilder("count")
     assert builder.num_instructions == 0
     builder.append(0x10, BranchType.COND, True, 0x20, 3)
-    builder.append_record(BranchRecord(0x30, BranchType.CALL, True, 0x40, 5))
+    builder.append(0x30, BranchType.CALL, True, 0x40, 5)
     with pytest.raises(ValueError):
         builder.append(0x50, BranchType.JUMP, True, 0x60, 0)
     builder.append(0x50, BranchType.JUMP, True, 0x60, 1)
-    builder.append_record(BranchRecord(0x70, BranchType.COND, False, 0x80, 7))
+    builder.append(0x70, BranchType.COND, False, 0x80, 7)
     assert builder.num_instructions == int(builder.build().gaps.sum()) == 16
 
 
@@ -78,18 +78,6 @@ def test_slice():
     assert sub.record(0).pc == 8
 
 
-def test_truncate_to_instructions():
-    trace = build([(i, BranchType.COND, True, 0, 5) for i in range(10)])
-    sub = trace.truncate_to_instructions(12)
-    assert len(sub) == 2
-    assert sub.num_instructions == 10
-
-
-def test_truncate_longer_than_trace():
-    trace = build([(0, BranchType.COND, True, 0, 5)])
-    assert len(trace.truncate_to_instructions(1000)) == 1
-
-
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         Trace(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), np.ones(2))
@@ -99,13 +87,6 @@ def test_builder_rejects_bad_gap():
     builder = TraceBuilder()
     with pytest.raises(ValueError):
         builder.append(0, BranchType.COND, True, 0, 0)
-
-
-def test_append_record():
-    builder = TraceBuilder()
-    builder.append_record(BranchRecord(0x10, BranchType.COND, True, 0, 2))
-    trace = builder.build()
-    assert trace.record(0).pc == 0x10
 
 
 @given(st.lists(record_strategy, min_size=1, max_size=60))

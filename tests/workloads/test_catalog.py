@@ -3,10 +3,12 @@
 import pytest
 
 from repro.traces.stats import compute_stats
+from repro.workloads.adversarial import adversarial_names
 from repro.workloads.catalog import (
     WORKLOADS,
     generate_workload,
     get_spec,
+    parse_workloads,
     workload_names,
 )
 
@@ -34,6 +36,23 @@ def test_specs_have_unique_seeds():
 def test_get_spec_unknown():
     with pytest.raises(KeyError):
         get_spec("nope")
+
+
+class TestParseWorkloads:
+    def test_suites(self):
+        assert parse_workloads("all") == workload_names()
+        assert parse_workloads(" ADV ") == adversarial_names()
+
+    def test_adv_names_keep_their_tokens(self):
+        assert parse_workloads("Kafka, adv:alias,bits=4,n=8 ,adv:hist,l=4") \
+            == ["Kafka", "adv:alias,bits=4,n=8", "adv:hist,l=4"]
+
+    @pytest.mark.parametrize("value", [
+        "Kafka,Kafak", "adv:bogus", "adv:hist,x=1", "l=4", "adv:hist,l=many",
+    ])
+    def test_every_name_is_checked(self, value):
+        with pytest.raises(ValueError):
+            parse_workloads(value)
 
 
 def test_generate_writes_through_the_store(tmp_path):
