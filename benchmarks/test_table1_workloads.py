@@ -5,7 +5,7 @@ from repro.workloads.catalog import workload_names
 
 
 def test_table1_workloads(report):
-    rows = tables.table1(include_trace_stats=False)
+    rows = tables.table1()
     report(
         "Table I — workloads (synthetic analogues, DESIGN.md §1)",
         "14 server workloads: NodeApp, PHPWiki, DaCapo, BenchBase, "

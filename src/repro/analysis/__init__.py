@@ -2,7 +2,6 @@
 LLBP effectiveness breakdown (Fig 15), workload characterization."""
 
 from repro.analysis.working_set import (
-    cumulative_misprediction_fractions,
     top_branch_share,
     useful_patterns_study,
 )
@@ -10,7 +9,6 @@ from repro.analysis.contexts import patterns_per_context_study, ContextStudyResu
 from repro.analysis.breakdown import override_breakdown, OverrideBreakdown
 
 __all__ = [
-    "cumulative_misprediction_fractions",
     "top_branch_share",
     "useful_patterns_study",
     "patterns_per_context_study",

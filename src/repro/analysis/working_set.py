@@ -31,29 +31,6 @@ def baseline_order(baseline: SimulationResult) -> List[int]:
     return pcs
 
 
-def cumulative_misprediction_fractions(
-    result: SimulationResult,
-    order: Sequence[int],
-    normalise_to: SimulationResult,
-) -> List[float]:
-    """Fig 3a curve: cumulative mispredictions along ``order``.
-
-    Normalised to the *baseline's* total so curves of different
-    configurations are directly comparable (the paper normalises to
-    64K TSL).
-    """
-    total = sum(normalise_to.per_pc_mispredictions.values())
-    if total <= 0:
-        return [0.0] * len(order)
-    misp = result.per_pc_mispredictions
-    out: List[float] = []
-    acc = 0
-    for pc in order:
-        acc += misp.get(pc, 0)
-        out.append(acc / total)
-    return out
-
-
 def top_branch_share(result: SimulationResult, order: Sequence[int],
                      top: int) -> float:
     """Fraction of ``result``'s mispredictions on the ``top`` hottest

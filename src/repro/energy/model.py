@@ -119,18 +119,3 @@ class EnergyModel:
                 "LLBP": llbp * llbp_accesses / predictions,
             },
         )
-
-    @staticmethod
-    def normalise(breakdowns: List[EnergyBreakdown],
-                  baseline: EnergyBreakdown) -> List[EnergyBreakdown]:
-        """Scale all breakdowns so the baseline's total is 1.0 (Fig 12)."""
-        scale = baseline.total
-        if scale <= 0:
-            raise ValueError("baseline has no energy")
-        return [
-            EnergyBreakdown(
-                design=b.design,
-                components={k: v / scale for k, v in b.components.items()},
-            )
-            for b in breakdowns
-        ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 #: Capacity exponents implied by Table III's 64KiB → 512KiB anchors.
 LAT_EXP = math.log(2.55) / math.log(8.0)     # ≈ 0.45
@@ -98,8 +98,3 @@ class SramModel:
         anchor = self._nearest_anchor(structure)
         ratio = structure.capacity_bytes / anchor.capacity_bytes
         return anchor.rel_energy * ratio ** ENERGY_EXP
-
-
-def anchors() -> List[_Anchor]:
-    """The calibration anchors (exported for tests and documentation)."""
-    return list(_ANCHORS)

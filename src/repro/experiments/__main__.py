@@ -47,6 +47,7 @@ import time
 
 from repro import parallel, telemetry
 from repro.sim import engine as engine_mod
+from repro.experiments.common import experiment_workloads
 from repro.experiments.journal import RunJournal
 from repro.parallel.retry import RetryPolicy
 
@@ -103,9 +104,11 @@ def _prewarm(names, workers: int, policy: RetryPolicy) -> None:
 
     The experiments themselves then run serially against a warm cache,
     so their output (and ordering) is unchanged from a serial run.
-    Jobs the journal already records as complete are served from cache
-    after their digests are checked; the rest are simulated.
+    Jobs the journal records whose results are still cached are served
+    from cache after their digests are checked; the rest are simulated.
     """
+    from repro.experiments import runner
+
     pairs = []
     for name in names:
         manifest = _EXPERIMENTS[name][2]
@@ -114,7 +117,10 @@ def _prewarm(names, workers: int, policy: RetryPolicy) -> None:
     jobs = parallel.make_jobs(pairs)
     unique = list(dict.fromkeys(jobs))
     with RunJournal.open() as journal:  # read only: run_jobs records
-        journaled = sum(1 for job in unique if job in journal)
+        # The peek loads each cached result into memory, where run_jobs
+        # finds it without reading the file again.
+        journaled = sum(1 for job in unique if job in journal
+                        and runner.peek_result(*job) is not None)
     if journaled:
         telemetry.emit("experiment.resume", journaled=journaled,
                        total=len(unique), journal=str(journal.path))
@@ -167,6 +173,11 @@ def main(argv) -> int:
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; known: {list(_EXPERIMENTS)}")
+        return 2
+    try:
+        experiment_workloads()
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
 
     if args.telemetry is not None:

@@ -5,35 +5,21 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.energy.model import table3_rows
-from repro.experiments.common import (
-    experiment_instructions,
-    format_table,
-)
+from repro.experiments.common import format_table
 from repro.sim.core import CoreParams
-from repro.traces.stats import compute_stats
-from repro.workloads.catalog import WORKLOADS, generate_workload
+from repro.workloads.catalog import WORKLOADS
 
 
-def table1(include_trace_stats: bool = False) -> List[Dict[str, object]]:
-    """Table I: the workload catalog (optionally with trace statistics)."""
+def table1() -> List[Dict[str, object]]:
+    """Table I: the workload catalog."""
     rows: List[Dict[str, object]] = []
-    instructions = experiment_instructions()
     for name, spec in WORKLOADS.items():
-        row: Dict[str, object] = {
+        rows.append({
             "workload": name,
             "description": spec.description,
             "functions": spec.num_functions,
             "complex_sites": spec.num_complex,
-        }
-        if include_trace_stats:
-            stats = compute_stats(generate_workload(name, instructions))
-            row.update({
-                "branches": stats.num_branches,
-                "static_cond_pcs": stats.unique_conditional_pcs,
-                "cond_per_uncond": stats.cond_per_uncond,
-                "callret_frac": stats.call_ret_fraction,
-            })
-        rows.append(row)
+        })
     return rows
 
 

@@ -152,7 +152,11 @@ def main(argv) -> int:
                   file=sys.stderr)
             return 2
     else:
-        workloads = budget.resolve_workloads()
+        try:
+            workloads = budget.resolve_workloads()
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
     if not workloads:
         print("no workloads selected", file=sys.stderr)
         return 2

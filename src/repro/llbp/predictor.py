@@ -20,7 +20,7 @@ is where late pattern sets can cost LLBP coverage.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.common.rng import XorShift32
@@ -66,7 +66,6 @@ class LLBPTageScL(BranchPredictor):
     name = "llbp"
 
     def __init__(self, config: LLBPConfig = LLBPConfig()) -> None:
-        super().__init__()
         self.config = config
         self.tsl = tsl_64k()
         if not config.simulate_timing:
@@ -146,7 +145,6 @@ class LLBPTageScL(BranchPredictor):
     # -- prediction ---------------------------------------------------------------
 
     def predict(self, pc: int) -> LLBPMeta:
-        self.stats.lookups += 1
         self.counts["predictions"] += 1
 
         ccid = self.rcr.ccid
@@ -200,8 +198,6 @@ class LLBPTageScL(BranchPredictor):
 
     def train(self, pc: int, taken: bool, meta: LLBPMeta) -> None:
         mispredicted = meta.pred != taken
-        if mispredicted:
-            self.stats.mispredictions += 1
 
         exclusive = self.config.exclusive_provider_training
         if meta.overrode:
@@ -359,10 +355,11 @@ class LLBPTageScL(BranchPredictor):
             "llbp_accesses": self.buffer.fills + self.buffer.writebacks,
         }
 
-    def finalize_stats(self) -> None:
-        """Fold component counters into ``stats.extra`` for the engine."""
-        extra = self.stats.extra
-        extra.update(self.counts)
+    def run_counters(self) -> Dict[str, int]:
+        """The component counters the engine copies into
+        ``SimulationResult.extra`` (Figs 11, 12 and 15 read them); also
+        emits them as the ``llbp.counters`` telemetry event."""
+        extra = dict(self.counts)
         extra.update(self.access_counts())
         extra.update(self.bandwidth_bits())
         extra["prefetch_issued"] = self.prefetcher.issued
@@ -381,3 +378,4 @@ class LLBPTageScL(BranchPredictor):
             prefetch_squashed=self.prefetcher.squashed,
             prefetch_directory_misses=self.prefetcher.directory_misses,
             cd_occupancy_pct=extra["cd_occupancy_pct"])
+        return extra

@@ -6,8 +6,8 @@ that raises, a task that hangs past its timeout, a worker that dies
 mid-task — is exercisable deterministically in tests and in CI, with
 no sleeps-and-hope races.
 
-A plan is a comma-separated spec, via the ``REPRO_FAULTS`` environment
-variable or :func:`install`::
+A plan is a comma-separated spec in the ``REPRO_FAULTS`` environment
+variable::
 
     REPRO_FAULTS="raise@0,hang@2,kill@4"      # fault tasks 0, 2 and 4
     REPRO_FAULTS="raise@1x3"                  # task 1 fails 3 attempts
@@ -111,28 +111,17 @@ def parse(spec: str) -> Dict[int, FaultSpec]:
     return plan
 
 
-# Parent-side plan state.  ``_installed`` (test API) overrides the
-# environment; ``_env_plan`` caches the parsed env spec so a run does
-# not re-parse (and re-warn) per task.  ``_sequence`` is the process-wide
-# dispatch counter the plan's indices refer to.
-_installed: Optional[Dict[int, FaultSpec]] = None
+# Parent-side plan state.  ``_env_plan`` caches the parsed env spec so
+# a run does not re-parse (and re-warn) per task.  ``_sequence`` is the
+# process-wide dispatch counter the plan's indices refer to.
 _env_plan: Optional[Dict[int, FaultSpec]] = None
 _env_value: Optional[str] = None
 _sequence = 0
 
 
-def install(spec: Optional[str]) -> None:
-    """Install a fault plan programmatically (tests), overriding the
-    environment; ``None`` removes it.  Resets the dispatch counter."""
-    global _installed, _sequence
-    _installed = parse(spec) if spec is not None else None
-    _sequence = 0
-
-
 def reset() -> None:
-    """Drop any installed plan and restart the dispatch counter."""
-    global _installed, _env_plan, _env_value, _sequence
-    _installed = None
+    """Forget the parsed plan and restart the dispatch counter."""
+    global _env_plan, _env_value, _sequence
     _env_plan = None
     _env_value = None
     _sequence = 0
@@ -140,8 +129,6 @@ def reset() -> None:
 
 def _plan() -> Dict[int, FaultSpec]:
     global _env_plan, _env_value
-    if _installed is not None:
-        return _installed
     env = os.environ.get(ENV_VAR, "")
     if env != _env_value:
         _env_value = env

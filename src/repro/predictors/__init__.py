@@ -16,7 +16,7 @@ The package provides every predictor configuration the paper evaluates:
 ``presets`` names the exact configurations used throughout the paper.
 """
 
-from repro.predictors.base import BranchPredictor, PredictorStats
+from repro.predictors.base import BranchPredictor
 from repro.predictors.history import HistorySpec, HistorySet, GlobalHistory
 from repro.predictors.bimodal import Bimodal
 from repro.predictors.bimode import BiMode, BiModeConfig
@@ -38,7 +38,6 @@ from repro.predictors.presets import (
 
 __all__ = [
     "BranchPredictor",
-    "PredictorStats",
     "HistorySpec",
     "HistorySet",
     "GlobalHistory",

@@ -1,4 +1,4 @@
-"""Common predictor interface and statistics.
+"""Common predictor interface.
 
 The simulation engine drives predictors through three calls per branch:
 
@@ -9,33 +9,22 @@ The simulation engine drives predictors through three calls per branch:
 3. ``update_history(pc, branch_type, taken, target)`` — called for *every*
    branch (conditional and unconditional) so global history, path history
    and — for LLBP — the rolling context register stay in sync.
+
+The engine counts conditional branches and mispredictions itself, into
+the :class:`~repro.sim.results.SimulationResult` it returns; a predictor
+adds its own structure counters through
+:meth:`BranchPredictor.run_counters`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict
-
-
-@dataclass
-class PredictorStats:
-    """Counters every predictor keeps; the engine aggregates them."""
-
-    lookups: int = 0
-    mispredictions: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.extra[key] = self.extra.get(key, 0) + amount
 
 
 class BranchPredictor:
     """Abstract predictor; see module docstring for the driving protocol."""
 
     name = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
 
     def predict(self, pc: int) -> Any:
         """Predict the direction of the conditional branch at ``pc``.
@@ -56,3 +45,8 @@ class BranchPredictor:
     def storage_bits(self) -> int:
         """Approximate state budget in bits (for Table III-style reporting)."""
         return 0
+
+    def run_counters(self) -> Dict[str, int]:
+        """Structure counters of the run so far, which the engine copies
+        into ``SimulationResult.extra`` (none by default)."""
+        return {}

@@ -15,7 +15,6 @@ class Bimodal(BranchPredictor):
     name = "bimodal"
 
     def __init__(self, index_bits: int = 13) -> None:
-        super().__init__()
         if index_bits < 1:
             raise ValueError("index_bits must be >= 1")
         self.index_bits = index_bits
@@ -29,12 +28,9 @@ class Bimodal(BranchPredictor):
         return self.table[self._index(pc)] >= 0
 
     def predict(self, pc: int) -> bool:
-        self.stats.lookups += 1
         return self.lookup(pc)
 
     def train(self, pc: int, taken: bool, meta: bool) -> None:
-        if bool(meta) != taken:
-            self.stats.mispredictions += 1
         self.update(pc, taken)
 
     def update(self, pc: int, taken: bool) -> None:

@@ -44,7 +44,6 @@ class BiMode(BranchPredictor):
     name = "bimode"
 
     def __init__(self, config: BiModeConfig = BiModeConfig()) -> None:
-        super().__init__()
         self.config = config
         self._cmask = (1 << config.choice_bits) - 1
         self._dmask = (1 << config.direction_bits) - 1
@@ -62,14 +61,11 @@ class BiMode(BranchPredictor):
         return ci, di
 
     def predict(self, pc: int) -> bool:
-        self.stats.lookups += 1
         ci, di = self._indices(pc)
         bank = self.taken_bank if self.choice[ci] >= 0 else self.nottaken_bank
         return bank[di] >= 0
 
     def train(self, pc: int, taken: bool, meta: bool) -> None:
-        if bool(meta) != taken:
-            self.stats.mispredictions += 1
         # history is unchanged between predict and train, so the indices
         # recompute to the same values the prediction used.
         ci, di = self._indices(pc)

@@ -16,7 +16,6 @@ class GShare(BranchPredictor):
     name = "gshare"
 
     def __init__(self, index_bits: int = 14, history_bits: int = 14) -> None:
-        super().__init__()
         if index_bits < 1 or history_bits < 1:
             raise ValueError("index_bits and history_bits must be >= 1")
         self.index_bits = index_bits
@@ -30,12 +29,9 @@ class GShare(BranchPredictor):
         return ((pc >> 2) ^ self.history) & self._mask
 
     def predict(self, pc: int) -> bool:
-        self.stats.lookups += 1
         return self.table[self._index(pc)] >= 0
 
     def train(self, pc: int, taken: bool, meta: bool) -> None:
-        if bool(meta) != taken:
-            self.stats.mispredictions += 1
         i = self._index(pc)
         v = self.table[i]
         if taken:

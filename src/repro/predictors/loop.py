@@ -50,7 +50,6 @@ class LoopPredictor(BranchPredictor):
 
     def __init__(self, index_bits: int = 4, ways: int = 4,
                  tag_bits: int = 14, seed: int = 0x10057) -> None:
-        super().__init__()
         self.index_bits = index_bits
         self.ways = ways
         self.tag_bits = tag_bits
@@ -91,12 +90,9 @@ class LoopPredictor(BranchPredictor):
         return res
 
     def predict(self, pc: int) -> LoopResult:
-        self.stats.lookups += 1
         return self.lookup(pc)
 
     def train(self, pc: int, taken: bool, meta: LoopResult) -> None:
-        if meta.valid and meta.pred != taken:
-            self.stats.mispredictions += 1
         self.update(pc, taken, meta, tage_mispredicted=False)
 
     @property

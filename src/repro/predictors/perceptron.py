@@ -82,7 +82,6 @@ class HashedPerceptron(BranchPredictor):
     name = "percep"
 
     def __init__(self, config: PerceptronConfig = PerceptronConfig()) -> None:
-        super().__init__()
         self.config = config
         self._rmask = (1 << config.row_bits) - 1
         self._hist_mask = (1 << config.history_bits) - 1
@@ -104,15 +103,12 @@ class HashedPerceptron(BranchPredictor):
         return indices
 
     def predict(self, pc: int) -> PerceptronMeta:
-        self.stats.lookups += 1
         total = 0
         for table, idx in zip(self.tables, self._indices(pc)):
             total += table[idx]
         return PerceptronMeta(pred=total >= 0, total=total)
 
     def train(self, pc: int, taken: bool, meta: PerceptronMeta) -> None:
-        if meta.pred != taken:
-            self.stats.mispredictions += 1
         if meta.pred == taken and abs(meta.total) > self._theta:
             return
         step = 1 if taken else -1

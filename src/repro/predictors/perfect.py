@@ -9,13 +9,12 @@ class PerfectPredictor(BranchPredictor):
     """An oracle: the engine resolves its prediction as always correct.
 
     ``predict`` returns None; the engine treats None metadata from this
-    predictor as "predicted == outcome".  ``train`` counts lookups only.
+    predictor as "predicted == outcome".  ``train`` does nothing.
     """
 
     name = "perfect"
 
     def predict(self, pc: int) -> None:
-        self.stats.lookups += 1
         return None
 
     def train(self, pc: int, taken: bool, meta: None) -> None:

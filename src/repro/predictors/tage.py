@@ -103,7 +103,6 @@ class Tage(BranchPredictor):
     name = "tage"
 
     def __init__(self, config: TageConfig) -> None:
-        super().__init__()
         self.config = config
         self.history = GlobalHistory()
         self.folded = HistorySet(self.history, config.specs())
@@ -207,14 +206,11 @@ class Tage(BranchPredictor):
         return res
 
     def predict(self, pc: int) -> TageResult:
-        self.stats.lookups += 1
         return self.lookup(pc)
 
     # -- training ------------------------------------------------------------
 
     def train(self, pc: int, taken: bool, meta: TageResult) -> None:
-        if meta.pred != taken:
-            self.stats.mispredictions += 1
         self.update(pc, taken, meta)
 
     def update(self, pc: int, taken: bool, res: TageResult,

@@ -59,7 +59,6 @@ class TageScL(BranchPredictor):
     name = "tage-sc-l"
 
     def __init__(self, config: TslConfig, tage: Optional[Tage] = None) -> None:
-        super().__init__()
         self.config = config
         self.tage = tage if tage is not None else Tage(config.tage)
         self.history = self.tage.history
@@ -104,7 +103,6 @@ class TageScL(BranchPredictor):
                          base_overridden, pred)
 
     def predict(self, pc: int) -> TslResult:
-        self.stats.lookups += 1
         return self.lookup(pc)
 
     # -- training ----------------------------------------------------------------
@@ -116,8 +114,6 @@ class TageScL(BranchPredictor):
         ``suppress_tage_provider`` implements §V-D's provider-based
         training when LLBP is the providing component.
         """
-        if meta.pred != taken:
-            self.stats.mispredictions += 1
 
         if meta.loop.valid:
             self.loop.train_withloop(meta.loop.pred, meta.base_pred, taken)

@@ -187,11 +187,9 @@ def _emit_loop_lookup(a, loop) -> None:
 
 
 def _emit_count(a, miss="pred != taken") -> None:
-    a(f"if {miss}:")
-    a("    misp_all += 1")
-    a("    if measuring:")
-    a("        measured_misp += 1")
-    a("        per_pc_misp[pc] = misp_get(pc, 0) + 1")
+    a(f"if {miss} and measuring:")
+    a("    measured_misp += 1")
+    a("    per_pc_misp[pc] = misp_get(pc, 0) + 1")
 
 
 def _emit_loop_train(a, loop) -> None:
@@ -430,11 +428,10 @@ _COND_ROW = (("pc", "pcs"), ("taken", "takens"))
 
 def _sim_source(params, row, body, head=(), tail=(), ordinals=False):
     """Source of ``_sim(<params>, split, per_pc_misp)`` returning
-    ``(measured_misp, misp_all)``: the one loop skeleton of every fused
-    predictor.
+    ``measured_misp``: the one loop skeleton of every fused predictor.
 
     The indented lines ``head`` come first, then the misprediction
-    counters.  Rows ``[0, n)`` of ``pcs`` (the first parameter) then run
+    counter.  Rows ``[0, n)`` of ``pcs`` (the first parameter) then run
     in chunks of ``_CHUNK`` inside ``for measuring, begin, end in
     ((False, 0, split), (True, split, n))``, so warmup and measured rows
     run through the one copy of ``body``, whose unindented lines read the
@@ -451,7 +448,6 @@ def _sim_source(params, row, body, head=(), tail=(), ordinals=False):
     lines = [f"def _sim({params}, split, per_pc_misp):"]
     lines.extend(head)
     lines.extend((
-        "    misp_all = 0",
         "    measured_misp = 0",
         "    misp_get = per_pc_misp.get",
         "    n = len(pcs)",
@@ -465,7 +461,7 @@ def _sim_source(params, row, body, head=(), tail=(), ordinals=False):
     ))
     lines.extend("                " + x for x in body)
     lines.extend(tail)
-    lines.append("    return measured_misp, misp_all")
+    lines.append("    return measured_misp")
     return lines
 
 
@@ -485,9 +481,9 @@ def _compile_tsl(p: TageScL):
 
     Inputs are the conditional-branch-only pc/taken columns, the
     precomputed hash matrix and the first measured conditional branch;
-    returns ``(measured_misp, misp_all)``.  An :class:`InfiniteTage`
-    hashes exactly like a ``Tage``, so it reads the same matrix; only its
-    probe, update and allocation differ.
+    returns ``measured_misp``.  An :class:`InfiniteTage` hashes exactly
+    like a ``Tage``, so it reads the same matrix; only its probe, update
+    and allocation differ.
     """
     tage, sc, loop = p.tage, p.sc, p.loop
     num_tables = tage.config.num_tables
@@ -915,16 +911,16 @@ def run_simulation_array(
     per_pc_misp: Dict[int, int] = {}
     if type(predictor) is PerfectPredictor:
         # Never mispredicts: nothing to simulate.
-        measured_misp = misp_all = 0
+        measured_misp = 0
     elif type(predictor) is Bimodal:
         idx = (pcs_cond >> np.uint64(2)) & np.uint64(predictor._mask)
         sim = _compile_gshare(predictor)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             pcs_cond, takens_cond, idx, csplit, per_pc_misp)
     elif type(predictor) is GShare:
         idx = columns_mod.gshare_columns(trace, predictor)
         sim = _compile_gshare(predictor)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             pcs_cond, takens_cond, idx, csplit, per_pc_misp)
         # The fused loop reads history from the column; re-derive the
         # final register value so predictor state matches the oracle.
@@ -933,21 +929,21 @@ def run_simulation_array(
     elif type(predictor) is BiMode:
         cols = columns_mod.bimode_columns(trace, predictor)
         sim = _compile_bimode(predictor)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             pcs_cond, takens_cond, cols, csplit, per_pc_misp)
         predictor.history = _outcome_history(
             takens_cond, predictor.config.history_bits, predictor._hist_mask)
     elif type(predictor) is HashedPerceptron:
         cols = columns_mod.percep_columns(trace, predictor)
         sim = _compile_perceptron(predictor)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             pcs_cond, takens_cond, cols, csplit, per_pc_misp)
         predictor.history = _outcome_history(
             takens_cond, predictor.config.history_bits, predictor._hist_mask)
     elif type(predictor) is TageScL:
         cols = columns_mod.tsl_columns(trace, predictor)
         sim = _compile_tsl(predictor)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             pcs_cond, takens_cond, cols, csplit, per_pc_misp)
         predictor.sc.history = _outcome_history(
             takens_cond, 64, (1 << 64) - 1)
@@ -965,17 +961,13 @@ def run_simulation_array(
         distance = predictor.config.prefetch_distance
         cid_rows = (sliding_window_view(cids, distance + 1) if distance
                     else cids)
-        measured_misp, misp_all = sim(
+        measured_misp = sim(
             trace.pcs, trace.types, trace.takens, trace.gaps,
             _iter_rows(cols), _iter_rows(cid_rows), split, per_pc_misp)
         predictor.counts["predictions"] += n_cond
         predictor.tsl.sc.history = _outcome_history(
             takens_cond, 64, (1 << 64) - 1)
         _restore_rcr(predictor, trace, cids)
-
-    # Per-branch stats the fused loops account for in bulk.
-    predictor.stats.lookups += n_cond
-    predictor.stats.mispredictions += misp_all
 
     per_pc_exec = _per_pc_executions(pcs_cond[csplit:])
 
@@ -994,12 +986,8 @@ def run_simulation_array(
     else:
         measured_instr_start = total_instructions
 
-    finalize = getattr(predictor, "finalize_stats", None)
-    if finalize is not None:
-        finalize()
-
     return SimulationResult(
-        extra=dict(predictor.stats.extra),
+        extra=predictor.run_counters(),
         workload=trace.name,
         predictor=predictor_name,
         instructions=total_instructions - measured_instr_start,

@@ -42,15 +42,6 @@ class CoreParams:
     base_cpi: float = 0.57
     mispredict_penalty: float = 20.0
 
-    def describe(self) -> str:
-        return (
-            f"{self.frequency_ghz:g}GHz, {self.fetch_width}-way OoO, "
-            f"{self.rob_entries} ROB, {self.lq_entries}/{self.sq_entries} LQ/SQ, "
-            f"{self.btb_entries // 1024}K-entry {self.btb_ways}-way BTB, "
-            f"{self.l1i_kib}KiB L1-I, {self.l1d_kib}KiB L1-D, "
-            f"{self.l2_mib}MiB L2, {self.llc_mib}MiB LLC"
-        )
-
 
 @dataclass
 class TimingResult:
@@ -63,14 +54,6 @@ class TimingResult:
     @property
     def cycles(self) -> float:
         return self.base_cycles + self.mispredict_cycles
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
 
     @property
     def wasted_fraction(self) -> float:
@@ -103,9 +86,3 @@ class CoreModel:
             base_cycles=self.params.base_cpi * instructions,
             mispredict_cycles=self.params.mispredict_penalty * mispredictions,
         )
-
-    def wasted_fraction_from_mpki(self, mpki: float) -> float:
-        """Closed-form Fig 1 metric from an MPKI value alone."""
-        per_kilo = self.params.base_cpi * 1000.0
-        wasted = self.params.mispredict_penalty * mpki
-        return wasted / (per_kilo + wasted)

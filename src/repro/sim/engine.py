@@ -156,12 +156,8 @@ def run_simulation_reference(
         engine="python", branches=len(trace), instructions=instructions,
         mispredictions=mispredictions, seconds=end - start)
 
-    finalize = getattr(predictor, "finalize_stats", None)
-    if finalize is not None:
-        finalize()
-
     return SimulationResult(
-        extra=dict(predictor.stats.extra),
+        extra=predictor.run_counters(),
         workload=trace.name,
         predictor=predictor_name,
         instructions=measured_instructions,

@@ -39,11 +39,9 @@ class InstructionCache:
             {} for _ in range(num_lines // ways)]
         self.demand_misses = 0
         self.prefetch_fills = 0
-        self.accesses = 0
 
     def fetch_line(self, line_addr: int) -> None:
         """Demand-fetch one line; prefetch the next on a miss."""
-        self.accesses += 1
         lines = self._sets[line_addr % len(self._sets)]
         if line_addr in lines:
             del lines[line_addr]
@@ -69,10 +67,6 @@ class InstructionCache:
             self.fetch_line(line)
             line += 1
 
-    @property
-    def miss_traffic_bits(self) -> int:
-        return (self.demand_misses + self.prefetch_fills) * LINE_BITS
-
 
 @dataclass
 class ICacheResult:
@@ -91,12 +85,6 @@ class ICacheResult:
         if self.instructions <= 0:
             return 0.0
         return self.traffic_bits / self.instructions
-
-    @property
-    def mpki(self) -> float:
-        if self.instructions <= 0:
-            return 0.0
-        return 1000.0 * self.demand_misses / self.instructions
 
 
 def simulate_icache(trace: Trace, size_kib: int = 32, ways: int = 8,

@@ -44,10 +44,3 @@ class SimulationResult:
         if baseline.mpki <= 0:
             return 0.0
         return 100.0 * (baseline.mpki - self.mpki) / baseline.mpki
-
-    def summary(self) -> str:
-        return (
-            f"{self.workload}/{self.predictor}: "
-            f"MPKI={self.mpki:.3f} "
-            f"({self.mispredictions} misses / {self.instructions} instr)"
-        )

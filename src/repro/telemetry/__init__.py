@@ -10,7 +10,7 @@ one cheap enabled-check per *phase* (never per branch), so the hot loops
 are untouched.
 
 Write side: :func:`emit`, :func:`phase`, :func:`configure`,
-:func:`disable`, :func:`enabled`.  Read side:
+:func:`enabled`.  Read side:
 :func:`~repro.telemetry.report.load_events`,
 :func:`~repro.telemetry.report.summarize`,
 :func:`~repro.telemetry.report.format_summary`.
@@ -20,10 +20,8 @@ from repro.telemetry.collector import (
     ENV_VAR,
     Collector,
     configure,
-    disable,
     emit,
     enabled,
-    events,
     phase,
     reset,
 )
@@ -38,10 +36,8 @@ __all__ = [
     "ENV_VAR",
     "Collector",
     "configure",
-    "disable",
     "emit",
     "enabled",
-    "events",
     "phase",
     "reset",
     "format_summary",

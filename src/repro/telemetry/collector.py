@@ -25,7 +25,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO
+from typing import Any, Dict, Iterator, Optional, TextIO
 
 #: Environment variable holding the telemetry directory (opt-in switch).
 ENV_VAR = "REPRO_TELEMETRY"
@@ -35,40 +35,31 @@ _OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
 
 
 class Collector:
-    """Per-process event collector with a JSONL file sink.
+    """Per-process event collector: appends each event to its JSONL
+    file, which :func:`~repro.telemetry.report.load_events` reads back."""
 
-    Events are also kept in memory (``self.events``) so in-process code
-    — tests, summaries at the end of a run — can inspect them without
-    re-reading the file.
-    """
-
-    def __init__(self, directory: Optional[Path] = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
+    def __init__(self, directory: Path) -> None:
+        self.directory = Path(directory)
         self.pid = os.getpid()
-        self.events: List[Dict[str, Any]] = []
         self._fh: Optional[TextIO] = None
 
     @property
-    def path(self) -> Optional[Path]:
-        if self.directory is None:
-            return None
+    def path(self) -> Path:
         return self.directory / f"events-{self.pid}.jsonl"
 
     def emit(self, event: str, **fields: Any) -> None:
         record: Dict[str, Any] = {"event": event, "ts": time.time(),
                                   "pid": self.pid}
         record.update(fields)
-        self.events.append(record)
-        if self.directory is not None:
-            if self._fh is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a")
-            json.dump(record, self._fh, separators=(",", ":"))
-            self._fh.write("\n")
-            # One flush per event keeps the file consumable by other
-            # processes (report.py, CI) even mid-run; event rate is
-            # phase-grained, so this is not a hot path.
-            self._fh.flush()
+        if self._fh is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a")
+        json.dump(record, self._fh, separators=(",", ":"))
+        self._fh.write("\n")
+        # One flush per event keeps the file consumable by other
+        # processes (report.py, CI) even mid-run; event rate is
+        # phase-grained, so this is not a hot path.
+        self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:
@@ -133,12 +124,6 @@ def configure(directory: os.PathLike) -> None:
     os.environ[ENV_VAR] = str(directory)
 
 
-def disable() -> None:
-    """Turn telemetry off (and stop children from inheriting it)."""
-    os.environ.pop(ENV_VAR, None)
-    reset()
-
-
 def reset() -> None:
     """Close and drop the active collector (tests; end of a run)."""
     global _active, _active_env, _active_pid
@@ -147,11 +132,3 @@ def reset() -> None:
     _active = None
     _active_env = None
     _active_pid = None
-
-
-def events() -> List[Dict[str, Any]]:
-    """The events this process has collected so far (empty when off)."""
-    collector = _current()
-    if collector is None:
-        return []
-    return list(collector.events)

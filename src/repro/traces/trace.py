@@ -10,11 +10,11 @@ simulation loop.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.traces.types import BranchRecord, BranchType
+from repro.traces.types import BranchType
 
 # The tuple layout yielded by Trace.iter_tuples(): hot-loop code unpacks
 # these positionally, so the order is part of the API.
@@ -70,63 +70,23 @@ class Trace:
     def num_conditional(self) -> int:
         return int((self.types == int(BranchType.COND)).sum())
 
-    def record(self, i: int) -> BranchRecord:
-        """Materialise record ``i`` as a :class:`BranchRecord` (slow path)."""
-        return BranchRecord(
-            pc=int(self.pcs[i]),
-            branch_type=BranchType(int(self.types[i])),
-            taken=bool(self.takens[i]),
-            target=int(self.targets[i]),
-            instr_gap=int(self.gaps[i]),
-        )
-
     #: Records per chunk converted to Python ints at a time; bounds peak
     #: list memory on multi-million-record traces without measurable
     #: per-record overhead (``chain``/``zip`` iterate at C speed).
     CHUNK_RECORDS = 1 << 16
 
-    def iter_chunks(self, start: int = 0, stop: Optional[int] = None,
-                    chunk: int = CHUNK_RECORDS) -> Iterator[zip]:
-        """Yield zips of ``(pc, type, taken, target, gap)`` per chunk.
+    def iter_tuples(self) -> Iterator[BranchTuple]:
+        """Yield ``(pc, type, taken, target, gap)`` tuples of Python ints.
 
-        Each chunk converts its slice of the five columns with a single
-        ``tolist()`` call; iterating the resulting Python lists is several
-        times faster than indexing numpy scalars per record.  Hot loops
-        that want to avoid any per-record generator overhead can consume
-        the chunks directly.
+        Each chunk of records converts its slice of the five columns with
+        one ``tolist()`` call; iterating the resulting Python lists is
+        several times faster than indexing numpy scalars per record.
         """
-        if stop is None:
-            stop = len(self.pcs)
-        pcs, types, takens = self.pcs, self.types, self.takens
-        targets, gaps = self.targets, self.gaps
-        for lo in range(start, stop, chunk):
-            hi = lo + chunk
-            if hi > stop:
-                hi = stop
-            yield zip(
-                pcs[lo:hi].tolist(),
-                types[lo:hi].tolist(),
-                takens[lo:hi].tolist(),
-                targets[lo:hi].tolist(),
-                gaps[lo:hi].tolist(),
-            )
-
-    def iter_tuples(self, start: int = 0,
-                    stop: Optional[int] = None) -> Iterator[BranchTuple]:
-        """Yield ``(pc, type, taken, target, gap)`` tuples of Python ints
-        for records ``[start, stop)`` (the whole trace by default)."""
-        return chain.from_iterable(self.iter_chunks(start, stop))
-
-    def slice(self, start: int, stop: int) -> "Trace":
-        """Return a sub-trace of records ``[start, stop)``."""
-        return Trace(
-            self.pcs[start:stop],
-            self.types[start:stop],
-            self.takens[start:stop],
-            self.targets[start:stop],
-            self.gaps[start:stop],
-            name=f"{self.name}[{start}:{stop}]",
-        )
+        chunk = self.CHUNK_RECORDS
+        columns = (self.pcs, self.types, self.takens, self.targets, self.gaps)
+        return chain.from_iterable(
+            zip(*[column[lo:lo + chunk].tolist() for column in columns])
+            for lo in range(0, len(self.pcs), chunk))
 
 
 class TraceBuilder:

@@ -1,4 +1,4 @@
-"""Branch record model.
+"""Branch types.
 
 Branch types follow the taxonomy the paper uses in §IV: conditional
 branches are what the predictor predicts; unconditional branches (jumps,
@@ -7,7 +7,6 @@ calls, returns and their indirect forms) are what forms *program context*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 
@@ -20,61 +19,3 @@ class BranchType(IntEnum):
     RET = 3         # return
     IND_JUMP = 4    # indirect jump
     IND_CALL = 5    # indirect call
-
-
-_UNCONDITIONAL = frozenset(
-    {BranchType.JUMP, BranchType.CALL, BranchType.RET,
-     BranchType.IND_JUMP, BranchType.IND_CALL}
-)
-_CALLS = frozenset({BranchType.CALL, BranchType.IND_CALL})
-
-
-def is_unconditional(branch_type: BranchType) -> bool:
-    return branch_type in _UNCONDITIONAL
-
-
-def is_call(branch_type: BranchType) -> bool:
-    return branch_type in _CALLS
-
-
-def is_return(branch_type: BranchType) -> bool:
-    return branch_type == BranchType.RET
-
-
-def is_indirect(branch_type: BranchType) -> bool:
-    return branch_type in (BranchType.IND_JUMP, BranchType.IND_CALL)
-
-
-@dataclass(frozen=True)
-class BranchRecord:
-    """A single retired branch.
-
-    Attributes:
-        pc: address of the branch instruction.
-        branch_type: category of the branch.
-        taken: resolved direction (always True for unconditional branches).
-        target: resolved target address.
-        instr_gap: instructions retired since the previous branch record,
-            inclusive of this branch (>= 1).  Summing gaps gives the
-            instruction count used for MPKI.
-    """
-
-    pc: int
-    branch_type: BranchType
-    taken: bool
-    target: int
-    instr_gap: int = 1
-
-    def __post_init__(self) -> None:
-        if self.instr_gap < 1:
-            raise ValueError("instr_gap must be >= 1")
-        if is_unconditional(self.branch_type) and not self.taken:
-            raise ValueError("unconditional branches are always taken")
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.branch_type == BranchType.COND
-
-    @property
-    def is_unconditional(self) -> bool:
-        return is_unconditional(self.branch_type)

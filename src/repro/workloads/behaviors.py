@@ -56,10 +56,6 @@ class ExecContext:
         self.path_hash = self._path_stack[-1]
         self._fid_stack.pop()
 
-    @property
-    def call_depth(self) -> int:
-        return len(self._path_stack) - 1
-
     def partial_path(self, depth: int) -> int:
         """Hash of the ``depth`` innermost stack frames.
 

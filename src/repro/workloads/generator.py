@@ -2,9 +2,10 @@
 
 The interpreter walks the program's statements, consulting each branch's
 behaviour for directions and the seeded RNG for indirect-call dispatch,
-and emits one :class:`~repro.traces.types.BranchRecord` per retired
-branch.  The entry function is re-executed until the instruction budget is
-reached, which models a server's request loop.
+and appends one record per retired branch to a
+:class:`~repro.traces.trace.TraceBuilder`.  The entry function is
+re-executed until the instruction budget is reached, which models a
+server's request loop.
 """
 
 from __future__ import annotations

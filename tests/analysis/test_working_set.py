@@ -2,7 +2,6 @@
 
 from repro.analysis.working_set import (
     baseline_order,
-    cumulative_misprediction_fractions,
     top_branch_share,
     traced_inf_tage,
     useful_patterns_study,
@@ -31,21 +30,6 @@ def test_order_includes_never_mispredicted():
     order = baseline_order(result)
     assert set(order) == {0x1, 0x2}
     assert order[0] == 0x1
-
-
-def test_cumulative_fractions():
-    base = fake_result({0x1: 60, 0x2: 40})
-    order = baseline_order(base)
-    curve = cumulative_misprediction_fractions(base, order, base)
-    assert curve == [0.6, 1.0]
-
-
-def test_cumulative_normalised_to_baseline():
-    base = fake_result({0x1: 60, 0x2: 40})
-    better = fake_result({0x1: 30, 0x2: 20})
-    order = baseline_order(base)
-    curve = cumulative_misprediction_fractions(better, order, base)
-    assert curve[-1] == 0.5  # half the baseline's misses remain
 
 
 def test_top_branch_share():

@@ -68,12 +68,3 @@ def test_rare_llbp_access_is_cheap():
     llbp = model.llbp_design(predictions, predictions // 6, predictions // 8)
     scaled = model.tsl_design("512KiB TSL", capacity_kib=512)
     assert llbp.total < scaled.total
-
-
-def test_normalise():
-    model = EnergyModel()
-    base = model.tsl_design("64KiB TSL")
-    scaled = model.tsl_design("512KiB TSL", capacity_kib=512)
-    normed = EnergyModel.normalise([base, scaled], base)
-    assert normed[0].total == pytest.approx(1.0)
-    assert normed[1].total == pytest.approx(4.58)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy.sram import SramModel, SramStructure, anchors
+from repro.energy.sram import SramModel, SramStructure
 
 
 @pytest.fixture
@@ -57,7 +57,3 @@ def test_structure_validation():
         SramStructure("x", 0, 1)
     with pytest.raises(ValueError):
         SramStructure("x", 1, 0)
-
-
-def test_anchors_exported():
-    assert len(anchors()) == 5

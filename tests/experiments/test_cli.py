@@ -25,6 +25,16 @@ def test_unknown_experiment_rejected(capsys):
     assert "unknown experiments" in capsys.readouterr().out
 
 
+def test_unknown_env_workload_is_a_usage_error(isolated_caches, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv("REPRO_WORKLOADS", "Kafak")
+    assert main(["fig09", "-j", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("REPRO_WORKLOADS: unknown workload 'Kafak'")
+    assert len(err.splitlines()) == 1
+    assert not (isolated_caches / "cache").exists()  # nothing ran
+
+
 def test_single_experiment_runs(capsys):
     assert main(["table3"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -110,7 +111,8 @@ class TestWriteFailure:
 
         # The failure is visible in telemetry, and the journal carried
         # on: the post-failure completion survived to disk.
-        kinds = [e["event"] for e in telemetry.events()]
+        kinds = [e["event"]
+                 for e in telemetry.load_events(tmp_path / "telemetry")]
         assert "journal.write_failed" in kinds
         with RunJournal.open(path) as reloaded:
             assert ("Kafka", "gshare", 60_000) in reloaded.completed()
@@ -158,7 +160,8 @@ class TestExecutorIntegration:
                            str(isolated_caches / "telemetry"))
         (again,) = parallel.run_jobs([job], max_workers=1).values()
         assert again == good  # recomputed, not the poisoned bytes
-        kinds = [e["event"] for e in telemetry.events()]
+        kinds = [e["event"] for e in
+                 telemetry.load_events(isolated_caches / "telemetry")]
         assert "parallel.cache_corrupt" in kinds
 
     def test_digest_is_content_addressed(self, isolated_caches):
@@ -209,6 +212,26 @@ class TestResumeCLI:
                      and e.get("source") in ("simulated", "batched")]
         assert simulated == []  # the rerun re-executed nothing
         assert "[resume]" in capsys.readouterr().out
+
+    def test_resume_counts_only_results_still_cached(self, isolated_caches,
+                                                     capsys):
+        """A journalled job whose result file is gone is re-simulated,
+        so the rerun claims no resume; the run after it resumes all."""
+        from repro.experiments.__main__ import main
+
+        assert main(["fig09", "-j", "1"]) == 0
+        capsys.readouterr()
+        shutil.rmtree(isolated_caches / "cache" / "results")
+        runner.clear_memory_cache()
+
+        assert main(["fig09", "-j", "1"]) == 0
+        assert "[resume]" not in capsys.readouterr().out
+        assert len(list(
+            (isolated_caches / "cache" / "results").glob("*.json"))) == 4
+
+        runner.clear_memory_cache()
+        assert main(["fig09", "-j", "1"]) == 0
+        assert "4/4 simulations already complete" in capsys.readouterr().out
 
     def test_serial_run_journals_and_verifies_digests(self, isolated_caches,
                                                       capsys):

@@ -81,6 +81,17 @@ def test_unknown_workload_is_a_usage_error(tmp_path, capsys, workloads):
     assert not (tmp_path / "cache").exists()  # nothing ran
 
 
+def test_unknown_env_workload_is_a_usage_error(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv("REPRO_WORKLOADS", "Kafak")
+    assert main(["--budget", "short", "--space", "bimodal;gshare",
+                 "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("REPRO_WORKLOADS: unknown workload 'Kafak'")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "cache").exists()  # nothing ran
+
+
 def test_table_rendering_on_stdout(tmp_path, capsys):
     code = main(["--budget", "smoke", "--space", "bimodal;gshare",
                  "--workloads", "Kafka", "--jobs", "1"])

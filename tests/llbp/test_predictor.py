@@ -84,13 +84,14 @@ class TestPredictionFlow:
         assert predictor.counts["context_creations"] > before
         assert predictor.counts["allocations"] > 0
 
-    def test_finalize_stats_exports_counters(self):
+    def test_run_counters_exports_counters(self):
         predictor = make()
         drive(predictor, 0x100, True)
-        predictor.finalize_stats()
+        counters = predictor.run_counters()
         for key in ("predictions", "llbp_provided", "pb_accesses",
                     "cd_accesses", "llbp_accesses", "read_bits", "write_bits"):
-            assert key in predictor.stats.extra
+            assert key in counters
+        assert counters["predictions"] == 1
 
 
 class TestEndToEnd:

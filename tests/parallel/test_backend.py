@@ -125,7 +125,9 @@ class TestNoLeftoverChild:
         if ending == "return":
             parallel.run_jobs(jobs, max_workers=2, policy=RetryPolicy(**FAST))
         elif ending == "exhausted":
-            faults.install(f"raise@0x{FAST['max_attempts']}")
+            monkeypatch.setenv(faults.ENV_VAR,
+                               f"raise@0x{FAST['max_attempts']}")
+            faults.reset()
             with pytest.raises(faults.FaultInjected):
                 parallel.run_jobs(jobs, max_workers=2,
                                   policy=RetryPolicy(**FAST))

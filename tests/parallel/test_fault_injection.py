@@ -60,6 +60,16 @@ def chaos_env(isolated_caches, tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def fault_plan(monkeypatch):
+    """Set the fault plan the way CI does, through ``REPRO_FAULTS``."""
+    def _set(spec):
+        monkeypatch.setenv(faults.ENV_VAR, spec)
+        faults.reset()
+
+    return _set
+
+
+@pytest.fixture
 def events(chaos_env):
     def _load(name):
         return [e for e in telemetry.load_events(chaos_env)
@@ -89,8 +99,8 @@ def _assert_matches_clean_serial(by_job, fresh_cache):
 
 
 class TestRaiseFault:
-    def test_retried_and_bit_identical(self, events, fresh_cache):
-        faults.install("raise@0")
+    def test_retried_and_bit_identical(self, events, fresh_cache, fault_plan):
+        fault_plan("raise@0")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         retries = events("parallel.retry")
@@ -98,10 +108,10 @@ class TestRaiseFault:
         assert len(events("parallel.fault")) == 1
         _assert_matches_clean_serial(by_job, fresh_cache)
 
-    def test_serial_path_retries_too(self, events, fresh_cache):
+    def test_serial_path_retries_too(self, events, fresh_cache, fault_plan):
         """-j 1 (no child) runs each attempt in this process, under the
         same retry loop."""
-        faults.install("raise@1")
+        fault_plan("raise@1")
         by_job = parallel.run_jobs(_jobs(), max_workers=1,
                                    policy=RetryPolicy(**FAST))
         (fault,) = events("parallel.fault")
@@ -111,10 +121,11 @@ class TestRaiseFault:
         _assert_matches_clean_serial(by_job, fresh_cache)
 
     @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_exhausted_retries_surface_the_error(self, events, max_workers):
+    def test_exhausted_retries_surface_the_error(self, events, max_workers,
+                                                 fault_plan):
         """At any -j, the exhausted task raises only after the other
         task has settled: its result is cached and journalled."""
-        faults.install(f"raise@0x{FAST['max_attempts']}")
+        fault_plan(f"raise@0x{FAST['max_attempts']}")
         jobs = _jobs(("bimodal", "gshare"))
         with pytest.raises(faults.FaultInjected):
             parallel.run_jobs(jobs, max_workers=max_workers,
@@ -128,10 +139,11 @@ class TestRaiseFault:
 
 
 class TestWorkerKill:
-    def test_dead_worker_detected_pool_rebuilt(self, events, fresh_cache):
+    def test_dead_worker_detected_pool_rebuilt(self, events, fresh_cache,
+                                               fault_plan):
         """SIGKILL mid-job (an OOM-kill stand-in) must not lose the batch:
         the dead child's task alone is charged a ``worker_lost`` retry."""
-        faults.install("kill@1")
+        fault_plan("kill@1")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         charged = [(e["workload"], e["error"])
@@ -141,7 +153,8 @@ class TestWorkerKill:
 
     def test_kill_resubmits_and_charges_only_its_task(self, events,
                                                       monkeypatch,
-                                                      fresh_cache):
+                                                      fresh_cache,
+                                                      fault_plan):
         """A dead child is its own task's failure and no other's.
         NodeApp's larger budget keeps it running when Kafka's child is
         killed: it runs once and is never charged, while Kafka is
@@ -154,7 +167,7 @@ class TestWorkerKill:
             return real_submit(self, task, fault)
 
         monkeypatch.setattr(local.LocalBackend, "submit", counting)
-        faults.install("kill@0")
+        fault_plan("kill@0")
         by_job = parallel.run_jobs(
             [parallel.SimJob("Kafka", "gshare", 20_000),
              parallel.SimJob("NodeApp", "gshare", 400_000)],
@@ -192,10 +205,11 @@ class TestWorkerKill:
 
 
 class TestHungWorker:
-    def test_timeout_kills_hung_worker_and_retries(self, events, fresh_cache):
+    def test_timeout_kills_hung_worker_and_retries(self, events, fresh_cache,
+                                                   fault_plan):
         """The deadline kills the hung task's child alone: the other
         tasks run once, and only the hung one is charged."""
-        faults.install("hang@0")
+        fault_plan("hang@0")
         by_job = parallel.run_jobs(_jobs(), max_workers=2,
                                    policy=RetryPolicy(timeout=3.0, **FAST))
         (timeout,) = events("parallel.timeout")
@@ -213,8 +227,8 @@ class TestBatchedChaos:
     task: a fault takes down the whole shared-trace pass, and recovery
     must still converge on bit-identical results."""
 
-    def test_raise_retries_whole_task(self, events, fresh_cache):
-        faults.install("raise@0")  # index 0 = the single Kafka task
+    def test_raise_retries_whole_task(self, events, fresh_cache, fault_plan):
+        fault_plan("raise@0")  # index 0 = the single Kafka task
         by_job = parallel.run_jobs(_batched_jobs(), max_workers=2,
                                    policy=RetryPolicy(**FAST))
         (retry,) = events("parallel.retry")
@@ -222,8 +236,9 @@ class TestBatchedChaos:
         assert set(retry["key"].split(",")) == set(KEYS)
         _assert_matches_clean_serial(by_job, fresh_cache)
 
-    def test_killed_worker_task_recovers(self, events, fresh_cache):
-        faults.install("kill@0")
+    def test_killed_worker_task_recovers(self, events, fresh_cache,
+                                         fault_plan):
+        fault_plan("kill@0")
         by_job = parallel.run_jobs(
             parallel.make_jobs([(workload, key)
                                 for workload in ("Kafka", "NodeApp")
@@ -247,7 +262,8 @@ class TestBatchedChaos:
 class TestFig09StyleChaosRun:
     def test_raise_hang_and_kill_across_one_figure_run(self, events,
                                                        monkeypatch,
-                                                       fresh_cache):
+                                                       fresh_cache,
+                                                       fault_plan):
         """The acceptance scenario, with CI's fault plan: a fig09-style
         batch absorbs one of each fault kind, charges each to the task
         it hit, and still reproduces the clean figure exactly."""
@@ -260,7 +276,7 @@ class TestFig09StyleChaosRun:
         # engine.
         monkeypatch.setenv("REPRO_WORKLOADS", FIG09_WORKLOADS)
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "20000")
-        faults.install("kill@0,raise@1,hang@3x2")
+        fault_plan("kill@0,raise@1,hang@3x2")
         jobs = parallel.make_jobs(fig09.jobs())
         by_job = parallel.run_jobs(
             jobs, max_workers=2,

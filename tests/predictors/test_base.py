@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.predictors.base import BranchPredictor, PredictorStats
-
-
-def test_stats_bump():
-    stats = PredictorStats()
-    stats.bump("x")
-    stats.bump("x", 4)
-    assert stats.extra == {"x": 5}
+from repro.predictors.base import BranchPredictor
 
 
 def test_abstract_methods_raise():
@@ -21,3 +14,4 @@ def test_abstract_methods_raise():
     # History update and advance are optional no-ops.
     predictor.update_history(0, 0, True, 0)
     assert predictor.storage_bits() == 0
+    assert predictor.run_counters() == {}

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.predictors.bimodal import Bimodal
+from repro.sim.engine import run_simulation
+from repro.traces.trace import TraceBuilder
+from repro.traces.types import BranchType
 
 
 def test_learns_bias():
@@ -46,11 +49,15 @@ def test_aliasing_beyond_index_bits():
 
 
 def test_misprediction_stats():
-    predictor = Bimodal(index_bits=8)
-    meta = predictor.predict(0x100)
-    predictor.train(0x100, not meta, meta)
-    assert predictor.stats.mispredictions == 1
-    assert predictor.stats.lookups == 1
+    """The engines count lookups and mispredictions: a fresh counter
+    predicts taken, so one not-taken branch is one misprediction."""
+    builder = TraceBuilder("one")
+    builder.append(0x100, BranchType.COND, False, 0x104)
+    trace = builder.build()
+    for engine in ("python", "array"):
+        result = run_simulation(trace, Bimodal(index_bits=8),
+                                warmup_instructions=0, engine=engine)
+        assert (result.cond_branches, result.mispredictions) == (1, 1)
 
 
 def test_storage_bits():

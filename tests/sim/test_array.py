@@ -258,7 +258,7 @@ def test_each_body_is_emitted_once(monkeypatch):
     assert {name for _, name in sources} == {
         "tsl", "llbp", "gshare", "bimode", "percep"}
     for source, name in sources:
-        assert source.count("misp_all += 1") == 1, name
+        assert source.count("measured_misp += 1") == 1, name
 
 
 #: One valid spelling per parameter token of each parameterised family.

@@ -103,12 +103,6 @@ def test_fetched_line_is_always_present(lines):
         assert cache.demand_misses == misses
 
 
-def test_miss_traffic_bits():
-    cache = InstructionCache()
-    cache.fetch_line(1)
-    assert cache.miss_traffic_bits == (cache.demand_misses + cache.prefetch_fills) * 512
-
-
 def test_invalid_geometry():
     with pytest.raises(ValueError):
         InstructionCache(size_kib=0)
@@ -148,7 +142,7 @@ def test_small_footprint_fits():
         builder.append(0x100, BranchType.JUMP, True, 0x140, 4)
     big = simulate_icache(make_trace())
     small = simulate_icache(builder.build())
-    assert small.mpki < big.mpki
+    assert small.bits_per_instruction < big.bits_per_instruction
 
 
 def test_warmup_excluded():

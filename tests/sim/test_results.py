@@ -32,8 +32,3 @@ def test_reduction():
 
 def test_reduction_zero_baseline():
     assert make().mpki_reduction_vs(make(mispredictions=0)) == 0.0
-
-
-def test_summary_mentions_key_fields():
-    text = make().summary()
-    assert "w/p" in text and "MPKI" in text

@@ -26,27 +26,30 @@ def clean_collector(monkeypatch):
 
 
 class TestDisabled:
-    def test_disabled_by_default(self):
+    def test_disabled_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert not telemetry.enabled()
         telemetry.emit("anything", value=1)
-        assert telemetry.events() == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["", "0", "off", "false", "no", "OFF"])
     def test_off_values(self, monkeypatch, value):
         monkeypatch.setenv(telemetry.ENV_VAR, value)
         assert not telemetry.enabled()
 
-    def test_no_files_written_when_off(self, tmp_path, pattern_trace):
+    def test_no_files_written_when_off(self, tmp_path, monkeypatch,
+                                       pattern_trace):
+        monkeypatch.chdir(tmp_path)
         run_simulation(pattern_trace, Bimodal())
-        assert telemetry.events() == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_phase_still_runs_body_when_off(self):
+    def test_phase_still_runs_body_when_off(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         ran = []
         with telemetry.phase("x"):
             ran.append(True)
         assert ran == [True]
-        assert telemetry.events() == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEnabled:
@@ -65,17 +68,18 @@ class TestEnabled:
         assert isinstance(record["ts"], float)
         assert isinstance(record["pid"], int)
 
-    def test_events_accumulate_in_memory(self, monkeypatch, tmp_path):
+    def test_events_read_back_in_order(self, monkeypatch, tmp_path):
         monkeypatch.setenv(telemetry.ENV_VAR, str(tmp_path))
         telemetry.emit("a")
         telemetry.emit("b")
-        assert [e["event"] for e in telemetry.events()] == ["a", "b"]
+        events = telemetry.load_events(tmp_path)
+        assert [e["event"] for e in events] == ["a", "b"]
 
     def test_phase_records_seconds(self, monkeypatch, tmp_path):
         monkeypatch.setenv(telemetry.ENV_VAR, str(tmp_path))
         with telemetry.phase("timed.block", step="s1"):
             pass
-        (event,) = telemetry.events()
+        (event,) = telemetry.load_events(tmp_path)
         assert event["event"] == "timed.block"
         assert event["step"] == "s1"
         assert event["seconds"] >= 0.0
@@ -90,10 +94,12 @@ class TestEnabled:
         assert len(list(b.glob("*.jsonl"))) == 1
 
     def test_configure_and_disable(self, monkeypatch, tmp_path):
+        """``configure`` sets the variable children inherit; clearing
+        it turns collection off again."""
         monkeypatch.setenv(telemetry.ENV_VAR, "0")  # restored on teardown
         telemetry.configure(tmp_path)
         assert telemetry.enabled()
-        telemetry.disable()
+        monkeypatch.delenv(telemetry.ENV_VAR)
         assert not telemetry.enabled()
 
 
@@ -115,13 +121,14 @@ class TestEngineInstrumentation:
         runs = {}
         for engine in ("python", "array"):
             result = run_simulation(pattern_trace, Bimodal(), engine=engine)
-            (run,) = [e for e in telemetry.events()
+            (run,) = [e for e in telemetry.load_events(tmp_path)
                       if e["event"] == "sim.run" and e["engine"] == engine]
             assert run["mispredictions"] == result.mispredictions
             assert run["seconds"] >= 0
             runs[engine] = {k: v for k, v in run.items()
                             if k not in ("ts", "seconds", "engine")}
-        assert {e["event"] for e in telemetry.events()} == {"sim.run"}
+        assert ({e["event"] for e in telemetry.load_events(tmp_path)}
+                == {"sim.run"})
         assert runs["python"] == runs["array"]
         assert runs["array"]["workload"] == pattern_trace.name
         assert runs["array"]["branches"] == len(pattern_trace)

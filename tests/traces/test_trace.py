@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traces.trace import Trace, TraceBuilder
-from repro.traces.types import BranchRecord, BranchType
+from repro.traces.types import BranchType
 
 record_strategy = st.tuples(
     st.integers(min_value=0, max_value=2**40),        # pc
@@ -30,9 +30,11 @@ def test_builder_roundtrip():
     trace = build([(0x10, BranchType.COND, True, 0x20, 2),
                    (0x30, BranchType.CALL, True, 0x40, 5)])
     assert len(trace) == 2
-    rec = trace.record(0)
-    assert rec == BranchRecord(0x10, BranchType.COND, True, 0x20, 2)
-    assert trace.record(1).branch_type == BranchType.CALL
+    assert trace.pcs.tolist() == [0x10, 0x30]
+    assert trace.types.tolist() == [BranchType.COND, BranchType.CALL]
+    assert trace.takens.tolist() == [1, 1]
+    assert trace.targets.tolist() == [0x20, 0x40]
+    assert trace.gaps.tolist() == [2, 5]
 
 
 def test_num_instructions_is_gap_sum():
@@ -71,13 +73,6 @@ def test_iter_tuples_matches_records():
     assert out[1] == (0x30, 3, 1, 0x40, 4)
 
 
-def test_slice():
-    trace = build([(i * 4, BranchType.COND, True, 0, 1) for i in range(10)])
-    sub = trace.slice(2, 5)
-    assert len(sub) == 3
-    assert sub.record(0).pc == 8
-
-
 def test_mismatched_arrays_rejected():
     with pytest.raises(ValueError):
         Trace(np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2), np.ones(2))
@@ -95,9 +90,7 @@ def test_roundtrip_property(records):
     trace = build(records)
     assert len(trace) == len(records)
     assert trace.num_instructions == sum(r[4] for r in records)
-    for i, (pc, bt, taken, target, gap) in enumerate(records):
-        rec = trace.record(i)
-        assert rec.pc == pc
-        assert rec.branch_type == bt
-        assert rec.target == target
-        assert rec.instr_gap == gap
+    assert trace.pcs.tolist() == [r[0] for r in records]
+    assert trace.types.tolist() == [r[1] for r in records]
+    assert trace.targets.tolist() == [r[3] for r in records]
+    assert trace.gaps.tolist() == [r[4] for r in records]

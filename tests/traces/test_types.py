@@ -1,42 +1,6 @@
-"""Branch record model."""
+"""Branch types."""
 
-import pytest
-
-from repro.traces.types import (
-    BranchRecord,
-    BranchType,
-    is_call,
-    is_indirect,
-    is_return,
-    is_unconditional,
-)
-
-
-def test_type_classification():
-    assert not is_unconditional(BranchType.COND)
-    for bt in (BranchType.JUMP, BranchType.CALL, BranchType.RET,
-               BranchType.IND_JUMP, BranchType.IND_CALL):
-        assert is_unconditional(bt)
-    assert is_call(BranchType.CALL) and is_call(BranchType.IND_CALL)
-    assert not is_call(BranchType.RET)
-    assert is_return(BranchType.RET)
-    assert is_indirect(BranchType.IND_JUMP) and is_indirect(BranchType.IND_CALL)
-    assert not is_indirect(BranchType.CALL)
-
-
-def test_record_properties():
-    record = BranchRecord(0x100, BranchType.COND, False, 0x200, 3)
-    assert record.is_conditional and not record.is_unconditional
-
-
-def test_unconditional_must_be_taken():
-    with pytest.raises(ValueError):
-        BranchRecord(0x100, BranchType.JUMP, False, 0x200)
-
-
-def test_gap_must_be_positive():
-    with pytest.raises(ValueError):
-        BranchRecord(0x100, BranchType.COND, True, 0x200, 0)
+from repro.traces.types import BranchType
 
 
 def test_types_are_stable_ints():

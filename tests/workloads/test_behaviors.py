@@ -35,10 +35,8 @@ class TestSplitmix:
 class TestExecContext:
     def test_call_stack(self):
         ctx = fresh_ctx()
-        assert ctx.call_depth == 0
         base = ctx.path_hash
         ctx.push_call(3)
-        assert ctx.call_depth == 1
         assert ctx.path_hash != base
         inner = ctx.path_hash
         ctx.push_call(5)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.traces.stats import compute_stats
+from repro.traces.types import BranchType
 from repro.workloads.adversarial import adversarial_names
 from repro.workloads.catalog import (
     WORKLOADS,
@@ -69,6 +70,18 @@ def test_cache_roundtrip():
     assert second.store_path == first.store_path
     assert list(first.pcs) == list(second.pcs)
     assert list(first.takens) == list(second.takens)
+
+
+def test_generated_records_are_well_formed():
+    """In every catalog and ``adv:`` trace, each record retires at least
+    one instruction and every unconditional branch is taken."""
+    for name in workload_names() + adversarial_names():
+        trace = generate_workload(name, 20_000)
+        assert len(trace), name
+        assert (trace.gaps >= 1).all(), name
+        unconditional = trace.types != BranchType.COND
+        assert unconditional.any(), name
+        assert (trace.takens[unconditional] == 1).all(), name
 
 
 def test_trace_shape_is_server_like():

@@ -57,11 +57,10 @@ def test_seed_changes_trace():
 def test_call_ret_pairing():
     trace = generate_trace(simple_program(), 4_000, seed=1)
     depth = 0
-    for i in range(len(trace)):
-        rec = trace.record(i)
-        if rec.branch_type in (BranchType.CALL, BranchType.IND_CALL):
+    for branch_type in trace.types.tolist():
+        if branch_type in (BranchType.CALL, BranchType.IND_CALL):
             depth += 1
-        elif rec.branch_type == BranchType.RET:
+        elif branch_type == BranchType.RET:
             depth -= 1
         assert depth >= 0
     assert depth in (0, 1)  # the budget may cut inside one call
@@ -70,23 +69,20 @@ def test_call_ret_pairing():
 def test_call_targets_callee_entry():
     program = simple_program()
     trace = generate_trace(program, 2_000, seed=1)
-    callee_entry = program.function(1).entry
-    for i in range(len(trace)):
-        rec = trace.record(i)
-        if rec.branch_type == BranchType.CALL:
-            assert rec.target == callee_entry
+    calls = trace.types == BranchType.CALL
+    assert calls.any()
+    assert (trace.targets[calls] == program.function(1).entry).all()
 
 
 def test_ret_returns_after_call_site():
     program = simple_program()
     trace = generate_trace(program, 2_000, seed=1)
     call_pc = None
-    for i in range(len(trace)):
-        rec = trace.record(i)
-        if rec.branch_type == BranchType.CALL:
-            call_pc = rec.pc
-        elif rec.branch_type == BranchType.RET and call_pc is not None:
-            assert rec.target == call_pc + 4
+    for pc, branch_type, _taken, target, _gap in trace.iter_tuples():
+        if branch_type == BranchType.CALL:
+            call_pc = pc
+        elif branch_type == BranchType.RET and call_pc is not None:
+            assert target == call_pc + 4
             call_pc = None
 
 
@@ -95,12 +91,11 @@ def test_biased_behaviors_drive_directions():
     program = simple_program()
     entry_cond_pc = program.function(0).body[1].pc
     leaf_cond_pc = program.function(1).body[0].pc
-    for i in range(len(trace)):
-        rec = trace.record(i)
-        if rec.pc == entry_cond_pc and rec.is_conditional:
-            assert rec.taken is False
-        if rec.pc == leaf_cond_pc and rec.is_conditional:
-            assert rec.taken is True
+    conditional = trace.types == BranchType.COND
+    for pc, taken in ((entry_cond_pc, 0), (leaf_cond_pc, 1)):
+        here = conditional & (trace.pcs == pc)
+        assert here.any()
+        assert (trace.takens[here] == taken).all()
 
 
 def test_loop_trip_counts():
@@ -109,7 +104,7 @@ def test_loop_trip_counts():
     assign_branch_ids(program)
     trace = generate_trace(program, 600, seed=1)
     # Per loop execution: back-edge taken twice then not-taken once.
-    takens = [trace.record(i).taken for i in range(len(trace))]
+    takens = [bool(taken) for taken in trace.takens.tolist()]
     for j in range(0, len(takens) - 3, 3):
         assert takens[j:j + 3] == [True, True, False]
 
@@ -121,7 +116,7 @@ def test_if_skips_body_when_taken():
     trace = generate_trace(program, 500, seed=1)
     # Only the guard executes; the inner branch never appears.
     inner_pc = body[0].body[0].pc
-    assert all(trace.record(i).pc != inner_pc for i in range(len(trace)))
+    assert inner_pc not in trace.pcs.tolist()
 
 
 def test_weighted_dispatch_prefers_heavy_callee():
@@ -131,8 +126,7 @@ def test_weighted_dispatch_prefers_heavy_callee():
     program = Program([entry, f1, f2], 0)
     assign_branch_ids(program)
     trace = generate_trace(program, 5_000, seed=3)
-    calls = [trace.record(i).target for i in range(len(trace))
-             if trace.record(i).branch_type == BranchType.IND_CALL]
+    calls = trace.targets[trace.types == BranchType.IND_CALL].tolist()
     heavy = sum(1 for t in calls if t == program.function(1).entry)
     assert heavy / len(calls) > 0.75
 

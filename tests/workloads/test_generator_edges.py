@@ -22,8 +22,7 @@ def test_recursive_calls_bounded():
     # The stack unwinds: returns appear and depth never explodes.
     depth = 0
     max_depth = 0
-    for i in range(len(trace)):
-        bt = trace.record(i).branch_type
+    for bt in trace.types.tolist():
         if bt in (BranchType.CALL, BranchType.IND_CALL):
             depth += 1
         elif bt == BranchType.RET:
@@ -38,7 +37,7 @@ def test_indirect_call_type_emitted():
                        Function(2, [ComputeStmt(1)])], 0)
     assign_branch_ids(program)
     trace = generate_trace(program, 1_000, seed=1)
-    types = {trace.record(i).branch_type for i in range(len(trace))}
+    types = set(trace.types.tolist())
     assert BranchType.IND_CALL in types
     assert BranchType.CALL not in types
 
@@ -48,7 +47,7 @@ def test_direct_call_type_emitted():
     program = Program([entry, Function(1, [ComputeStmt(1)])], 0)
     assign_branch_ids(program)
     trace = generate_trace(program, 1_000, seed=1)
-    types = {trace.record(i).branch_type for i in range(len(trace))}
+    types = set(trace.types.tolist())
     assert BranchType.CALL in types
     assert BranchType.IND_CALL not in types
 
