@@ -46,8 +46,9 @@ def main(argv=None):
                         help="suppress the human-readable report")
     args = parser.parse_args(argv)
 
-    from repro.telemetry import (format_summary, load_events, summarize,
-                                 write_summary)
+    from repro.telemetry import load_events
+    from repro.telemetry.report import (format_summary, summarize,
+                                        write_summary)
 
     if not args.path.exists():
         print(f"no telemetry at {args.path}", file=sys.stderr)

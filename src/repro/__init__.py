@@ -24,7 +24,20 @@ Quickstart::
     baseline = run_simulation(trace, tsl_64k())
     llbp = run_simulation(trace, LLBPTageScL(LLBPConfig()))
     print(baseline.mpki, llbp.mpki)
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless it is
+already set (see below).
 """
+
+import os
+
+# numpy's OpenBLAS starts a thread for each core beyond the first when
+# numpy is imported, and each spins for about 0.1 s of CPU.  Nothing here
+# calls BLAS: the numpy work is integer masks, shifts, cumsum, unique and
+# bincount.  Importing any repro module runs this file first, so it is
+# the one place sure to run before the package loads numpy.  A value
+# the user has set wins; child processes inherit the variable.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "1.0.0"
 

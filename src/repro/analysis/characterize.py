@@ -57,6 +57,7 @@ import numpy as np
 from repro import telemetry
 from repro.llbp.config import LLBPConfig
 from repro.llbp.rcr import RollingContextRegister
+from repro.sim.columns import cid_columns, cond_history_lanes, context_pushes
 from repro.traces.trace import Trace
 from repro.traces.types import BranchType
 from repro.workloads.catalog import generate_workload, parse_workloads, workload_names
@@ -114,10 +115,6 @@ def characterize_trace(trace: Trace) -> Dict[str, object]:
     pass bit for bit.  The CCID of each branch comes from LLBP's CID
     column (:func:`repro.sim.columns.cid_columns`).
     """
-    # Imported here: every figure CLI imports this module, and only a
-    # characterization needs the column code.
-    from repro.sim.columns import cid_columns, cond_history_lanes, context_pushes
-
     cond = trace.types == int(BranchType.COND)
     total = int(np.count_nonzero(cond))
     if total == 0:
@@ -348,8 +345,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workloads = parse_workloads(args.workloads)
     except ValueError as error:
         parser.error(f"--workloads: {error}")
+    instructions = args.instructions
+    if instructions is None:
+        from repro.experiments.common import experiment_instructions
 
-    artifact = characterize(workloads, instructions=args.instructions,
+        try:
+            instructions = experiment_instructions()
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
+
+    artifact = characterize(workloads, instructions=instructions,
                             with_mpki=not args.no_mpki)
     text = artifact_json(artifact)
     if args.out:

@@ -47,7 +47,10 @@ import time
 
 from repro import parallel, telemetry
 from repro.sim import engine as engine_mod
-from repro.experiments.common import experiment_workloads
+from repro.experiments.common import (
+    experiment_instructions,
+    experiment_workloads,
+)
 from repro.experiments.journal import RunJournal
 from repro.parallel.retry import RetryPolicy
 
@@ -172,10 +175,12 @@ def main(argv) -> int:
     names = args.names or list(_EXPERIMENTS)
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:
-        print(f"unknown experiments: {unknown}; known: {list(_EXPERIMENTS)}")
+        print(f"unknown experiments: {unknown}; known: {list(_EXPERIMENTS)}",
+              file=sys.stderr)
         return 2
     try:
         experiment_workloads()
+        experiment_instructions()
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2

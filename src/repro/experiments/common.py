@@ -20,13 +20,19 @@ DEFAULT_WORKLOADS = ("NodeApp", "PHPWiki", "Tomcat", "Kafka", "Merced", "Whiskey
 
 
 def experiment_instructions() -> int:
+    """``REPRO_INSTRUCTIONS``, else :data:`DEFAULT_INSTRUCTIONS`; a value
+    that is not a positive integer raises ``ValueError``."""
     value = os.environ.get("REPRO_INSTRUCTIONS")
-    if value:
+    if not value:
+        return DEFAULT_INSTRUCTIONS
+    try:
         parsed = int(value)
-        if parsed <= 0:
-            raise ValueError("REPRO_INSTRUCTIONS must be positive")
-        return parsed
-    return DEFAULT_INSTRUCTIONS
+        if parsed > 0:
+            return parsed
+    except ValueError:
+        pass
+    raise ValueError(
+        f"REPRO_INSTRUCTIONS: {value!r} is not a positive integer")
 
 
 def experiment_workloads() -> List[str]:

@@ -161,10 +161,14 @@ def main(argv) -> int:
         print("no workloads selected", file=sys.stderr)
         return 2
 
+    try:
+        full_instructions = budget.resolve_full_instructions()
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     schedule = search.halving_schedule(
-        len(keys), budget.base_instructions,
-        budget.resolve_full_instructions(), eta=budget.eta,
-        min_survivors=budget.min_survivors)
+        len(keys), budget.base_instructions, full_instructions,
+        eta=budget.eta, min_survivors=budget.min_survivors)
 
     workers = args.jobs if args.jobs is not None else parallel.default_jobs()
     try:

@@ -31,6 +31,7 @@ raises ``ValueError``: only the Python engine runs them.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from itertools import chain
@@ -470,9 +471,17 @@ def _nested(a):
     return lambda line: a("    " + line)
 
 
+@functools.lru_cache(maxsize=64)
+def _compile_source(source: str, name: str):
+    """The code object of one generated source.  A source depends only
+    on the predictor's geometry, so runs of one key in a process share
+    it; each run's ``exec`` still binds that predictor's own tables."""
+    return compile(source, f"<array-sim-{name}>", "exec")
+
+
 def _exec_sim(lines, name: str, namespace: dict):
-    """Compile the generated ``_sim`` with ``namespace`` as its globals."""
-    exec(compile("\n".join(lines), f"<array-sim-{name}>", "exec"), namespace)
+    """Run the generated ``_sim`` source with ``namespace`` as its globals."""
+    exec(_compile_source("\n".join(lines), name), namespace)
     return namespace["_sim"]
 
 

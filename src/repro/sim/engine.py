@@ -11,6 +11,10 @@ not fuse; ``engine="python"`` runs :func:`run_simulation_reference`
 instead, the oracle: one generic loop that the array engine must match
 misprediction-for-misprediction, and the only engine for any other
 predictor.
+
+The array engine is imported with this module, not on the first run:
+the process that launches a batch then imports it once, before the
+first fork, and every child inherits the loaded module.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Dict, Optional
 from repro import telemetry
 from repro.predictors.base import BranchPredictor
 from repro.predictors.perfect import PerfectPredictor
+from repro.sim import array
 from repro.sim.results import SimulationResult
 from repro.traces.trace import Trace
 
@@ -71,8 +76,6 @@ def run_simulation(
     ``engine="python"``.
     """
     if resolve_engine(engine) == "array":
-        from repro.sim import array
-
         return array.run_simulation_array(trace, predictor, warmup_instructions)
     return run_simulation_reference(trace, predictor, warmup_instructions)
 

@@ -10,10 +10,11 @@ one cheap enabled-check per *phase* (never per branch), so the hot loops
 are untouched.
 
 Write side: :func:`emit`, :func:`phase`, :func:`configure`,
-:func:`enabled`.  Read side:
-:func:`~repro.telemetry.report.load_events`,
-:func:`~repro.telemetry.report.summarize`,
-:func:`~repro.telemetry.report.format_summary`.
+:func:`enabled`.  Read side: :func:`load_events`, which lives next to
+the writer in :mod:`repro.telemetry.collector`.  The summaries
+(``summarize``, ``format_summary``, ``write_summary``) are in
+:mod:`repro.telemetry.report`, which only the report script and tests
+import, so a run never loads them.
 """
 
 from repro.telemetry.collector import (
@@ -22,14 +23,9 @@ from repro.telemetry.collector import (
     configure,
     emit,
     enabled,
+    load_events,
     phase,
     reset,
-)
-from repro.telemetry.report import (
-    format_summary,
-    load_events,
-    summarize,
-    write_summary,
 )
 
 __all__ = [
@@ -38,10 +34,7 @@ __all__ = [
     "configure",
     "emit",
     "enabled",
+    "load_events",
     "phase",
     "reset",
-    "format_summary",
-    "load_events",
-    "summarize",
-    "write_summary",
 ]

@@ -1,10 +1,11 @@
-"""Structured-event collection: the write side of ``repro.telemetry``.
+"""Structured-event collection: the JSONL files and reading them back.
 
 One :class:`Collector` per process appends JSON-object lines to
 ``events-<pid>.jsonl`` inside the telemetry directory, so concurrent
 writers (the parallel executor's workers) never interleave partial
-lines; :mod:`repro.telemetry.report` merges the per-process files back
-into one event stream ordered by timestamp.
+lines; :func:`load_events` merges the per-process files back into one
+event stream ordered by timestamp, which :mod:`repro.telemetry.report`
+summarizes.
 
 The module-level :func:`emit` / :func:`phase` API is what instrumented
 code calls.  It is opt-in via the ``REPRO_TELEMETRY`` environment
@@ -25,7 +26,8 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, TextIO
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, TextIO,
+                    Union)
 
 #: Environment variable holding the telemetry directory (opt-in switch).
 ENV_VAR = "REPRO_TELEMETRY"
@@ -36,7 +38,7 @@ _OFF_VALUES = frozenset({"", "0", "off", "false", "no"})
 
 class Collector:
     """Per-process event collector: appends each event to its JSONL
-    file, which :func:`~repro.telemetry.report.load_events` reads back."""
+    file, which :func:`load_events` reads back."""
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
@@ -132,3 +134,35 @@ def reset() -> None:
     _active = None
     _active_env = None
     _active_pid = None
+
+
+def load_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Load events from a JSONL file or a directory of ``*.jsonl`` files.
+
+    Events from different processes are merged and sorted by timestamp.
+    Blank or truncated lines (a run killed mid-write) are skipped rather
+    than fatal, mirroring the result cache's corruption tolerance.
+    """
+    path = Path(path)
+    if path.is_dir():
+        files: Sequence[Path] = sorted(path.glob("*.jsonl"))
+    else:
+        files = [path]
+    events: List[Dict[str, Any]] = []
+    for file in files:
+        try:
+            text = file.read_text()
+        except OSError:
+            continue
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict) and "event" in record:
+                events.append(record)
+    events.sort(key=lambda e: e.get("ts", 0.0))
+    return events

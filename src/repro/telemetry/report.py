@@ -1,9 +1,9 @@
 """Turn a telemetry event stream into a run report.
 
-The read side of ``repro.telemetry``: :func:`load_events` merges the
-per-process ``events-*.jsonl`` files a run produced (parent + child
-processes) into one timestamp-ordered stream, :func:`summarize` reduces
-it to the aggregate numbers a human or CI gate cares about — simulation
+The summary side of ``repro.telemetry``: given the timestamp-ordered
+stream :func:`repro.telemetry.load_events` reads back from a run's
+per-process ``events-*.jsonl`` files, :func:`summarize` reduces it to
+the aggregate numbers a human or CI gate cares about — simulation
 time, result/trace cache hit rates, parallel worker utilization, LLBP
 structure counters, per-figure wall clock — and
 :func:`format_summary` renders that as text.  ``scripts/report.py`` is
@@ -15,41 +15,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 Event = Dict[str, Any]
-
-
-def load_events(path: Union[str, Path]) -> List[Event]:
-    """Load events from a JSONL file or a directory of ``*.jsonl`` files.
-
-    Events from different processes are merged and sorted by timestamp.
-    Blank or truncated lines (a run killed mid-write) are skipped rather
-    than fatal, mirroring the result cache's corruption tolerance.
-    """
-    path = Path(path)
-    if path.is_dir():
-        files: Sequence[Path] = sorted(path.glob("*.jsonl"))
-    else:
-        files = [path]
-    events: List[Event] = []
-    for file in files:
-        try:
-            text = file.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "event" in record:
-                events.append(record)
-    events.sort(key=lambda e: e.get("ts", 0.0))
-    return events
 
 
 def _rate(hits: int, total: int) -> Optional[float]:

@@ -410,6 +410,16 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert not (tmp_path / "cache").exists()  # nothing ran
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_env_instructions_is_a_usage_error(
+            self, isolated_cache, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("REPRO_INSTRUCTIONS", value)
+        assert main(["--workloads", "Kafka"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"REPRO_INSTRUCTIONS: {value!r} is not a positive "
+                       "integer\n")
+        assert not (tmp_path / "cache").exists()  # nothing ran
+
     def test_adv_suite_spelling(self, isolated_cache, capsys):
         assert main(["--workloads", "adv:hist,l=4", "--instructions",
                      "8000", "--no-mpki"]) == 0

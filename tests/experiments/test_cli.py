@@ -22,7 +22,7 @@ def test_registry_covers_every_table_and_figure():
 
 def test_unknown_experiment_rejected(capsys):
     assert main(["nope"]) == 2
-    assert "unknown experiments" in capsys.readouterr().out
+    assert "unknown experiments" in capsys.readouterr().err
 
 
 def test_unknown_env_workload_is_a_usage_error(isolated_caches, monkeypatch,
@@ -32,6 +32,17 @@ def test_unknown_env_workload_is_a_usage_error(isolated_caches, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("REPRO_WORKLOADS: unknown workload 'Kafak'")
     assert len(err.splitlines()) == 1
+    assert not (isolated_caches / "cache").exists()  # nothing ran
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_env_instructions_is_a_usage_error(isolated_caches,
+                                                     monkeypatch, capsys,
+                                                     value):
+    monkeypatch.setenv("REPRO_INSTRUCTIONS", value)
+    assert main(["fig09", "-j", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"REPRO_INSTRUCTIONS: {value!r} is not a positive integer\n"
     assert not (isolated_caches / "cache").exists()  # nothing ran
 
 

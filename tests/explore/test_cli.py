@@ -92,6 +92,18 @@ def test_unknown_env_workload_is_a_usage_error(tmp_path, monkeypatch,
     assert not (tmp_path / "cache").exists()  # nothing ran
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_env_instructions_is_a_usage_error(tmp_path, monkeypatch,
+                                                     capsys, value):
+    """Only the ``full`` budget reads ``REPRO_INSTRUCTIONS``."""
+    monkeypatch.setenv("REPRO_INSTRUCTIONS", value)
+    assert main(["--budget", "full", "--space", "bimodal;gshare",
+                 "--workloads", "Kafka", "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"REPRO_INSTRUCTIONS: {value!r} is not a positive integer\n"
+    assert not (tmp_path / "cache").exists()  # nothing ran
+
+
 def test_table_rendering_on_stdout(tmp_path, capsys):
     code = main(["--budget", "smoke", "--space", "bimodal;gshare",
                  "--workloads", "Kafka", "--jobs", "1"])

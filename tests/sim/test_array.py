@@ -261,6 +261,22 @@ def test_each_body_is_emitted_once(monkeypatch):
         assert source.count("measured_misp += 1") == 1, name
 
 
+@pytest.mark.parametrize("key", KEYS)
+def test_each_loop_is_compiled_once_per_process(key):
+    """A second run of one key reuses the first run's code object, and
+    still trains its own predictor: the results and the final tables of
+    the two runs are equal."""
+    trace = generate_workload("Kafka", EDGE_INSTRUCTIONS)
+    array._compile_source.cache_clear()
+    first, second = make_predictor(key), make_predictor(key)
+    res_first = run_simulation(trace, first, engine="array")
+    res_second = run_simulation(trace, second, engine="array")
+    info = array._compile_source.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _assert_identical(res_first, res_second)
+    _assert_state_equal(first, second)
+
+
 #: One valid spelling per parameter token of each parameterised family.
 PARAM_SAMPLES = {
     ("llbp", "w"): "llbp:w=16",

@@ -11,7 +11,8 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.experiments import runner
-from repro.telemetry import format_summary, load_events, summarize
+from repro.telemetry import load_events
+from repro.telemetry.report import format_summary, summarize
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
